@@ -35,7 +35,7 @@ from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, encod
                    fit_scaler, load_csv, split, synthetic_credit)
 from .formulations import PreconditionError, build_model, explain
 from .milpcore import ModelError, export_lp
-from .solver import SolverParams
+from .solver import SimplexError, SolverParams
 from .stats import (DeltaMetric, LofContext, build_lof_context, build_mahalanobis,
                     lof, mahalanobis_distance, q1_surrogate, sample_reference_set)
 
@@ -499,7 +499,8 @@ def main(argv=None) -> int:
         return 0
 
     except (ConfigError, SchemaError, ParseError, ActionConfigError, ModelError,
-            PreconditionError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+            PreconditionError, FileNotFoundError, json.JSONDecodeError, ValueError,
+            SimplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

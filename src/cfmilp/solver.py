@@ -1,50 +1,76 @@
-"""Exact MILP solving: two-phase dense simplex plus branch and bound.
+"""Exact MILP solving: branch and bound over a dense bounded-variable simplex.
 
-The LP core is a primal simplex on the bounded-variable standard form
-(min c'x, Ax {<=,=,>=} b, l <= x <= u): variable bounds are handled
-implicitly through nonbasic at-lower/at-upper flags instead of explicit
-rows, which keeps the dense tableau at (#constraints) x (#columns).  Free or
-upper-bounded-only variables are transformed away up front (shift, mirror,
-or split), every inequality gets a slack column, and rows without a natural
-slack basis get a phase-1 artificial.  Entering variables follow Dantzig's
-rule with a permanent switch to Bland's rule after a long run of degenerate
-pivots, so the method cannot cycle; all tie-breaks are by lowest index,
-making the whole solve a pure function of its input.
+The LP core works on the bounded-variable standard form (min c'x,
+Ax {<=,=,>=} b, l <= x <= u): variable bounds are handled implicitly through
+nonbasic at-lower/at-upper flags instead of explicit rows, which keeps the
+dense tableau at (#constraints) x (#columns).  Free or upper-bounded-only
+variables are transformed away up front (shift, mirror, or split), every
+inequality gets a slack column, and rows without a natural slack basis get a
+phase-1 artificial.
 
-Branch and bound relaxes binaries to [0,1], selects nodes best-bound-first
-(ties by creation order), branches on the most fractional binary within the
-highest caller-assigned priority level (ties by lowest variable id), and
-stops at a proven relative gap of 1e-6.  There is
-no presolve beyond dropping rows that turn out linearly redundant in phase 1
-and no cutting planes, so measured solve times track the constraint counts
-of the formulation being solved.  Intended scale is desk-sized models, up to
-roughly two-thousand variables and a few thousand rows.
+An LP solved from scratch -- ``solve_lp``, and the root of branch and bound --
+runs a two-phase primal simplex.  Entering variables follow Dantzig's rule
+with a permanent switch to Bland's rule after a long run of degenerate
+pivots, so it cannot cycle.
+
+Branch and bound keeps the root's optimal tableau, artificial columns
+dropped, as the one live tableau of the whole search, and solves every later
+node with a bounded dual simplex from the basis the previous node left.
+Branching only fixes binaries, each boxed in [0,1], so that basis is dual
+feasible for any node once every nonbasic binary sits at its fixed value or,
+when the node leaves it free, at the bound its reduced cost favours.  The
+leaving row is the largest infeasibility scaled by the squared norm of its
+tableau row; the entering column comes from a two-pass Harris ratio test.
+The tableau is refactored from the sparse rows when the search starts,
+every ``_REFACTOR`` pivots, and whenever a node's primal point fails its
+residual against those rows.  An infeasible verdict stands only once the
+leaving row, recomputed from a fresh factor of the basis, proves it.  A node
+that still fails after one refactor, a singular basis or the pivot cap send
+that one node back to the cold two-phase solve, whose basis the search then
+continues from.
+
+Nodes are selected best-bound-first (ties by creation order), branching is on
+the most fractional binary within the highest caller-assigned priority level
+(ties by lowest variable id), and the search stops at a proven relative gap
+of 1e-6.  All tie-breaks are by lowest index, making the whole solve a pure
+function of its input.  The time limit is checked inside the pivot loops as
+well as between nodes.  There is no presolve beyond dropping rows that turn
+out linearly redundant in phase 1 and no cutting planes, so measured solve
+times track the constraint counts of the formulation being solved.  Intended
+scale is desk-sized models, up to roughly two-thousand variables and a few
+thousand rows.
+
+Every BLAS call in the pivot loops goes through ``scipy.linalg.blas``.  numpy
+and scipy each load their own threaded OpenBLAS, and with both in one loop
+their thread pools contend for the cores: on a 2-core host, a pivot of a
+1029 x 2000 tableau took 8.6 ms with numpy's gemv beside scipy's dger and
+1.0 ms with scipy's dgemv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm
+from scipy.linalg.blas import dgemv as _dgemv
+from scipy.linalg.blas import dger as _dger
+from scipy.linalg.lapack import dgetrf as _dgetrf
+from scipy.linalg.lapack import dgetrs as _dgetrs
 
-try:
-    from scipy.linalg.blas import dger as _dger
-except ImportError:                      # pragma: no cover
-    _dger = None
-
-from .milpcore import EvalResult, MilpModel, MilpSolution, evaluate
+from .milpcore import MilpModel, MilpSolution, evaluate
 
 
 def _rank1_sub(t: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """t -= outer(col, row) without a temporary when BLAS dger is available.
+    """t -= outer(col, row) without a temporary when t is Fortran-ordered.
 
-    Requires t Fortran-ordered for the in-place path; row must be a copy,
-    never a view into t.
+    row must be a copy, never a view into t.
     """
-    if _dger is not None and t.flags.f_contiguous:
+    if t.flags.f_contiguous:
         _dger(-1.0, col, row, a=t, overwrite_a=1)
     else:                                # pragma: no cover
         t -= np.outer(col, row)
@@ -54,13 +80,20 @@ class SimplexError(RuntimeError):
     """Numerical failure inside the simplex (pivot cap, lost feasibility)."""
 
 
+class _Timeout(Exception):
+    """The deadline passed inside a pivot loop."""
+
+
+class _Restart(Exception):
+    """The warm basis cannot go on (singular or pivot cap): solve the node cold."""
+
+
 @dataclass
 class SolverParams:
     time_limit_s: float = 1200.0
     rel_gap: float = 1e-6
     int_tol: float = 1e-6
     node_limit: int | None = None
-    seed: int = 0          # accepted for interface stability; the algorithm is deterministic
 
 
 @dataclass
@@ -71,15 +104,101 @@ class LpResult:
     iterations: int
 
 
+class _Rows:
+    """Sparse matrix in compressed columns, with the few operations the
+    simplex needs.  Plain arrays, because importing scipy.sparse and its LU
+    adds about 5 MiB of resident memory to every process that solves."""
+
+    def __init__(self, row, col, val, shape):
+        order = np.lexsort((row, col))
+        self.row, self.col, self.val = row[order], col[order], val[order]
+        self.shape = shape
+        self.indptr = np.searchsorted(self.col, np.arange(shape[1] + 1))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.col, weights=self.val * y[self.row], minlength=self.shape[1])
+
+    def dense(self, cols: np.ndarray) -> np.ndarray:
+        """The columns ``cols`` as a dense Fortran-ordered (m, len(cols)) array."""
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        nz = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        out = np.zeros((self.shape[0], cols.size), order="F")
+        out[self.row[nz], np.repeat(np.arange(cols.size), counts)] = self.val[nz]
+        return out
+
+    def take_rows(self, keep: np.ndarray) -> "_Rows":
+        new_id = np.full(self.shape[0], -1)
+        new_id[keep] = np.arange(keep.size)
+        sel = new_id[self.row] >= 0
+        return _Rows(new_id[self.row[sel]], self.col[sel], self.val[sel],
+                     (keep.size, self.shape[1]))
+
+
+class _Factor:
+    """LU factors of a basis matrix, factoring only its dense part.
+
+    A basis column with one nonzero (a slack, mostly) is solved by one
+    division in its row; LAPACK factors just the k x k block of the other
+    columns on the rows no such column covers.
+    """
+
+    def __init__(self, rows: _Rows, basis: np.ndarray):
+        m = basis.size
+        single = rows.indptr[basis + 1] - rows.indptr[basis] == 1
+        self.ps = np.nonzero(single)[0]            # basis positions of singletons
+        self.pk = np.nonzero(~single)[0]
+        first = rows.indptr[basis[self.ps]]
+        self.rs, self.scale = rows.row[first], rows.val[first]
+        covered = np.zeros(m, dtype=bool)
+        covered[self.rs] = True
+        if np.count_nonzero(covered) < self.rs.size:
+            raise _Restart                          # two singletons share a row
+        self.rk = np.nonzero(~covered)[0]
+        self.m = m
+        if self.pk.size:
+            bk = rows.dense(basis[self.pk])
+            self.c1 = np.asfortranarray(bk[self.rs])
+            self.lu, self.piv, info = _dgetrf(bk[self.rk], overwrite_a=1)
+            if info != 0:
+                raise _Restart                      # exactly singular
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v for a (m, w) block indexed by row; rows of the result
+        follow the basis positions."""
+        u = np.empty_like(v)
+        vs = v[self.rs]
+        if self.pk.size:
+            uk, _ = _dgetrs(self.lu, self.piv, v[self.rk])
+            u[self.pk] = uk
+            if self.rs.size:
+                vs = _dgemm(-1.0, self.c1, uk, 1.0, vs)
+        u[self.ps] = vs / self.scale[:, None]
+        return u
+
+    def solve_t(self, e: np.ndarray) -> np.ndarray:
+        """B^-T e for e indexed by basis position; the result is by row."""
+        y = np.zeros(self.m)
+        y[self.rs] = e[self.ps] / self.scale
+        if self.pk.size:
+            rhs = e[self.pk]
+            if self.rs.size:
+                rhs = rhs - _dgemv(1.0, self.c1, y[self.rs], trans=1)
+            y[self.rk] = _dgetrs(self.lu, self.piv, rhs, trans=1)[0]
+        return y
+
+
 @dataclass
 class _Std:
     """Model arrays extracted once; bound vectors vary per node."""
 
     c: np.ndarray
     const: float
-    row_ids: list
-    row_vals: list
-    cmps: list
+    a: _Rows                         # (m, n) constraint rows
+    cmps: np.ndarray                 # (m,) "<=", ">=" or "="
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -91,60 +210,134 @@ def _extract(model: MilpModel) -> _Std:
     c = np.zeros(n)
     for vid, coef in model.objective.items():
         c[vid] = coef
-    row_ids, row_vals, cmps = [], [], []
-    rhs = np.zeros(model.n_constraints)
-    for i, con in enumerate(model.constraints):
-        ids = np.fromiter((v for v, _ in con.coeffs), dtype=int, count=len(con.coeffs))
-        vals = np.fromiter((cf for _, cf in con.coeffs), dtype=float, count=len(con.coeffs))
-        row_ids.append(ids)
-        row_vals.append(vals)
-        cmps.append(con.cmp)
-        rhs[i] = con.rhs
+    cons = model.constraints
+    nnz = sum(len(con.coeffs) for con in cons)
+    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+    ids = np.fromiter((v for con in cons for v, _ in con.coeffs), dtype=int, count=nnz)
+    vals = np.fromiter((cf for con in cons for _, cf in con.coeffs), dtype=float, count=nnz)
+    a = _Rows(row, ids, vals, (len(cons), n))
     lb = np.array([v.lb for v in model.variables])
     ub = np.array([v.ub for v in model.variables])
     binaries = np.zeros(n, dtype=bool)
-    for vid in model.binary_ids:
-        binaries[vid] = True
-    return _Std(c=c, const=model.objective_constant, row_ids=row_ids, row_vals=row_vals,
-                cmps=cmps, rhs=rhs, lb=lb, ub=ub, binaries=binaries)
+    binaries[model.binary_ids] = True
+    return _Std(c=c, const=model.objective_constant, a=a,
+                cmps=np.array([con.cmp for con in cons], dtype=object),
+                rhs=np.array([con.rhs for con in cons], dtype=float),
+                lb=lb, ub=ub, binaries=binaries)
+
+
+@dataclass
+class _Layout:
+    """Model variables and rows as nonnegative tableau columns and signed rows.
+
+    x = base + sign * column, except a split (free) variable, which is
+    column - second column.  Structural columns precede one slack per
+    inequality row; every row is signed so that its rhs is nonnegative.
+    """
+
+    col_of: np.ndarray               # (n,) column of each variable
+    col_neg: np.ndarray              # (n,) second column of a split variable, else -1
+    base: np.ndarray
+    sign: np.ndarray
+    rows: _Rows                      # (m, n_cols)
+    rhs: np.ndarray                  # (m,) >= 0
+    ubt: np.ndarray                  # (n_cols,) column upper bounds, inf allowed
+    cost: np.ndarray                 # (n_cols,)
+    slack_basis: np.ndarray          # (m,) slack column with +1 in the row, else -1
+
+    def point(self, xt: np.ndarray) -> np.ndarray:
+        x = self.base + self.sign * xt[self.col_of]
+        split = self.col_neg >= 0
+        if split.any():
+            x[split] = xt[self.col_of[split]] - xt[self.col_neg[split]]
+        return x
+
+
+def _layout(std: _Std, lb: np.ndarray, ub: np.ndarray) -> _Layout:
+    fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
+    split = ~fin_lb & ~fin_ub
+    width = 1 + split.astype(int)
+    col_of = np.cumsum(width) - width
+    col_neg = np.where(split, col_of + 1, -1)
+    n_t = int(width.sum())
+    base = np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0))
+    sign = np.where(fin_lb | ~fin_ub, 1.0, -1.0)
+
+    m = std.rhs.size
+    slack_rows = np.nonzero(std.cmps != "=")[0]
+    n_cols = n_t + slack_rows.size
+    slack_cols = n_t + np.arange(slack_rows.size)
+    rhs = std.rhs - std.a.matvec(base)
+    flip = np.where(rhs < 0.0, -1.0, 1.0)
+    slack_sign = np.where(std.cmps[slack_rows] == "<=", 1.0, -1.0) * flip[slack_rows]
+
+    a = std.a
+    sr = np.nonzero(split[a.col])[0]
+    r = np.concatenate([a.row, a.row[sr], slack_rows])
+    cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], slack_cols])
+    data = np.concatenate([sign[a.col] * a.val * flip[a.row],
+                           -a.val[sr] * flip[a.row[sr]], slack_sign])
+    rows = _Rows(r, cols, data, (m, n_cols))
+
+    ubt = np.full(n_cols, np.inf)
+    ubt[col_of[fin_lb]] = (ub - lb)[fin_lb]
+    cost = np.zeros(n_cols)
+    cost[col_of] = sign * std.c
+    cost[col_neg[split]] = -std.c[split]
+    slack_basis = np.full(m, -1)
+    natural = slack_sign > 0
+    slack_basis[slack_rows[natural]] = slack_cols[natural]
+    return _Layout(col_of=col_of, col_neg=col_neg, base=base, sign=sign, rows=rows,
+                   rhs=np.abs(rhs), ubt=ubt, cost=cost, slack_basis=slack_basis)
 
 
 _EPS_RC = 1e-9          # reduced-cost threshold for entering candidates
-_EPS_PIV = 1e-9         # smallest usable pivot magnitude
-_EPS_FIX = 1e-12        # columns with upper bound below this never enter
-_REFRESH = 512          # pivots between exact reduced-cost recomputations
+_EPS_PIV = 1e-9         # smallest usable primal pivot magnitude
+_EPS_DUAL_PIV = 1e-7    # smallest usable dual pivot (Harris ratio test)
+_EPS_FEAS = 1e-9        # basic value outside its bounds by more than this leaves
+_EPS_RES = 1e-9         # node residual |Ax - b| allowed, relative to 1 + max|b|
+_EPS_FIX = 1e-12        # columns with a range below this never enter
+_REFRESH = 512          # primal pivots between exact reduced-cost recomputations
+_REFACTOR = 200         # dual pivots between refactorizations
+_BLOCK = 64             # tableau columns solved per block in a refactorization
 
 
 class _Tableau:
-    """Mutable simplex state over the transformed nonnegative variables."""
+    """Mutable simplex state over the transformed bounded variables."""
 
-    def __init__(self, t, xb, basis, ubt, n_struct, n_art):
+    def __init__(self, t, xb, basis, ubt):
         self.t = t                    # (m, n_cols) dense tableau, B^-1 A
         self.xb = xb                  # (m,) current basic values
         self.basis = basis            # (m,) int, column basic in each row
         self.ubt = ubt                # (n_cols,) upper bounds, inf allowed
+        self.lo = np.zeros(t.shape[1])
         self.at_upper = np.zeros(t.shape[1], dtype=bool)
-        self.n_struct = n_struct      # structural columns precede slacks/artificials
-        self.n_art = n_art
         self.iterations = 0
+        # dual simplex state, set by prepare_dual
+        self.rows = self.rhs = self.cost = self.z = self.w = None
+        self.since_refactor = 0
+        self.infeasible_row = -1
 
     def values(self) -> np.ndarray:
-        x = np.where(self.at_upper, np.where(np.isfinite(self.ubt), self.ubt, 0.0), 0.0)
+        x = np.where(self.at_upper, self.ubt, self.lo)
         x[self.basis] = self.xb
         return x
 
     def _reduced_costs(self, cost):
-        return cost - cost[self.basis] @ self.t
+        if not self.basis.size:
+            return cost.copy()
+        return cost - _dgemv(1.0, self.t, cost[self.basis], trans=1)
 
-    def run(self, cost: np.ndarray, forbid_from: int | None = None) -> str:
-        """Pivot until optimal or unbounded under ``cost``; returns the outcome.
+    def run(self, cost: np.ndarray, forbid_from: int | None = None,
+            deadline: float | None = None) -> str:
+        """Primal pivots until optimal or unbounded under ``cost``.
 
-        ``forbid_from`` excludes a trailing column block (the artificials in
-        phase 2) from ever entering the basis.
+        Assumes zero lower bounds, as every cold start has.  ``forbid_from``
+        excludes a trailing column block (the artificials in phase 2) from
+        ever entering the basis.
         """
         m, n_cols = self.t.shape
         z = self._reduced_costs(cost)
-        obj = float(cost @ self.values())
         bland = False
         stall = 0
         stall_limit = 3 * (m + n_cols) + 200
@@ -157,9 +350,10 @@ class _Tableau:
         while True:
             if self.iterations > cap:
                 raise SimplexError("pivot cap exceeded")
+            if deadline is not None and time.perf_counter() > deadline:
+                raise _Timeout
             if since_refresh >= _REFRESH:
                 z = self._reduced_costs(cost)
-                obj = float(cost @ self.values())
                 since_refresh = 0
 
             lower_ok = enterable & ~self.at_upper & (z < -_EPS_RC)
@@ -212,7 +406,6 @@ class _Tableau:
                     bland = True
             else:
                 stall = 0
-            obj += delta_obj
 
             if p < 0:
                 # bound flip: q jumps to its other bound, basis unchanged
@@ -237,103 +430,180 @@ class _Tableau:
             z[q] = 0.0
             self.basis[p] = q
 
+    # -- bounded dual simplex over a live tableau --------------------------------
 
-def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    """Prep transforms + two-phase bounded simplex for one bound configuration."""
-    n = std.c.size
-    m = len(std.row_ids)
+    def prepare_dual(self, rows: _Rows, rhs: np.ndarray, cost: np.ndarray) -> None:
+        """Attach the signed sparse rows the tableau is B^-1 of, and the cost,
+        and refactor from them: the primal pivots before may have left some
+        tableau columns far off while the basic values stay accurate.  A
+        basis that does not factor keeps the primal's tableau."""
+        self.rows, self.rhs, self.cost = rows, rhs, cost
+        try:
+            self.refactor()
+        except _Restart:
+            self.z = self._reduced_costs(cost)
+            self.z[self.basis] = 0.0
+            self.w = np.einsum("ij,ij->i", self.t, self.t)
+            self.since_refactor = 0
 
-    # per-variable transform to a nonnegative column: (base, sign, col) or split
-    col_of = np.full(n, -1, dtype=int)
-    col_neg = np.full(n, -1, dtype=int)    # second column of a split variable
-    base = np.zeros(n)
-    sign = np.ones(n)
-    n_t = 0
-    for j in range(n):
-        if math.isfinite(lb[j]):
-            base[j] = lb[j]
-            col_of[j] = n_t
-            n_t += 1
-        elif math.isfinite(ub[j]):
-            base[j] = ub[j]
-            sign[j] = -1.0
-            col_of[j] = n_t
-            n_t += 1
-        else:
-            col_of[j] = n_t
-            col_neg[j] = n_t + 1
-            n_t += 2
+    def refactor(self) -> None:
+        """Recompute tableau, basic values, reduced costs and row weights from
+        the sparse rows, in column blocks written into the live buffer."""
+        lu = _Factor(self.rows, self.basis)
+        m, n = self.t.shape
+        w = np.zeros(m)
+        for j in range(0, n, _BLOCK):
+            blk = lu.solve(self.rows.dense(np.arange(j, min(n, j + _BLOCK))))
+            if not np.isfinite(blk).all():
+                raise _Restart                  # before this block is written
+            self.t[:, j:j + _BLOCK] = blk
+            w += np.einsum("ij,ij->i", blk, blk)
+        x = np.where(self.at_upper, self.ubt, self.lo)
+        x[self.basis] = 0.0
+        self.xb = lu.solve((self.rhs - self.rows.matvec(x))[:, None])[:, 0]
+        self.z = self._reduced_costs(self.cost)
+        self.z[self.basis] = 0.0
+        self.w = w
+        self.since_refactor = 0
 
-    ubt_struct = np.full(n_t, np.inf)
-    for j in range(n):
-        if math.isfinite(lb[j]):
-            ubt_struct[col_of[j]] = ub[j] - lb[j]
+    def proves_infeasible(self, r: int) -> bool:
+        """Whether row r, recomputed from a fresh factor of the basis, shows
+        its basic variable cannot reach its bounds for any nonbasic values
+        within theirs (a Farkas certificate)."""
+        try:
+            lu = _Factor(self.rows, self.basis)
+        except _Restart:
+            return False
+        e = np.zeros(self.basis.size)
+        e[r] = 1.0
+        y = lu.solve_t(e)
+        alpha = self.rows.rmatvec(y)
+        alpha[self.basis] = 0.0
+        alpha[np.abs(alpha) <= 1e-11] = 0.0       # rounding noise, not coefficients
+        pos, neg = alpha > 0.0, alpha < 0.0
+        # x_r = y'b - alpha'x_N over the box of the nonbasic values
+        lo_sum = alpha[pos] @ self.lo[pos] + alpha[neg] @ self.ubt[neg]
+        hi_sum = alpha[pos] @ self.ubt[pos] + alpha[neg] @ self.lo[neg]
+        yb = float(y @ self.rhs)
+        col = self.basis[r]
+        return (yb - lo_sum < self.lo[col] - _EPS_FEAS
+                or yb - hi_sum > self.ubt[col] + _EPS_FEAS)
 
-    # adjusted rhs and row signs; decide slack/artificial layout
-    rhs_adj = np.empty(m)
-    neg = np.zeros(m, dtype=bool)
-    slack_col = np.full(m, -1, dtype=int)
-    slack_sign = np.zeros(m)
-    art_col = np.full(m, -1, dtype=int)
-    n_slack = 0
-    for i in range(m):
-        r = std.rhs[i] - float(base[std.row_ids[i]] @ std.row_vals[i])
-        rhs_adj[i] = r
-        if std.cmps[i] != "=":
-            slack_col[i] = n_t + n_slack
-            n_slack += 1
-    n_art = 0
-    art_start = n_t + n_slack
-    for i in range(m):
-        flip = rhs_adj[i] < 0.0
-        neg[i] = flip
-        if flip:
-            rhs_adj[i] = -rhs_adj[i]
-        if std.cmps[i] == "=":
-            s = 0.0
-        else:
-            s = 1.0 if std.cmps[i] == "<=" else -1.0
-            if flip:
-                s = -s
-            slack_sign[i] = s
-        if s != 1.0:
-            art_col[i] = art_start + n_art
-            n_art += 1
+    def residual_ok(self) -> bool:
+        """Whether the primal point satisfies the sparse rows it came from."""
+        if not self.rhs.size:
+            return True
+        res = self.rows.matvec(self.values()) - self.rhs
+        return float(np.abs(res).max()) <= _EPS_RES * (1.0 + float(self.rhs.max()))
 
-    n_cols = art_start + n_art
-    t = np.zeros((m, n_cols), order="F")
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        ids = std.row_ids[i]
-        vals = std.row_vals[i] if not neg[i] else -std.row_vals[i]
-        cols = col_of[ids]
-        np.add.at(t, (np.full(ids.size, i), cols), sign[ids] * vals)
-        splits = np.nonzero(col_neg[ids] >= 0)[0]
-        for k in splits:
-            t[i, col_neg[ids[k]]] = -vals[k]
-        if slack_col[i] >= 0:
-            t[i, slack_col[i]] = slack_sign[i]
-        if art_col[i] >= 0:
-            t[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-        else:
-            basis[i] = slack_col[i]
+    def dual(self, deadline: float | None = None) -> str:
+        """Dual pivots from a dual feasible basis until every basic value is
+        within its bounds ("optimal") or the leaving row has no entering
+        column ("infeasible").  Raises _Restart past the pivot cap."""
+        t = self.t
+        m, n = t.shape
+        if not m:
+            return "optimal"
+        free = self.ubt - self.lo > _EPS_FIX      # nonbasic columns that may enter
+        free[self.basis] = False
+        lo_b = self.lo[self.basis]
+        up_b = self.ubt[self.basis]
+        cap = self.iterations + 10 * (m + n) + 1000
+        while True:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise _Timeout
+            below = lo_b - self.xb
+            infeas = np.maximum(below, self.xb - up_b)
+            score = infeas * infeas / self.w
+            score[infeas <= _EPS_FEAS] = 0.0
+            r = int(np.argmax(score))
+            if score[r] <= 0.0:
+                return "optimal"
+            if self.iterations >= cap:
+                raise _Restart
+            if self.since_refactor >= _REFACTOR:
+                self.refactor()
+                continue
 
-    ubt = np.concatenate([ubt_struct, np.full(n_slack + n_art, np.inf)])
-    tab = _Tableau(t=t, xb=rhs_adj.copy(), basis=basis, ubt=ubt,
-                   n_struct=n_t, n_art=n_art)
+            to_lower = below[r] > 0.0
+            alpha = t[r, :].copy()
+            # g > 0: moving column j off its bound moves the leaving value
+            # toward the bound it violates
+            up = self.at_upper
+            g = np.where(up, alpha, -alpha) if to_lower else np.where(up, -alpha, alpha)
+            cand = np.nonzero(free & (g > _EPS_DUAL_PIV))[0]
+            if not cand.size:
+                self.infeasible_row = r
+                return "infeasible"
+            gc = g[cand]
+            zc = self.z[cand]
+            slack = np.maximum(np.where(up[cand], -zc, zc), 0.0)
+            bound = float(((slack + _EPS_RC) / gc).min())
+            q = int(cand[np.argmax(np.where(slack / gc <= bound, gc, 0.0))])
 
-    feas_tol = 1e-8 * max(1.0, float(np.abs(rhs_adj).max()) if m else 1.0)
+            aq = alpha[q]
+            target = lo_b[r] if to_lower else up_b[r]
+            step = (self.xb[r] - target) / aq
+            entering_from = self.ubt[q] if up[q] else self.lo[q]
+            leaving = self.basis[r]
+            col = t[:, q].copy()
+            tr = _dgemv(1.0, t, alpha)            # old rows . pivot row, for the weights
+            self.xb -= step * col
+            self.xb[r] = entering_from + step
+            up[leaving] = not to_lower
+            up[q] = False
+            free[leaving] = self.ubt[leaving] - self.lo[leaving] > _EPS_FIX
+            free[q] = False
+            lo_b[r], up_b[r] = self.lo[q], self.ubt[q]
+            prow = alpha / aq
+            t[r, :] = prow
+            ratio_col = col / aq
+            col[r] = 0.0
+            _rank1_sub(t, col, prow)
+            w = self.w
+            w += ratio_col * (ratio_col * tr[r] - 2.0 * tr)
+            w[r] = tr[r] / (aq * aq)
+            np.maximum(w, 1.0, out=w)             # a row holds its basic column's 1
+            self.z -= self.z[q] * prow
+            self.z[q] = 0.0
+            self.basis[r] = q
+            self.iterations += 1
+            self.since_refactor += 1
+
+
+def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
+                  deadline: float | None = None):
+    """Two-phase bounded primal simplex for one bound configuration, cold.
+
+    Returns the result and, when it is optimal, the final state
+    ``(layout, tableau, kept row indices)`` a ``_Warm`` search starts from.
+    """
+    lay = _layout(std, lb, ub)
+    m, n_cols = lay.rows.shape
+    art_rows = np.nonzero(lay.slack_basis < 0)[0]
+    n_art = art_rows.size
+    art_start = n_cols
+
+    t = np.zeros((m, n_cols + n_art), order="F")
+    t[lay.rows.row, lay.rows.col] = lay.rows.val
+    t[art_rows, art_start + np.arange(n_art)] = 1.0
+    basis = lay.slack_basis.copy()
+    basis[art_rows] = art_start + np.arange(n_art)
+    ubt = np.concatenate([lay.ubt, np.full(n_art, np.inf)])
+    tab = _Tableau(t=t, xb=lay.rhs.copy(), basis=basis, ubt=ubt)
+
+    keep = np.arange(m)
+    feas_tol = 1e-8 * max(1.0, float(lay.rhs.max()) if m else 1.0)
     if n_art > 0:
-        cost1 = np.zeros(n_cols)
+        cost1 = np.zeros(n_cols + n_art)
         cost1[art_start:] = 1.0
-        out = tab.run(cost1)
+        out = tab.run(cost1, deadline=deadline)
         if out != "optimal":
             raise SimplexError("phase 1 reported unbounded")
         art_sum = float(cost1 @ tab.values())
         if art_sum > feas_tol:
             return LpResult(status="infeasible", x=None, objective=None,
-                            iterations=tab.iterations)
+                            iterations=tab.iterations), None
         # drive artificials out of the basis; drop rows that are redundant
         drop = []
         for p in range(m):
@@ -353,28 +623,120 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray) -> LpResult:
             else:
                 drop.append(p)
         if drop:
-            keep = np.setdiff1d(np.arange(tab.t.shape[0]), drop)
+            keep = np.setdiff1d(np.arange(m), drop)
             tab.t = np.asfortranarray(tab.t[keep])
             tab.xb = tab.xb[keep]
             tab.basis = tab.basis[keep]
 
-    cost2 = np.zeros(n_cols)
-    for j in range(n):
-        cost2[col_of[j]] = sign[j] * std.c[j]
-        if col_neg[j] >= 0:
-            cost2[col_neg[j]] = -std.c[j]
-    out = tab.run(cost2, forbid_from=art_start)
+    cost2 = np.concatenate([lay.cost, np.zeros(n_art)])
+    out = tab.run(cost2, forbid_from=art_start, deadline=deadline)
     if out == "unbounded":
         return LpResult(status="unbounded", x=None, objective=None,
-                        iterations=tab.iterations)
+                        iterations=tab.iterations), None
 
-    xt = tab.values()
-    x = base + sign * xt[col_of]
-    has_neg = col_neg >= 0
-    if has_neg.any():
-        x[has_neg] = xt[col_of[has_neg]] - xt[col_neg[has_neg]]
+    x = lay.point(tab.values())
     obj = float(std.c @ x) + std.const
-    return LpResult(status="optimal", x=x, objective=obj, iterations=tab.iterations)
+    res = LpResult(status="optimal", x=x, objective=obj, iterations=tab.iterations)
+    return res, (lay, tab, keep)
+
+
+class _Warm:
+    """The live tableau of one branch-and-bound search.
+
+    Built from a cold optimum; ``solve`` re-solves it under new bounds on
+    binaries by dual pivots from whatever basis the previous solve left.
+    """
+
+    def __init__(self, std: _Std, lay: _Layout, tab: _Tableau, keep: np.ndarray):
+        n_cols = lay.cost.size
+        rows, rhs = lay.rows, lay.rhs
+        if keep.size < rhs.size:
+            # redundant rows stay out, so a cold re-solve fits the live rows
+            std = dataclasses.replace(std, a=std.a.take_rows(keep), cmps=std.cmps[keep],
+                                      rhs=std.rhs[keep])
+            rows, rhs = rows.take_rows(keep), rhs[keep]
+        self.std = std
+        self.lay = lay
+        tab.t = tab.t[:, :n_cols]         # artificials are nonbasic at zero
+        tab.ubt = tab.ubt[:n_cols].copy()
+        tab.lo = tab.lo[:n_cols]
+        tab.at_upper = tab.at_upper[:n_cols].copy()
+        tab.prepare_dual(rows, rhs, lay.cost)
+        self.tab = tab
+        self.root_lo = tab.lo.copy()
+        self.root_ubt = tab.ubt.copy()
+        self.root_basis = tab.basis.copy()
+        self.root_upper = tab.at_upper.copy()
+        self.bin_cols = lay.col_of[std.binaries]
+
+    def solve(self, fixes: dict, deadline: float | None = None) -> LpResult:
+        """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
+        other bounds as at the root."""
+        tab = self.tab
+        start = tab.iterations
+        self._place(fixes)
+        refactored = False
+        while True:
+            try:
+                if tab.dual(deadline) == "optimal":
+                    if tab.residual_ok():
+                        break
+                elif tab.proves_infeasible(tab.infeasible_row):
+                    return LpResult(status="infeasible", x=None, objective=None,
+                                    iterations=tab.iterations - start)
+                if refactored:
+                    raise _Restart
+                tab.refactor()
+                refactored = True
+            except _Restart:
+                return self._cold(fixes, deadline, tab.iterations - start)
+        x = self.lay.point(tab.values())
+        return LpResult(status="optimal", x=x, objective=float(self.std.c @ x) + self.std.const,
+                        iterations=tab.iterations - start)
+
+    def _place(self, fixes: dict) -> None:
+        """Set the node's bounds; put each nonbasic binary at its fixed value
+        or its reduced cost's bound, and move the basic values with it."""
+        tab = self.tab
+        before = tab.values()
+        tab.lo = self.root_lo.copy()
+        tab.ubt = self.root_ubt.copy()
+        if fixes:
+            cols = self.lay.col_of[list(fixes)]
+            bounds = np.array(list(fixes.values()), dtype=float)
+            tab.lo[cols] = bounds[:, 0]
+            tab.ubt[cols] = bounds[:, 1]
+        nonbasic = np.ones(tab.lo.size, dtype=bool)
+        nonbasic[tab.basis] = False
+        cols = self.bin_cols[nonbasic[self.bin_cols]]
+        tab.at_upper[cols] = (tab.ubt[cols] > tab.lo[cols]) & (tab.z[cols] < 0.0)
+        delta = np.where(tab.at_upper[cols], tab.ubt[cols], tab.lo[cols]) - before[cols]
+        moved = delta != 0.0
+        if moved.any() and tab.xb.size:
+            tab.xb = _dgemv(-1.0, tab.t[:, cols[moved]], delta[moved], 1.0, tab.xb)
+
+    def _cold(self, fixes: dict, deadline: float | None, spent: int) -> LpResult:
+        """Solve the node from scratch and continue from its optimal basis, or
+        from the root's when it has none that fits the live rows."""
+        lb, ub = self.std.lb.copy(), self.std.ub.copy()
+        for vid, (lo, hi) in fixes.items():
+            lb[vid], ub[vid] = lo, hi
+        res, final = _solve_arrays(self.std, lb, ub, deadline)
+        if res.status == "unbounded":
+            raise SimplexError("child LP unbounded under restricted bounds")
+        tab = self.tab
+        if final is not None and final[1].basis.size == tab.basis.size:
+            tab.basis[:] = final[1].basis
+            tab.at_upper[:] = final[1].at_upper[:tab.at_upper.size]
+        else:
+            tab.basis[:] = self.root_basis
+            tab.at_upper[:] = self.root_upper
+        try:
+            tab.refactor()
+        except _Restart:
+            raise SimplexError("basis singular after a cold re-solve") from None
+        res.iterations += spent
+        return res
 
 
 def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
@@ -387,7 +749,7 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     lb, ub = std.lb.copy(), std.ub.copy()
     for vid, (lo, hi) in (overrides or {}).items():
         lb[vid], ub[vid] = lo, hi
-    return _solve_arrays(std, lb, ub)
+    return _solve_arrays(std, lb, ub)[0]
 
 
 def solve_milp(model: MilpModel, params: SolverParams | None = None,
@@ -403,6 +765,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     """
     params = params or SolverParams()
     t_start = time.perf_counter()
+    deadline = t_start + params.time_limit_s
     std = _extract(model)
     bin_ids = np.nonzero(std.binaries)[0]
     prio = np.zeros(bin_ids.size)
@@ -431,6 +794,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     lp_iters = 0
     next_id = 0
     heap = [(-np.inf, next_id, {})]          # (parent bound, id, {vid: (lb, ub)})
+    warm = None                               # live tableau, from the root on
     timed_out = False
     hit_node_limit = False
     root_unbounded = False
@@ -446,7 +810,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             if bound_est >= inc_obj - prune_eps():
                 best_bound = bound_est
                 break
-        if time.perf_counter() - t_start > params.time_limit_s:
+        if time.perf_counter() > deadline:
             timed_out = True
             best_bound = bound_est
             break
@@ -454,22 +818,27 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             hit_node_limit = True
             best_bound = bound_est
             break
-        heapq.heappop(heap)
+        node = heapq.heappop(heap)
 
-        lb = std.lb.copy()
-        ub = std.ub.copy()
-        for vid, (lo, hi) in fixes.items():
-            lb[vid], ub[vid] = lo, hi
-        res = _solve_arrays(std, lb, ub)
+        try:
+            if nodes == 0:
+                res, final = _solve_arrays(std, std.lb, std.ub, deadline)
+                if final is not None:
+                    warm = _Warm(std, *final)
+            else:
+                res = warm.solve(fixes, deadline)
+        except _Timeout:
+            heapq.heappush(heap, node)       # the node stays open
+            timed_out = True
+            best_bound = bound_est
+            break
         nodes += 1
         lp_iters += res.iterations
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":
-            if nodes == 1:
-                root_unbounded = True
-                break
-            raise SimplexError("child LP unbounded under restricted bounds")
+            root_unbounded = True
+            break
         bound = res.objective
         if np.isfinite(inc_obj) and bound >= inc_obj - prune_eps():
             continue

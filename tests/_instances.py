@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from cfmilp.actionspace import ActionConfig, FeatureRule, build_action_space
+from cfmilp.bench import load_dataset, train_classifier
 from cfmilp.classifiers import (
     LinearModel,
     predict,
@@ -13,8 +14,10 @@ from cfmilp.classifiers import (
     train_linear_svm,
     train_logistic,
 )
-from cfmilp.data import DatasetSchema, FeatureSpec, RawDataset, encode, fit_scaler
-from cfmilp.stats import DeltaMetric, build_lof_context, build_mahalanobis
+from cfmilp.data import DatasetSchema, FeatureSpec, RawDataset, encode, fit_scaler, split
+from cfmilp.formulations import build_model
+from cfmilp.stats import (DeltaMetric, build_lof_context, build_mahalanobis,
+                          sample_reference_set)
 
 _CATS = ("aa", "bb", "cc", "dd")
 
@@ -125,3 +128,27 @@ def classifier_instance(seed, kind, n_refs=10, grid_size=3, max_changes=3):
     lam = 0.05
     return {"enc": enc, "x": x, "classifier": clf, "mahal": mahal, "metric": metric,
             "lof_ctx": ctx, "space": space, "lam": lam, "n_refs": n_refs}
+
+
+def credit_instance(kind, n_refs, rank=0, formulation="reduced"):
+    """A rejected applicant of the synthetic credit data, the benchmark's
+    pipeline: 600 rows, 0.75 split, grid 3, at most 3 changes, lambda 0.01.
+
+    ``kind`` is "svm", "logistic" or "forest" (5 trees of depth 3); ``rank``
+    picks among the rejected test rows.  Returns the instance with its
+    model built under ``formulation``.
+    """
+    enc = load_dataset({"kind": "synthetic", "n_rows": 600, "seed": 11})
+    train, test = split(enc, 0.75, 1)
+    config = {"kind": kind}
+    if kind == "forest":
+        config.update(n_trees=5, max_depth=3, seed=3)
+    clf = train_classifier(config, train)
+    metric = DeltaMetric.from_matrix(train.x)
+    mahal = build_mahalanobis(train.x)
+    ctx = build_lof_context(sample_reference_set(train.x, train.y, n_refs, 5), metric)
+    x = test.x[np.nonzero(predict_many(clf, test.x) == -1)[0][rank]]
+    space = build_action_space(x, train, ActionConfig(grid_size=3, max_changes=3))
+    model, handles, _ = build_model(x, clf, mahal, ctx, space, 0.01, formulation)
+    return {"x": x, "classifier": clf, "mahal": mahal, "lof_ctx": ctx, "space": space,
+            "lam": 0.01, "model": model, "handles": handles, "formulation": formulation}

@@ -355,6 +355,22 @@ def test_cli_no_recourse_exit_code(tmp_path, capsys):
     assert main(["oracle", "--config", cfg_path, "--index", str(idx)]) == 3
 
 
+def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from cfmilp import bench
+    from cfmilp.solver import SimplexError
+
+    def failing(*args, **kwargs):
+        raise SimplexError("pivot cap exceeded")
+
+    monkeypatch.setattr(bench, "explain", failing)
+    cfg_path = write_config(tmp_path)
+    idx = prepare(RunConfig.from_json(cfg_path)).rejected[0]
+    assert main(["explain", "--config", cfg_path, "--index", str(idx)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pivot cap exceeded")
+    assert "Traceback" not in err
+
+
 def test_cli_export_lp(tmp_path, capsys):
     from _oracles import parse_lp
     cfg_path = write_config(tmp_path)

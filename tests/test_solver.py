@@ -5,14 +5,18 @@ implementation; the package itself never imports it for solving.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from cfmilp import solver
+from cfmilp.formulations import explain
 from cfmilp.milpcore import MilpModel, evaluate
-from cfmilp.solver import SolverParams, solve_lp, solve_milp
+from cfmilp.solver import SolverParams, _extract, _solve_arrays, solve_lp, solve_milp
 
+from _instances import credit_instance
 from _oracles import milp_enumerate
 
 INF = math.inf
@@ -374,3 +378,199 @@ def test_milp_vs_exhaustive_enumeration():
         else:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(best_obj, abs=1e-7)
+
+
+# -- warm-started node LPs ---------------------------------------------------------
+
+def _fixings(rng, bin_ids, count):
+    """Random binary fixings, each over a random subset of the binaries."""
+    out = []
+    for _ in range(count):
+        chosen = rng.choice(bin_ids, size=int(rng.integers(1, min(6, bin_ids.size) + 1)),
+                            replace=False)
+        out.append({int(v): (float(b), float(b)) for v, b in
+                    zip(chosen, rng.integers(0, 2, size=chosen.size))})
+    return out
+
+
+def _warm_vs_cold(model, fixings):
+    """Warm-solve the fixings in turn, each from the basis the previous one
+    left, and compare every LP with a cold solve_lp; returns the statuses."""
+    std = _extract(model)
+    root, final = _solve_arrays(std, std.lb, std.ub)
+    assert root.status == "optimal"
+    warm = solver._Warm(std, *final)
+    statuses = []
+    for fixes in fixings:
+        got = warm.solve(fixes)
+        ref = solve_lp(model, overrides=fixes)
+        assert got.status == ref.status, fixes
+        if ref.status == "optimal":
+            assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            assert _lp_violation(model, got.x, fixes) <= 1e-7
+        statuses.append(ref.status)
+    return statuses
+
+
+def _lp_violation(model, x, fixes):
+    """Worst bound or row violation of an LP point, binaries relaxed."""
+    worst = 0.0
+    for v in model.variables:
+        lo, hi = fixes.get(v.vid, (v.lb, v.ub))
+        worst = max(worst, lo - x[v.vid], x[v.vid] - hi)
+    for con in model.constraints:
+        lhs = sum(c * x[v] for v, c in con.coeffs)
+        gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.cmp]
+        worst = max(worst, gap)
+    return worst
+
+
+def test_warm_start_matches_cold_lp_random_models():
+    rng = np.random.default_rng(37)
+    seen = []
+    for _ in range(25):
+        c, bounds, rows, bins = _random_milp(rng)
+        m = build(c, bounds, rows, binaries=bins)
+        if solve_lp(m).status != "optimal":
+            continue
+        seen += _warm_vs_cold(m, _fixings(rng, np.array(sorted(bins)), 8))
+    assert seen.count("optimal") >= 50 and seen.count("infeasible") >= 10
+
+
+def test_warm_start_matches_cold_lp_credit_model():
+    inst = credit_instance("svm", 30)
+    model = inst["model"]
+    rng = np.random.default_rng(5)
+    bin_ids = np.array(model.binary_ids)
+    statuses = _warm_vs_cold(model, _fixings(rng, bin_ids, 30))
+    assert "optimal" in statuses and "infeasible" in statuses
+
+
+def test_refactor_reproduces_live_tableau(monkeypatch):
+    live = []
+
+    class Recorded(solver._Warm):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.append(self)
+
+    monkeypatch.setattr(solver, "_Warm", Recorded)
+    inst = credit_instance("svm", 50)
+    sol = solve_milp(inst["model"])
+    assert sol.status == "optimal" and sol.nodes > 20
+    tab = live[0].tab
+    t, xb, z = tab.t.copy(), tab.xb.copy(), tab.z.copy()
+    tab.refactor()
+    assert np.abs(tab.t - t).max() <= 1e-8
+    assert np.abs(tab.xb - xb).max() <= 1e-8
+    assert np.abs(tab.z - z).max() <= 1e-8
+
+
+def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
+    # every third warm node LP fails as on a singular basis: the node is solved
+    # cold and the search continues from that node's basis, or the root's
+    inst = credit_instance("svm", 20)
+    expected = solve_milp(inst["model"])
+    calls = []
+    dual = solver._Tableau.dual
+
+    def flaky(self, deadline=None):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise solver._Restart
+        return dual(self, deadline)
+
+    monkeypatch.setattr(solver._Tableau, "dual", flaky)
+    got = solve_milp(inst["model"])
+    assert len(calls) > 30
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(expected.objective, rel=1e-9)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        c, bounds, rows, bins = _random_milp(rng)
+        m = build(c, bounds, rows, binaries=bins)
+        best, _ = milp_enumerate(m, solve_lp)
+        res = solve_milp(m)
+        assert res.status == ("infeasible" if best is None else "optimal")
+        if best is not None:
+            assert res.objective == pytest.approx(best, abs=1e-7)
+
+
+def test_milp_with_redundant_equality_rows():
+    # the root drops one of each duplicated row; every warm node and cold
+    # re-solve must work on the rows that remain
+    rng = np.random.default_rng(53)
+    n_optimal = 0
+    for _ in range(15):
+        c, bounds, rows, bins = _random_milp(rng)
+        pick = [1.0, 1.0] + [0.0] * (len(c) - 2)
+        rows += [(pick, "=", 1.0), ([2.0 * a for a in pick], "=", 2.0)]
+        m = build(c, bounds, rows, binaries=bins)
+        best, _ = milp_enumerate(m, solve_lp)
+        res = solve_milp(m)
+        assert res.status == ("infeasible" if best is None else "optimal")
+        if best is not None:
+            assert res.objective == pytest.approx(best, abs=1e-7)
+            n_optimal += 1
+    assert n_optimal >= 5
+
+
+def test_time_limit_holds_inside_a_node_lp():
+    # the root LP alone takes about a second: the limit must cut into it
+    inst = credit_instance("svm", 50, formulation="original")
+    params = SolverParams(time_limit_s=0.05)
+    t0 = time.perf_counter()
+    res = solve_milp(inst["model"], params)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "infeasible-unproven"
+    # explain starts from a feasible single-change hint
+    exp = explain(inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
+                  inst["space"], inst["lam"], formulation="original", params=params)
+    assert exp.status in ("feasible-time-limit", "infeasible-unproven")
+    assert exp.time_s < 1.0
+
+
+# -- counterfactual models against HiGHS, beyond the exhaustive oracle's reach --------
+
+def _highs(model):
+    """Objective of ``model`` by scipy's HiGHS, or None when it is infeasible."""
+    n = model.n_vars
+    c = np.zeros(n)
+    for vid, coef in model.objective.items():
+        c[vid] = coef
+    a = np.zeros((model.n_constraints, n))
+    lo = np.full(model.n_constraints, -INF)
+    hi = np.full(model.n_constraints, INF)
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.coeffs:
+            a[i, vid] = coef
+        if con.cmp != "<=":
+            lo[i] = con.rhs
+        if con.cmp != ">=":
+            hi[i] = con.rhs
+    ref = milp(c=c, constraints=LinearConstraint(a, lo, hi),
+               integrality=np.array([v.kind == "binary" for v in model.variables], dtype=int),
+               bounds=Bounds([v.lb for v in model.variables], [v.ub for v in model.variables]),
+               options={"mip_rel_gap": 1e-9})
+    assert ref.status in (0, 2), ref.message
+    return ref.fun + model.objective_constant if ref.status == 0 else None
+
+
+@pytest.mark.parametrize("kind", ["svm", "logistic", "forest"])
+@pytest.mark.parametrize("formulation,n_refs", [("original", 20), ("reduced", 20),
+                                                ("reduced", 50)])
+def test_counterfactual_models_match_highs(kind, formulation, n_refs):
+    inst = credit_instance(kind, n_refs, formulation=formulation)
+    exp = explain(inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
+                  inst["space"], inst["lam"], formulation=formulation,
+                  params=SolverParams(time_limit_s=120.0))
+    best = _highs(inst["model"])
+    if best is None:
+        assert exp.status == "no-recourse"
+        return
+    assert exp.status == "optimal"
+    assert exp.objective == pytest.approx(best, rel=1e-6, abs=1e-9)
+    assert exp.valid
+    assert len(exp.action) <= 3
+    disp = inst["space"].displacement(exp.action_indices)
+    assert np.allclose(inst["x"] + disp, exp.counterfactual)
