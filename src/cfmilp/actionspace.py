@@ -15,9 +15,7 @@ big_m its maximum over n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 

@@ -18,17 +18,15 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .actionspace import ActionConfig, ActionConfigError, ActionSpace, build_action_space
-from .classifiers import (Forest, classification_metrics, load_model, predict,
+from .classifiers import (classification_metrics, load_model, predict,
                           predict_many, save_model, train_forest, train_linear_svm,
                           train_logistic)
 from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, encode,
@@ -66,7 +64,6 @@ class RunConfig:
     reference_seed: int = 5
     time_limits: dict = field(default_factory=dict)   # str(N) -> seconds
     lof_eval_k: int = 10
-    parallelism: int = 1
     svg_plot: bool = True
     out_dir: str = "results"
 
@@ -136,8 +133,7 @@ def train_classifier(cfg: dict, train: EncodedDataset):
         numeric = [train.encoding.spans[i][0]
                    for i, f in enumerate(train.schema.features) if f.kind == "numeric"]
         scaler = fit_scaler(train.x, numeric)
-        return train_linear_svm(train.x, train.y, scaler,
-                                c=float(cfg.get("c", 1.0)), seed=seed)
+        return train_linear_svm(train.x, train.y, scaler, c=float(cfg.get("c", 1.0)))
     if kind == "forest":
         return train_forest(train.x, train.y, n_trees=int(cfg.get("n_trees", 100)),
                             max_depth=int(cfg.get("max_depth", 6)), seed=seed)
@@ -258,19 +254,13 @@ def run_benchmark(config: RunConfig, quiet: bool = False) -> list[BenchRecord]:
              for n in config.n_values
              for form in config.formulations]
 
-    def run(task):
-        idx, n, form = task
+    records = []
+    for idx, n, form in tasks:
         rec = _solve_one(prep, config, contexts[n], idx, n, form)
         if not quiet:
             print(f"  instance={idx} form={form} N={n} status={rec.status} "
                   f"time={rec.time_s:.3f}s nodes={rec.nodes}", file=sys.stderr)
-        return rec
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            records = list(pool.map(run, tasks))
-    else:
-        records = [run(t) for t in tasks]
+        records.append(rec)
     records.sort(key=lambda r: (r.instance, r.formulation, r.n))
     return records
 

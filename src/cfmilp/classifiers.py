@@ -11,7 +11,7 @@ same retrained model twice yields identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0,
 
 
 def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
-                     c: float = 1.0, max_iter: int = 3000, seed: int = 0) -> LinearModel:
+                     c: float = 1.0, max_iter: int = 3000) -> LinearModel:
     """Linear SVM by deterministic full-batch subgradient descent.
 
     Minimizes 0.5*||w||^2 + c * sum(hinge) on the scaled features using the
@@ -120,8 +120,6 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     xs = apply_scaler(scaler, x)
     n, d = xs.shape
     lam = 1.0 / (c * n)
-    rng = np.random.default_rng(seed)   # fixed-schedule method; seed kept for API stability
-    del rng
     w = np.zeros(d)
     b = 0.0
     w_avg = np.zeros(d)

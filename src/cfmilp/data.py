@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,13 +185,6 @@ class EncodingMap:
     def span(self, feature: str) -> tuple[int, int]:
         return self.spans[self.feature_names.index(feature)]
 
-    def owner(self, col: int) -> int:
-        """Index of the feature owning encoded column ``col``."""
-        for i, (a, b) in enumerate(self.spans):
-            if a <= col < b:
-                return i
-        raise IndexError(col)
-
 
 @dataclass
 class EncodedDataset:
@@ -307,14 +300,6 @@ def split(dataset: EncodedDataset, ratio: float, seed: int) -> tuple[EncodedData
         encoding=dataset.encoding, schema=dataset.schema,
     )
     return mk(tr), mk(te)
-
-
-def dump_encoded_csv(dataset: EncodedDataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(dataset.encoding.columns) + ["label"])
-        for row, lab in zip(dataset.x, dataset.y):
-            w.writerow([repr(float(v)) for v in row] + [int(lab)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actionspace import ActionSpace, MilpConstants, precompute_constants
-from .classifiers import Forest, LinearModel, decision_value, predict
+from .classifiers import Forest, predict
 from .data import StandardScaler, apply_scaler
-from .milpcore import MilpModel, evaluate
+from .milpcore import MilpModel
 from .solver import SolverParams, solve_milp
-from .stats import LofContext, MahalanobisContext, nearest_ref, q1_surrogate
+from .stats import LofContext, MahalanobisContext, q1_surrogate
 
 
 class PreconditionError(ValueError):

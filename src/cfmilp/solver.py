@@ -1,29 +1,43 @@
-"""Exact MILP solving: branch and bound over a dense bounded-variable simplex.
+"""Exact MILP solving: branch and bound over a bounded-variable simplex.
 
 The LP core works on the bounded-variable standard form (min c'x,
 Ax {<=,=,>=} b, l <= x <= u): variable bounds are handled implicitly through
-nonbasic at-lower/at-upper flags instead of explicit rows, which keeps the
-dense tableau at (#constraints) x (#columns).  Free or upper-bounded-only
-variables are transformed away up front (shift, mirror, or split), every
-inequality gets a slack column, and rows without a natural slack basis get a
-phase-1 artificial.
+nonbasic at-lower/at-upper flags instead of explicit rows.  Free or
+upper-bounded-only variables are transformed away up front (shift, mirror,
+or split), every inequality gets a slack column, and rows without a natural
+slack basis get a phase-1 artificial.
+
+The tableau keeps only B^-1 N: a dense (#rows) x (#columns - #rows) array
+with one slot per nonbasic column.  The basic columns are identity columns
+and are never stored; ``nb`` maps each slot to its column and ``slot`` each
+column to its slot (-1 when basic).  A pivot on row r and slot s writes e_r,
+the leaving column, into slot s and then applies the usual rank-1 update, so
+slot s holds the leaving column from then on.  Bland's rule picks the lowest
+column id, never the lowest slot, since slots are permuted.  On the paper's
+original encoding most columns are basic slacks: at N=100 its 10,269-row
+model needs a 21 MiB tableau, where all columns would take 826 MiB.
 
 An LP solved from scratch -- ``solve_lp``, and the root of branch and bound --
-runs a two-phase primal simplex.  Entering variables follow Dantzig's rule
-with a permanent switch to Bland's rule after a long run of degenerate
-pivots, so it cannot cycle.
+runs a two-phase primal simplex, starting from the slack and artificial
+basis.  Entering variables follow Dantzig's rule with a permanent switch to
+Bland's rule after a long run of degenerate pivots, which rules out cycling
+in exact arithmetic.
 
-Branch and bound keeps the root's optimal tableau, artificial columns
-dropped, as the one live tableau of the whole search, and solves every later
-node with a bounded dual simplex from the basis the previous node left.
+Branch and bound keeps the root's optimal tableau, artificial slots dropped,
+as the one live tableau of the whole search, and solves every later node
+with a bounded dual simplex from the basis the previous node left.
 Branching only fixes binaries, each boxed in [0,1], so that basis is dual
 feasible for any node once every nonbasic binary sits at its fixed value or,
 when the node leaves it free, at the bound its reduced cost favours.  The
 leaving row is the largest infeasibility scaled by the squared norm of its
-tableau row; the entering column comes from a two-pass Harris ratio test.
-The tableau is refactored from the sparse rows when the search starts,
-every ``_REFACTOR`` pivots, and whenever a node's primal point fails its
-residual against those rows.  An infeasible verdict stands only once the
+tableau row (the row's basic 1 included); the entering column comes from a
+two-pass Harris ratio test.  The objective of a dual feasible basis is a
+lower bound on the node's LP, so a node stops as soon as it reaches the
+incumbent's pruning threshold: the node would be pruned once solved anyway.
+On the reduced encoding this stops most infeasible nodes long before their
+last pivot.  The tableau is refactored from the sparse rows when the search
+starts, every ``_REFACTOR`` pivots, and whenever a node's primal point fails
+its residual against those rows.  An infeasible verdict stands only once the
 leaving row, recomputed from a fresh factor of the basis, proves it.  A node
 that still fails after one refactor, a singular basis or the pivot cap send
 that one node back to the cold two-phase solve, whose basis the search then
@@ -36,26 +50,46 @@ of 1e-6.  All tie-breaks are by lowest index, making the whole solve a pure
 function of its input.  The time limit is checked inside the pivot loops as
 well as between nodes.  There is no presolve beyond dropping rows that turn
 out linearly redundant in phase 1 and no cutting planes, so measured solve
-times track the constraint counts of the formulation being solved.  Intended
-scale is desk-sized models, up to roughly two-thousand variables and a few
-thousand rows.
+times track the constraint counts of the formulation being solved.
 
-Every BLAS call in the pivot loops goes through ``scipy.linalg.blas``.  numpy
-and scipy each load their own threaded OpenBLAS, and with both in one loop
-their thread pools contend for the cores: on a 2-core host, a pivot of a
-1029 x 2000 tableau took 8.6 ms with numpy's gemv beside scipy's dger and
-1.0 ms with scipy's dgemv.
+Every BLAS call in the pivot loops goes through ``scipy.linalg.blas``, and
+``solve_lp`` and ``solve_milp`` run scipy's OpenBLAS on one thread, putting
+the caller's thread count back when they return.  A pivot is one row copy,
+one ``dgemv`` and one ``dger`` between a few dozen small numpy calls, and
+on tableaus this size thread dispatch costs more than a second core gains.
+Measured on a 2-core x86 host over whole solves: 176 us per pivot on one
+thread against 235 us threaded on a 469 x 258 tableau (reduced encoding,
+N=100), 530 against 590 us on 2669 x 157 (original encoding, N=50), the
+largest tableau of the benchmark and acceptance models.  So one constant
+serves and no size rule is kept.  A loop of just those three BLAS calls and
+twenty small numpy calls ran faster threaded from about 400k entries
+(2669 x 157: 455 us on one thread, 397 threaded; 2669 x 300: 814 and 466),
+so a size rule may pay for larger tableaus such as a 20-tree forest root
+(1162 x 1397) or the original encoding at N=100 (10269 x 272).  One thread
+also makes the pivot path independent of the caller's setting: threaded
+reductions round differently, and the N=100 solve above took 1736 pivots
+threaded against 1542.  The rule touches only scipy's bundled OpenBLAS;
+with another BLAS build it does nothing, and numpy's separate pool is left
+alone.  Because the thread count is process-wide, concurrent solves in
+threads of one process would race on it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import heapq
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
+from scipy.linalg.blas import daxpy as _daxpy
 from scipy.linalg.blas import dgemm as _dgemm
 from scipy.linalg.blas import dgemv as _dgemv
 from scipy.linalg.blas import dger as _dger
@@ -65,15 +99,37 @@ from scipy.linalg.lapack import dgetrs as _dgetrs
 from .milpcore import MilpModel, MilpSolution, evaluate
 
 
-def _rank1_sub(t: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """t -= outer(col, row) without a temporary when t is Fortran-ordered.
+@functools.cache
+def _scipy_openblas():
+    """The (get, set) thread-count functions of scipy's bundled OpenBLAS, or
+    None with any other BLAS build.  Looked up on first use, not at import."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
-    row must be a copy, never a view into t.
-    """
-    if t.flags.f_contiguous:
-        _dger(-1.0, col, row, a=t, overwrite_a=1)
-    else:                                # pragma: no cover
-        t -= np.outer(col, row)
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run scipy's OpenBLAS on one thread, then restore the caller's count."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    get, put = lib
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class SimplexError(RuntimeError):
@@ -98,7 +154,7 @@ class SolverParams:
 
 @dataclass
 class LpResult:
-    status: str                      # optimal | infeasible | unbounded
+    status: str                      # optimal | infeasible | unbounded | cutoff
     x: np.ndarray | None
     objective: float | None
     iterations: int
@@ -303,20 +359,34 @@ _BLOCK = 64             # tableau columns solved per block in a refactorization
 
 
 class _Tableau:
-    """Mutable simplex state over the transformed bounded variables."""
+    """Mutable simplex state over the transformed bounded variables.
 
-    def __init__(self, t, xb, basis, ubt):
-        self.t = t                    # (m, n_cols) dense tableau, B^-1 A
+    Starts from a basis of identity columns (slacks and artificials) in
+    ``rows``, so the nonbasic columns of ``rows`` are the first tableau.
+    The tableau stays Fortran-ordered: ``dger`` updates it in place.
+    """
+
+    def __init__(self, rows: _Rows, xb, basis, ubt):
         self.xb = xb                  # (m,) current basic values
         self.basis = basis            # (m,) int, column basic in each row
-        self.ubt = ubt                # (n_cols,) upper bounds, inf allowed
-        self.lo = np.zeros(t.shape[1])
-        self.at_upper = np.zeros(t.shape[1], dtype=bool)
+        self.ubt = ubt                # (n,) upper bounds, inf allowed
+        self.lo = np.zeros(ubt.size)
+        self.at_upper = np.zeros(ubt.size, dtype=bool)
+        self.nb = self.slot = None
+        self.index()
+        self.t = rows.dense(self.nb)  # (m, n - m) B^-1 N, one slot per nonbasic column
         self.iterations = 0
         # dual simplex state, set by prepare_dual
         self.rows = self.rhs = self.cost = self.z = self.w = None
+        self.cutoff = np.inf              # objective at which dual pivots stop
         self.since_refactor = 0
         self.infeasible_row = -1
+
+    def index(self) -> None:
+        """Give the nonbasic columns of the basis slots in ascending order."""
+        self.nb = np.setdiff1d(np.arange(self.ubt.size), self.basis)
+        self.slot = np.full(self.ubt.size, -1)
+        self.slot[self.nb] = np.arange(self.nb.size)
 
     def values(self) -> np.ndarray:
         x = np.where(self.at_upper, self.ubt, self.lo)
@@ -324,27 +394,53 @@ class _Tableau:
         return x
 
     def _reduced_costs(self, cost):
-        if not self.basis.size:
-            return cost.copy()
-        return cost - _dgemv(1.0, self.t, cost[self.basis], trans=1)
+        """Reduced costs by slot."""
+        if not self.t.size:
+            return cost[self.nb].copy()
+        return cost[self.nb] - _dgemv(1.0, self.t, cost[self.basis], trans=1)
 
-    def run(self, cost: np.ndarray, forbid_from: int | None = None,
-            deadline: float | None = None) -> str:
+    def exchange(self, r: int, s: int, alpha: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Pivot on row r and slot s: the slot's column turns basic in row r
+        and the slot takes the leaving column, which is e_r before the
+        update.  ``alpha`` and ``col`` are copies of row r and of slot s;
+        ``col`` is overwritten.  Returns the new row r, by which reduced
+        costs update."""
+        t = self.t
+        prow = alpha / alpha[s]
+        prow[s] = 1.0 / alpha[s]
+        t[:, s] = 0.0
+        t[r, :] = prow
+        col[r] = 0.0
+        _dger(-1.0, col, prow, a=t, overwrite_a=1)
+        q, leaving = self.nb[s], self.basis[r]
+        self.basis[r], self.nb[s] = q, leaving
+        self.slot[leaving], self.slot[q] = s, -1
+        return prow
+
+    def _lowest_column(self, slots: np.ndarray) -> int:
+        return int(slots[np.argmin(self.nb[slots])])
+
+    def run(self, cost: np.ndarray, deadline: float | None = None) -> str:
         """Primal pivots until optimal or unbounded under ``cost``.
 
-        Assumes zero lower bounds, as every cold start has.  ``forbid_from``
-        excludes a trailing column block (the artificials in phase 2) from
-        ever entering the basis.
+        Assumes zero lower bounds, as every cold start has.  Columns with a
+        zero range (artificials in phase 2) never enter.
         """
-        m, n_cols = self.t.shape
+        m, k = self.t.shape
+        n = self.ubt.size
+        if not k:
+            return "optimal"
         z = self._reduced_costs(cost)
+        # per slot: +1 when entering raises it from its lower bound, -1 when
+        # it falls from its upper, 0 when it cannot enter
+        dirn = np.where(self.at_upper[self.nb], -1.0, 1.0)
+        dirn[self.ubt[self.nb] <= _EPS_FIX] = 0.0
+        ub_b = self.ubt[self.basis]
+        fin_b = np.isfinite(ub_b)
         bland = False
         stall = 0
-        stall_limit = 3 * (m + n_cols) + 200
-        cap = 100 * (m + n_cols) + 10000
-        enterable = self.ubt > _EPS_FIX
-        if forbid_from is not None:
-            enterable[forbid_from:] = False
+        stall_limit = 3 * (m + n) + 200
+        cap = 100 * (m + n) + 10000
 
         since_refresh = 0
         while True:
@@ -356,51 +452,43 @@ class _Tableau:
                 z = self._reduced_costs(cost)
                 since_refresh = 0
 
-            lower_ok = enterable & ~self.at_upper & (z < -_EPS_RC)
-            upper_ok = enterable & self.at_upper & (z > _EPS_RC)
-            lower_ok[self.basis] = False
-            upper_ok[self.basis] = False
-            any_cand = lower_ok | upper_ok
-            if not any_cand.any():
-                return "optimal"
+            gain = z * dirn                       # < 0: entering lowers the cost
             if bland:
-                q = int(np.nonzero(any_cand)[0][0])
+                cand = (gain < -_EPS_RC).nonzero()[0]
+                if not cand.size:
+                    return "optimal"
+                s = self._lowest_column(cand)
             else:
-                score = np.where(lower_ok, -z, np.where(upper_ok, z, -np.inf))
-                q = int(np.argmax(score))
-            d = -1.0 if self.at_upper[q] else 1.0
+                s = int(gain.argmin())
+                if gain[s] >= -_EPS_RC:
+                    return "optimal"
+            q = int(self.nb[s])
+            d = dirn[s]
 
-            y = self.t[:, q]
+            y = self.t[:, s]
             yd = d * y
-            t_best = self.ubt[q] if math.isfinite(self.ubt[q]) else np.inf
+            # rows whose basic value falls to 0, and rows whose rises to its bound
+            dec = (yd > _EPS_PIV).nonzero()[0]
+            inc = ((yd < -_EPS_PIV) & fin_b).nonzero()[0]
+            t_dec = np.maximum(self.xb[dec], 0.0) / yd[dec]
+            t_inc = (ub_b[inc] - self.xb[inc]) / -yd[inc]
+            rmin = min(t_dec.min(initial=np.inf), t_inc.min(initial=np.inf))
             p = -1
-            to_upper = False
-            ub_b = self.ubt[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dec = yd > _EPS_PIV
-                t_dec = np.where(dec, np.maximum(self.xb, 0.0) / np.where(dec, yd, 1.0), np.inf)
-                inc = (yd < -_EPS_PIV) & np.isfinite(ub_b)
-                t_inc = np.where(inc, (ub_b - self.xb) / np.where(inc, -yd, 1.0), np.inf)
-            t_rows = np.minimum(t_dec, t_inc)
-            if t_rows.size:
-                rmin = float(t_rows.min())
-            else:
-                rmin = np.inf
-            if rmin < t_best:
+            if rmin < self.ubt[q]:
                 # leaving row: among the minimal ratios pick the lowest basic id
-                cand = np.nonzero(t_rows == rmin)[0]
-                p = int(cand[np.argmin(self.basis[cand])])
-                to_upper = t_inc[p] <= t_dec[p]
-                step = rmin
+                hit_dec, hit_inc = dec[t_dec == rmin], inc[t_inc == rmin]
+                cand = np.concatenate([hit_dec, hit_inc])
+                j = int(np.argmin(self.basis[cand]))
+                p, to_upper = int(cand[j]), j >= hit_dec.size
+                step = float(rmin)
             else:
-                step = t_best
+                step = float(self.ubt[q])
             if not math.isfinite(step):
                 return "unbounded"
 
             self.iterations += 1
             since_refresh += 1
-            delta_obj = float(z[q]) * d * step
-            if delta_obj > -1e-12:
+            if z[s] * d * step > -1e-12:
                 stall += 1
                 if stall > stall_limit:
                     bland = True
@@ -409,26 +497,25 @@ class _Tableau:
 
             if p < 0:
                 # bound flip: q jumps to its other bound, basis unchanged
-                self.xb -= d * step * y
-                self.at_upper[q] = ~self.at_upper[q]
+                if m:
+                    _daxpy(y, self.xb, a=-d * step)
+                self.at_upper[q] = not self.at_upper[q]
+                dirn[s] = -d
                 continue
 
-            v_new = (self.ubt[q] if self.at_upper[q] else 0.0) + d * step
             leaving = int(self.basis[p])
-            self.xb -= d * step * y
+            v_new = (self.ubt[q] if self.at_upper[q] else 0.0) + d * step
+            _daxpy(y, self.xb, a=-d * step)
             self.xb[p] = v_new
-            self.at_upper[leaving] = bool(to_upper)
+            self.at_upper[leaving] = to_upper
             self.at_upper[q] = False
-            piv = self.t[p, q]
-            self.t[p, :] /= piv
-            col = self.t[:, q].copy()
-            col[p] = 0.0
-            prow = self.t[p, :].copy()
-            _rank1_sub(self.t, col, prow)
-            zq = z[q]
-            z = z - zq * prow
-            z[q] = 0.0
-            self.basis[p] = q
+            dirn[s] = (-1.0 if to_upper else 1.0) if self.ubt[leaving] > _EPS_FIX else 0.0
+            ub_b[p] = self.ubt[q]
+            fin_b[p] = math.isfinite(ub_b[p])
+            zs = z[s]
+            prow = self.exchange(p, s, self.t[p, :].copy(), y.copy())
+            z[s] = 0.0
+            _daxpy(prow, z, a=-zs)
 
     # -- bounded dual simplex over a live tableau --------------------------------
 
@@ -442,18 +529,17 @@ class _Tableau:
             self.refactor()
         except _Restart:
             self.z = self._reduced_costs(cost)
-            self.z[self.basis] = 0.0
-            self.w = np.einsum("ij,ij->i", self.t, self.t)
+            self.w = 1.0 + np.einsum("ij,ij->i", self.t, self.t)
             self.since_refactor = 0
 
     def refactor(self) -> None:
         """Recompute tableau, basic values, reduced costs and row weights from
-        the sparse rows, in column blocks written into the live buffer."""
+        the sparse rows, in slot blocks written into the live buffer."""
         lu = _Factor(self.rows, self.basis)
-        m, n = self.t.shape
-        w = np.zeros(m)
-        for j in range(0, n, _BLOCK):
-            blk = lu.solve(self.rows.dense(np.arange(j, min(n, j + _BLOCK))))
+        m, k = self.t.shape
+        w = np.ones(m)                          # each row's basic 1
+        for j in range(0, k, _BLOCK):
+            blk = lu.solve(self.rows.dense(self.nb[j:j + _BLOCK]))
             if not np.isfinite(blk).all():
                 raise _Restart                  # before this block is written
             self.t[:, j:j + _BLOCK] = blk
@@ -462,7 +548,6 @@ class _Tableau:
         x[self.basis] = 0.0
         self.xb = lu.solve((self.rhs - self.rows.matvec(x))[:, None])[:, 0]
         self.z = self._reduced_costs(self.cost)
-        self.z[self.basis] = 0.0
         self.w = w
         self.since_refactor = 0
 
@@ -498,75 +583,97 @@ class _Tableau:
 
     def dual(self, deadline: float | None = None) -> str:
         """Dual pivots from a dual feasible basis until every basic value is
-        within its bounds ("optimal") or the leaving row has no entering
-        column ("infeasible").  Raises _Restart past the pivot cap."""
-        t = self.t
-        m, n = t.shape
+        within its bounds ("optimal"), the leaving row has no entering
+        column ("infeasible"), or the objective reaches ``self.cutoff``
+        ("cutoff").  Raises _Restart past the pivot cap.
+
+        The objective of a dual feasible basis bounds the LP optimum from
+        below and never falls under dual pivots, so once it reaches the
+        cutoff the LP cannot end under it.
+        """
+        t, nb, z, w = self.t, self.nb, self.z, self.w
+        m = t.shape[0]
         if not m:
             return "optimal"
-        free = self.ubt - self.lo > _EPS_FIX      # nonbasic columns that may enter
-        free[self.basis] = False
+        cutoff = self.cutoff
+        obj = float(self.cost @ self.values())
+        # per slot: +1 at its lower bound, -1 at its upper, 0 if it cannot enter
+        lift = np.where(self.at_upper[nb], -1.0, 1.0)
+        lift[self.ubt[nb] - self.lo[nb] <= _EPS_FIX] = 0.0
         lo_b = self.lo[self.basis]
         up_b = self.ubt[self.basis]
-        cap = self.iterations + 10 * (m + n) + 1000
+        cap = self.iterations + 10 * (m + self.ubt.size) + 1000
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 raise _Timeout
-            below = lo_b - self.xb
-            infeas = np.maximum(below, self.xb - up_b)
-            score = infeas * infeas / self.w
-            score[infeas <= _EPS_FEAS] = 0.0
-            r = int(np.argmax(score))
-            if score[r] <= 0.0:
-                return "optimal"
+            xb = self.xb
+            infeas = np.maximum(lo_b - xb, xb - up_b)
+            np.maximum(infeas, 0.0, out=infeas)
+            score = infeas * infeas
+            score /= w
+            r = score.argmax()
+            if infeas[r] <= _EPS_FEAS:
+                # rows within the tolerance count as feasible
+                score[infeas <= _EPS_FEAS] = 0.0
+                r = score.argmax()
+                if score[r] <= 0.0:
+                    return "optimal"
+            if obj >= cutoff:
+                obj = float(self.cost @ self.values())   # not the running sum
+                if obj >= cutoff:
+                    return "cutoff"
             if self.iterations >= cap:
                 raise _Restart
             if self.since_refactor >= _REFACTOR:
                 self.refactor()
+                z, w = self.z, self.w
+                obj = float(self.cost @ self.values())
                 continue
 
-            to_lower = below[r] > 0.0
-            alpha = t[r, :].copy()
-            # g > 0: moving column j off its bound moves the leaving value
+            to_lower = xb[r] < lo_b[r]
+            alpha = t[r].copy()
+            # g > 0: moving slot j off its bound moves the leaving value
             # toward the bound it violates
-            up = self.at_upper
-            g = np.where(up, alpha, -alpha) if to_lower else np.where(up, -alpha, alpha)
-            cand = np.nonzero(free & (g > _EPS_DUAL_PIV))[0]
+            g = alpha * lift
+            if to_lower:
+                np.negative(g, out=g)
+            cand = (g > _EPS_DUAL_PIV).nonzero()[0]
             if not cand.size:
-                self.infeasible_row = r
+                self.infeasible_row = int(r)
                 return "infeasible"
             gc = g[cand]
-            zc = self.z[cand]
-            slack = np.maximum(np.where(up[cand], -zc, zc), 0.0)
-            bound = float(((slack + _EPS_RC) / gc).min())
-            q = int(cand[np.argmax(np.where(slack / gc <= bound, gc, 0.0))])
+            slack = z[cand] * lift[cand]
+            np.maximum(slack, 0.0, out=slack)
+            ratio = slack / gc
+            bound = (ratio + _EPS_RC / gc).min()
+            gc[ratio > bound] = 0.0
+            s = cand[gc.argmax()]
 
-            aq = alpha[q]
-            target = lo_b[r] if to_lower else up_b[r]
-            step = (self.xb[r] - target) / aq
-            entering_from = self.ubt[q] if up[q] else self.lo[q]
-            leaving = self.basis[r]
-            col = t[:, q].copy()
+            q, leaving = nb[s], self.basis[r]
+            aq = alpha[s]
+            step = (xb[r] - (lo_b[r] if to_lower else up_b[r])) / aq
+            entering_from = self.ubt[q] if lift[s] < 0.0 else self.lo[q]
+            col = t[:, s].copy()
             tr = _dgemv(1.0, t, alpha)            # old rows . pivot row, for the weights
-            self.xb -= step * col
-            self.xb[r] = entering_from + step
-            up[leaving] = not to_lower
-            up[q] = False
-            free[leaving] = self.ubt[leaving] - self.lo[leaving] > _EPS_FIX
-            free[q] = False
+            tr_r = tr[r] + 1.0                    # row r's basic 1 included
+            _daxpy(col, xb, a=-step)
+            xb[r] = entering_from + step
+            self.at_upper[leaving] = not to_lower
+            self.at_upper[q] = False
+            lift[s] = (1.0 if to_lower else -1.0) if up_b[r] - lo_b[r] > _EPS_FIX else 0.0
             lo_b[r], up_b[r] = self.lo[q], self.ubt[q]
-            prow = alpha / aq
-            t[r, :] = prow
-            ratio_col = col / aq
-            col[r] = 0.0
-            _rank1_sub(t, col, prow)
-            w = self.w
-            w += ratio_col * (ratio_col * tr[r] - 2.0 * tr)
-            w[r] = tr[r] / (aq * aq)
+            zs = z[s]
+            prow = self.exchange(r, s, alpha, col)
+            # w_i += (col_i / aq)^2 tr_r - 2 (col_i / aq) tr_i; col_r is now 0
+            dw = col * tr_r
+            _daxpy(tr, dw, a=-2.0 * aq)
+            dw *= col
+            _daxpy(dw, w, a=1.0 / (aq * aq))
+            w[r] = tr_r / (aq * aq)
             np.maximum(w, 1.0, out=w)             # a row holds its basic column's 1
-            self.z -= self.z[q] * prow
-            self.z[q] = 0.0
-            self.basis[r] = q
+            z[s] = 0.0
+            _daxpy(prow, z, a=-zs)
+            obj += step * zs
             self.iterations += 1
             self.since_refactor += 1
 
@@ -583,14 +690,10 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
     art_rows = np.nonzero(lay.slack_basis < 0)[0]
     n_art = art_rows.size
     art_start = n_cols
-
-    t = np.zeros((m, n_cols + n_art), order="F")
-    t[lay.rows.row, lay.rows.col] = lay.rows.val
-    t[art_rows, art_start + np.arange(n_art)] = 1.0
     basis = lay.slack_basis.copy()
     basis[art_rows] = art_start + np.arange(n_art)
     ubt = np.concatenate([lay.ubt, np.full(n_art, np.inf)])
-    tab = _Tableau(t=t, xb=lay.rhs.copy(), basis=basis, ubt=ubt)
+    tab = _Tableau(lay.rows, xb=lay.rhs.copy(), basis=basis, ubt=ubt)
 
     keep = np.arange(m)
     feas_tol = 1e-8 * max(1.0, float(lay.rhs.max()) if m else 1.0)
@@ -606,20 +709,20 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
                             iterations=tab.iterations), None
         # drive artificials out of the basis; drop rows that are redundant
         drop = []
+        real = tab.nb < art_start
         for p in range(m):
             if tab.basis[p] < art_start:
                 continue
-            row = np.abs(tab.t[p, :art_start])
-            q = int(np.argmax(row))
-            if row[q] > 1e-7:
-                piv = tab.t[p, q]
-                tab.t[p, :] /= piv
-                col = tab.t[:, q].copy()
-                col[p] = 0.0
-                _rank1_sub(tab.t, col, tab.t[p, :].copy())
-                tab.basis[p] = q
+            alpha = tab.t[p, :].copy()
+            row = np.where(real, np.abs(alpha), 0.0)
+            best = row.max() if row.size else 0.0
+            if best > 1e-7:
+                s = tab._lowest_column(np.nonzero(row == best)[0])
+                q = tab.nb[s]
                 tab.xb[p] = tab.ubt[q] if tab.at_upper[q] else 0.0
                 tab.at_upper[q] = False
+                tab.exchange(p, s, alpha, tab.t[:, s].copy())
+                real[s] = False
             else:
                 drop.append(p)
         if drop:
@@ -627,9 +730,10 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
             tab.t = np.asfortranarray(tab.t[keep])
             tab.xb = tab.xb[keep]
             tab.basis = tab.basis[keep]
+        tab.ubt[art_start:] = 0.0             # no artificial enters again
 
     cost2 = np.concatenate([lay.cost, np.zeros(n_art)])
-    out = tab.run(cost2, forbid_from=art_start, deadline=deadline)
+    out = tab.run(cost2, deadline=deadline)
     if out == "unbounded":
         return LpResult(status="unbounded", x=None, objective=None,
                         iterations=tab.iterations), None
@@ -657,10 +761,15 @@ class _Warm:
             rows, rhs = rows.take_rows(keep), rhs[keep]
         self.std = std
         self.lay = lay
-        tab.t = tab.t[:, :n_cols]         # artificials are nonbasic at zero
+        real = np.nonzero(tab.nb < n_cols)[0]    # artificials are nonbasic at zero
+        if real.size < tab.nb.size:
+            tab.t = tab.t[:, real]
         tab.ubt = tab.ubt[:n_cols].copy()
         tab.lo = tab.lo[:n_cols]
         tab.at_upper = tab.at_upper[:n_cols].copy()
+        tab.nb = tab.nb[real]
+        tab.slot = tab.slot[:n_cols]
+        tab.slot[tab.nb] = np.arange(tab.nb.size)
         tab.prepare_dual(rows, rhs, lay.cost)
         self.tab = tab
         self.root_lo = tab.lo.copy()
@@ -668,18 +777,27 @@ class _Warm:
         self.root_basis = tab.basis.copy()
         self.root_upper = tab.at_upper.copy()
         self.bin_cols = lay.col_of[std.binaries]
+        # model objective = tableau objective + offset
+        self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const
 
-    def solve(self, fixes: dict, deadline: float | None = None) -> LpResult:
+    def solve(self, fixes: dict, deadline: float | None = None,
+              cutoff: float = np.inf) -> LpResult:
         """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
-        other bounds as at the root."""
+        other bounds as at the root; status "cutoff", without a point, once
+        the LP is proven not to end under ``cutoff``."""
         tab = self.tab
         start = tab.iterations
         self._place(fixes)
+        tab.cutoff = cutoff - self.offset
         refactored = False
         while True:
             try:
-                if tab.dual(deadline) == "optimal":
+                out = tab.dual(deadline)
+                if out != "infeasible":
                     if tab.residual_ok():
+                        if out == "cutoff":
+                            return LpResult(status="cutoff", x=None, objective=None,
+                                            iterations=tab.iterations - start)
                         break
                 elif tab.proves_infeasible(tab.infeasible_row):
                     return LpResult(status="infeasible", x=None, objective=None,
@@ -706,14 +824,13 @@ class _Warm:
             bounds = np.array(list(fixes.values()), dtype=float)
             tab.lo[cols] = bounds[:, 0]
             tab.ubt[cols] = bounds[:, 1]
-        nonbasic = np.ones(tab.lo.size, dtype=bool)
-        nonbasic[tab.basis] = False
-        cols = self.bin_cols[nonbasic[self.bin_cols]]
-        tab.at_upper[cols] = (tab.ubt[cols] > tab.lo[cols]) & (tab.z[cols] < 0.0)
+        cols = self.bin_cols[tab.slot[self.bin_cols] >= 0]
+        slots = tab.slot[cols]
+        tab.at_upper[cols] = (tab.ubt[cols] > tab.lo[cols]) & (tab.z[slots] < 0.0)
         delta = np.where(tab.at_upper[cols], tab.ubt[cols], tab.lo[cols]) - before[cols]
         moved = delta != 0.0
         if moved.any() and tab.xb.size:
-            tab.xb = _dgemv(-1.0, tab.t[:, cols[moved]], delta[moved], 1.0, tab.xb)
+            tab.xb = _dgemv(-1.0, tab.t[:, slots[moved]], delta[moved], 1.0, tab.xb)
 
     def _cold(self, fixes: dict, deadline: float | None, spent: int) -> LpResult:
         """Solve the node from scratch and continue from its optimal basis, or
@@ -731,6 +848,7 @@ class _Warm:
         else:
             tab.basis[:] = self.root_basis
             tab.at_upper[:] = self.root_upper
+        tab.index()
         try:
             tab.refactor()
         except _Restart:
@@ -739,6 +857,7 @@ class _Warm:
         return res
 
 
+@_one_blas_thread()
 def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     """Solve the LP relaxation (binaries become [0,1] continuous).
 
@@ -752,6 +871,7 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     return _solve_arrays(std, lb, ub)[0]
 
 
+@_one_blas_thread()
 def solve_milp(model: MilpModel, params: SolverParams | None = None,
                incumbent_hint=None, branch_priority: dict | None = None) -> MilpSolution:
     """Best-bound branch and bound over the LP relaxation.
@@ -826,7 +946,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
                 if final is not None:
                     warm = _Warm(std, *final)
             else:
-                res = warm.solve(fixes, deadline)
+                res = warm.solve(fixes, deadline, inc_obj - prune_eps())
         except _Timeout:
             heapq.heappush(heap, node)       # the node stays open
             timed_out = True
@@ -834,7 +954,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             break
         nodes += 1
         lp_iters += res.iterations
-        if res.status == "infeasible":
+        if res.status in ("infeasible", "cutoff"):
             continue
         if res.status == "unbounded":
             root_unbounded = True

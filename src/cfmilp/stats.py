@@ -14,9 +14,7 @@ evaluation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -239,12 +237,3 @@ def q1_surrogate(ctx: LofContext, point: np.ndarray) -> float:
     """Single-neighbor outlier penalty lrd_1(nn) * rd_1(point, nn)."""
     j, d = nearest_ref(ctx, point)
     return float(ctx.lrd1[j] * max(d, ctx.d1[j]))
-
-
-def dump_tables(ctx: LofContext, path: str | Path) -> None:
-    """Write the k=1 tables to CSV for inspection."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "nn1", "d1", "lrd1"])
-        for i in range(len(ctx)):
-            w.writerow([i, int(ctx.nn1[i]), repr(float(ctx.d1[i])), repr(float(ctx.lrd1[i]))])

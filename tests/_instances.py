@@ -100,7 +100,7 @@ def classifier_instance(seed, kind, n_refs=10, grid_size=3, max_changes=3):
         numeric = [enc.encoding.spans[i][0]
                    for i, f in enumerate(enc.schema.features) if f.kind == "numeric"]
         scaler = fit_scaler(enc.x, numeric)
-        clf = train_linear_svm(enc.x, y, scaler, c=1.0, seed=seed)
+        clf = train_linear_svm(enc.x, y, scaler, c=1.0)
     elif kind == "forest":
         clf = train_forest(enc.x, y, n_trees=5, max_depth=3, seed=seed)
     elif kind == "logistic":

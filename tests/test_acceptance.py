@@ -329,8 +329,7 @@ def test_7_real_dataset_classifier_quality():
     h_train, h_test = split(h, 0.75, 1)
     numeric = [h_train.encoding.spans[i][0]
                for i, f in enumerate(h_train.schema.features) if f.kind == "numeric"]
-    svm = train_linear_svm(h_train.x, h_train.y, fit_scaler(h_train.x, numeric),
-                           c=1.0, seed=1)
+    svm = train_linear_svm(h_train.x, h_train.y, fit_scaler(h_train.x, numeric), c=1.0)
     svm_acc = classification_metrics(h_test.y, predict_many(svm, h_test.x))["accuracy"] * 100
 
     rf = train_forest(g_train.x, g_train.y, n_trees=100, max_depth=6, seed=1)

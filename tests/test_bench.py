@@ -81,6 +81,9 @@ def test_config_requires_dataset():
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="lambda_value"):
         RunConfig.from_dict(config_dict(tmp_path, lambda_value=0.1))
+    # bench runs its solves one after another; the thread-pool key is gone
+    with pytest.raises(ConfigError, match="parallelism"):
+        RunConfig.from_dict(config_dict(tmp_path, parallelism=2))
 
 
 def test_config_coercions(tmp_path):

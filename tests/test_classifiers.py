@@ -72,7 +72,7 @@ class TestTrainSvm:
     def test_separable_accuracy_and_scaler_attached(self):
         x, y = separable_cloud(seed=5)
         scaler = fit_scaler(x, list(range(x.shape[1])))
-        m = train_linear_svm(x, y, scaler, c=1.0, seed=0)
+        m = train_linear_svm(x, y, scaler, c=1.0)
         assert m.kind == "svm" and m.scaler is scaler
         acc = classification_metrics(y, predict_many(m, x))["accuracy"]
         assert acc >= 0.97
@@ -80,8 +80,8 @@ class TestTrainSvm:
     def test_deterministic_given_seed(self):
         x, y = separable_cloud(seed=6)
         scaler = fit_scaler(x, list(range(x.shape[1])))
-        a = train_linear_svm(x, y, scaler, c=1.0, seed=3)
-        b = train_linear_svm(x, y, scaler, c=1.0, seed=3)
+        a = train_linear_svm(x, y, scaler, c=1.0)
+        b = train_linear_svm(x, y, scaler, c=1.0)
         assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
 
 
@@ -157,7 +157,7 @@ class TestSaveLoad:
     def test_linear_roundtrip(self, tmp_path):
         x, y = separable_cloud(seed=11)
         scaler = fit_scaler(x, [0, 1])
-        m = train_linear_svm(x, y, scaler, c=1.0, seed=0)
+        m = train_linear_svm(x, y, scaler, c=1.0)
         p = tmp_path / "m.json"
         save_model(m, p)
         back = load_model(p)

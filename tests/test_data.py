@@ -116,7 +116,6 @@ class TestEncode:
         em = build_encoding(TINY)
         assert em.columns == ("amount", "color=red", "color=green", "color=blue", "vip")
         assert em.spans == ((0, 1), (1, 4), (4, 5))
-        assert em.owner(2) == 1
 
     def test_one_hot_values_and_labels(self):
         enc = encode(tiny_raw())

@@ -1,0 +1,35 @@
+"""Source hygiene checks that need no linter: every top-level import of the
+package is used by the module that makes it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cfmilp"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # a name in __all__ or in a quoted annotation is a use too
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse("import json\nimport os\nfrom x import (a, b as c)\nos.sep\nc()\n")
+    assert _unused_imports(tree) == ["a (line 3)", "json (line 1)"]

@@ -6,6 +6,7 @@ implementation; the package itself never imports it for solving.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,11 +460,43 @@ def test_refactor_reproduces_live_tableau(monkeypatch):
     sol = solve_milp(inst["model"])
     assert sol.status == "optimal" and sol.nodes > 20
     tab = live[0].tab
+    # the basic columns and the slots' columns partition the columns
+    n_cols = tab.ubt.size
+    assert tab.t.shape == (tab.basis.size, n_cols - tab.basis.size)
+    assert np.array_equal(np.sort(np.concatenate([tab.basis, tab.nb])), np.arange(n_cols))
+    assert np.array_equal(tab.slot[tab.nb], np.arange(tab.nb.size))
+    assert (tab.slot[tab.basis] == -1).all()
     t, xb, z = tab.t.copy(), tab.xb.copy(), tab.z.copy()
     tab.refactor()
     assert np.abs(tab.t - t).max() <= 1e-8
     assert np.abs(tab.xb - xb).max() <= 1e-8
     assert np.abs(tab.z - z).max() <= 1e-8
+
+
+def test_warm_cutoff_stops_only_above_the_optimum():
+    # a cutoff under the node's LP optimum ends the node early; one above it
+    # leaves the optimum as it was
+    inst = credit_instance("svm", 30)
+    model = inst["model"]
+    std = _extract(model)
+    rng = np.random.default_rng(43)
+    fixings = _fixings(rng, np.array(model.binary_ids), 12)
+    refs = [solve_lp(model, overrides=f) for f in fixings]
+    _, final = _solve_arrays(std, std.lb, std.ub)
+    warm = solver._Warm(std, *final)
+    n_cut = 0
+    for fixes, ref in zip(fixings, refs):
+        if ref.status != "optimal":
+            continue
+        above = warm.solve(fixes, cutoff=ref.objective + 1e-6)
+        assert above.status == "optimal"
+        assert above.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+        below = warm.solve(fixes, cutoff=ref.objective - 1e-3)
+        assert below.status in ("optimal", "cutoff")
+        if below.status == "optimal":
+            assert below.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+        n_cut += below.status == "cutoff"
+    assert n_cut >= 1
 
 
 def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
@@ -516,7 +549,8 @@ def test_milp_with_redundant_equality_rows():
 
 
 def test_time_limit_holds_inside_a_node_lp():
-    # the root LP alone takes about a second: the limit must cut into it
+    # the whole search takes seconds and the root LP alone tens of
+    # milliseconds: the limit must cut into the search
     inst = credit_instance("svm", 50, formulation="original")
     params = SolverParams(time_limit_s=0.05)
     t0 = time.perf_counter()
@@ -574,3 +608,85 @@ def test_counterfactual_models_match_highs(kind, formulation, n_refs):
     assert len(exp.action) <= 3
     disp = inst["space"].displacement(exp.action_indices)
     assert np.allclose(inst["x"] + disp, exp.counterfactual)
+
+
+# -- one BLAS thread per solve -----------------------------------------------------------
+
+@pytest.fixture
+def blas_threads():
+    """scipy's OpenBLAS thread-count getter, set to 2 for the test and reset after."""
+    lib = solver._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy is not built on its bundled OpenBLAS")
+    get, put = lib
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _knapsack():
+    return build([-10.0, -13.0, -7.0], [(0, 1)] * 3, [([3.0, 4.0, 2.0], "<=", 5.0)],
+                 binaries={0, 1, 2})
+
+
+def test_solves_run_on_one_blas_thread_and_restore_it(blas_threads, monkeypatch):
+    seen = []
+    run = solver._Tableau.run
+
+    def spy(self, *args, **kwargs):
+        seen.append(blas_threads())
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Tableau, "run", spy)
+    assert solve_milp(_knapsack()).status == "optimal"
+    assert blas_threads() == 2
+    assert solve_lp(_knapsack()).status == "optimal"
+    assert blas_threads() == 2
+    assert seen and set(seen) == {1}
+
+
+def test_blas_threads_restored_after_time_limit(blas_threads):
+    inst = credit_instance("svm", 50, formulation="original")
+    res = solve_milp(inst["model"], SolverParams(time_limit_s=0.05))
+    assert res.status == "infeasible-unproven"
+    assert blas_threads() == 2
+
+
+def test_blas_threads_restored_after_simplex_error(blas_threads, monkeypatch):
+    def fail(self, *args, **kwargs):
+        raise solver.SimplexError("forced")
+
+    monkeypatch.setattr(solver._Tableau, "run", fail)
+    with pytest.raises(solver.SimplexError):
+        solve_milp(_knapsack())
+    assert blas_threads() == 2
+    with pytest.raises(solver.SimplexError):
+        solve_lp(_knapsack())
+    assert blas_threads() == 2
+
+
+def test_solve_without_scipy_openblas(monkeypatch):
+    inst = credit_instance("svm", 20)
+    expected = solve_milp(inst["model"])
+    monkeypatch.setattr(solver, "_scipy_openblas", lambda: None)
+    got = solve_milp(inst["model"])
+    assert got.status == expected.status == "optimal"
+    assert got.objective == pytest.approx(expected.objective, rel=1e-12)
+    assert solve_lp(_knapsack()).objective == pytest.approx(-17.0)
+
+
+# -- memory --------------------------------------------------------------------------------
+
+def test_original_encoding_root_lp_memory():
+    # 10,269 rows: a tableau over all 10,541 columns would take 826 MiB;
+    # the nonbasic slots alone take about 21 MiB
+    inst = credit_instance("svm", 100, formulation="original")
+    tracemalloc.start()
+    try:
+        res = solve_lp(inst["model"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "optimal"
+    assert peak < 64 * 2**20
