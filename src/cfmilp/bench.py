@@ -8,8 +8,10 @@ counterfactual, constraint counts, node count and solve-only wall time.
 Reference sets are nested (the N-point set is a prefix of the largest one)
 so the scaling curves compare like against like.
 
-Exit codes: 0 success, 1 usage, 2 bad data or violated precondition,
-3 no recourse exists for the requested instance.
+Exit codes: 0 success, 1 usage, 2 bad data, violated precondition or a
+numerical failure in the solver (a bench sweep records that solve with status
+"error" and exits 2 once every record is written), 3 no recourse exists for
+the requested instance.
 """
 
 from __future__ import annotations
@@ -222,8 +224,14 @@ def _solve_one(prep: Prepared, config: RunConfig, lof_ctx: LofContext,
     space = build_action_space(x, prep.train, config.actions)
     params = SolverParams(time_limit_s=config.time_limit(n))
     t0 = time.perf_counter()
-    expl = explain(x, prep.classifier, prep.mahal, lof_ctx, space,
-                   config.lam, formulation=form, params=params)
+    try:
+        expl = explain(x, prep.classifier, prep.mahal, lof_ctx, space,
+                       config.lam, formulation=form, params=params)
+    except SimplexError as e:
+        print(f"error: instance={test_idx} form={form} N={n}: {e}", file=sys.stderr)
+        return BenchRecord(instance=test_idx, formulation=form, n=n, status="error",
+                           objective=None, md=None, lof10=None, nearest_rows=0,
+                           total_rows=0, nodes=0, time_s=time.perf_counter() - t0)
     total_t = time.perf_counter() - t0
     if expl.counterfactual is not None:
         md = mahalanobis_distance(prep.mahal, x, expl.counterfactual)
@@ -445,7 +453,7 @@ def main(argv=None) -> int:
             print(json.dumps({"records": str(out_dir / "records.csv"),
                               "summary": str(out_dir / "summary.csv"),
                               "n_records": len(records)}, indent=2))
-            return 0
+            return 2 if any(r.status == "error" for r in records) else 0
 
         prep, x, lof_ctx, space = _instance_setup(config, args)
 

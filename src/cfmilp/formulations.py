@@ -39,10 +39,10 @@ class PreconditionError(ValueError):
 class FormulationHandles:
     """Variable ids and constraint counts of an assembled model."""
 
-    pi: list                      # per dim: list of binary ids
-    mu: list                      # per reference point
-    rho: list
-    delta: list                   # per encoded column
+    pi: list                      # per dim: range of binary ids, contiguous over dims
+    mu: range                     # per reference point
+    rho: range
+    delta: range                  # per encoded column
     t_id: int | None
     tag: str
     counts: dict
@@ -61,6 +61,17 @@ class FormulationHandles:
     def total_rows(self) -> int:
         return sum(self.counts.values())
 
+    @property
+    def pi_ids(self) -> np.ndarray:
+        """Every action indicator id, dimension by dimension."""
+        return np.arange(self.pi[0].start, self.pi[-1].stop)
+
+
+def _dense(block: np.ndarray, vids) -> tuple:
+    """(row, vid, value) entries of a row block given densely over ``vids``."""
+    n_rows, width = block.shape
+    return np.repeat(np.arange(n_rows), width), np.tile(vids, n_rows), block.ravel()
+
 
 def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConstants,
                       mahal_ctx: MahalanobisContext, lam: float,
@@ -69,95 +80,63 @@ def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConst
     u = mahal_ctx.chol_u
     n_enc = u.shape[0]
     n_refs = len(lof_ctx)
+    n_dims = len(space.dims)
 
-    pi: list[list[int]] = []
-    w_cols = []
-    for d, dim in enumerate(space.dims):
-        pi.append([model.add_binary(f"pi_d{d}_i{i}") for i in range(dim.n_candidates)])
-        cols = list(dim.columns)
-        deltas = np.array(dim.deltas, dtype=float)          # (I_d, |cols|)
-        w_cols.append(u[:, cols] @ deltas.T)                # (n_enc, I_d)
+    pi = [model.add_variables([f"pi_d{d}_i{i}" for i in range(dim.n_candidates)],
+                              0.0, 1.0, binary=True) for d, dim in enumerate(space.dims)]
+    w_cols = [u[:, list(dim.columns)] @ np.array(dim.deltas, dtype=float).T    # (n_enc, I_d)
+              for dim in space.dims]
+    delta = model.add_variables([f"delta_c{r}" for r in range(n_enc)], 0.0,
+                                sum(np.abs(w).max(axis=1) for w in w_cols))
+    mu = model.add_variables([f"mu_n{n}" for n in range(n_refs)], 0.0, 1.0, binary=True)
+    rho = model.add_variables([f"rho_n{n}" for n in range(n_refs)], 0.0,
+                              np.maximum(lof_ctx.d1, constants.c_ref))
+    model.set_objective(dict(zip([*delta, *rho],
+                                 [1.0] * n_enc + (lam * lof_ctx.lrd1).tolist())))
+    handles = FormulationHandles(pi=pi, mu=mu, rho=rho, delta=delta, t_id=None,
+                                 tag="", counts={}, x_enc=np.asarray(x_enc, float),
+                                 space=space, constants=constants, w_cols=w_cols)
+    pi_ids = handles.pi_ids
+    each_ref = np.arange(n_refs)
 
-    delta_ids = []
-    for r in range(n_enc):
-        ub = sum(float(np.max(np.abs(w[r, :]))) for w in w_cols)
-        delta_ids.append(model.add_continuous(f"delta_c{r}", 0.0, ub))
+    model.add_rows([f"pick_d{d}" for d in range(n_dims)], "=", 1.0,
+                   (np.repeat(np.arange(n_dims), [len(ids) for ids in pi]), pi_ids, 1.0))
 
-    mu = [model.add_binary(f"mu_n{n}") for n in range(n_refs)]
-    rho = []
-    for n in range(n_refs):
-        ub = max(float(lof_ctx.d1[n]), float(constants.c_ref[n]))
-        rho.append(model.add_continuous(f"rho_n{n}", 0.0, ub))
+    w = np.hstack(w_cols)
+    model.add_rows([f"env_{side}_c{r}" for r in range(n_enc) for side in ("pos", "neg")],
+                   "<=", 0.0,
+                   _dense(np.stack([w, -w], axis=1).reshape(2 * n_enc, -1), pi_ids),
+                   (np.arange(2 * n_enc), np.repeat(delta, 2), -1.0))
 
-    obj = {delta_ids[r]: 1.0 for r in range(n_enc)}
-    for n in range(n_refs):
-        obj[rho[n]] = lam * float(lof_ctx.lrd1[n])
-    model.set_objective(obj)
+    model.add_rows(["pick_nn"], "=", 1.0, (0, mu, 1.0))
 
-    counts = {}
-    for d, dim in enumerate(space.dims):
-        model.add_constraint({v: 1.0 for v in pi[d]}, "=", 1.0, name=f"pick_d{d}")
-    counts["action_onehot"] = len(space.dims)
+    model.add_rows([f"reach_floor_n{n}" for n in range(n_refs)], "<=", 0.0,
+                   (each_ref, mu, lof_ctx.d1), (each_ref, rho, -1.0))
 
-    for r in range(n_enc):
-        pos = {}
-        for d in range(len(space.dims)):
-            for i, vid in enumerate(pi[d]):
-                pos[vid] = float(w_cols[d][r, i])
-        neg = {vid: -cf for vid, cf in pos.items()}
-        pos[delta_ids[r]] = -1.0
-        neg[delta_ids[r]] = -1.0
-        model.add_constraint(pos, "<=", 0.0, name=f"env_pos_c{r}")
-        model.add_constraint(neg, "<=", 0.0, name=f"env_neg_c{r}")
-    counts["md_envelope"] = 2 * n_enc
-
-    model.add_constraint({v: 1.0 for v in mu}, "=", 1.0, name="pick_nn")
-    counts["nn_onehot"] = 1
-
-    for n in range(n_refs):
-        model.add_constraint({mu[n]: float(lof_ctx.d1[n]), rho[n]: -1.0}, "<=", 0.0,
-                             name=f"reach_floor_n{n}")
-    counts["reach_floor"] = n_refs
-
-    for n in range(n_refs):
-        row = {}
-        for d in range(len(space.dims)):
-            cn = constants.c[d][:, n]
-            for i, vid in enumerate(pi[d]):
-                row[vid] = float(cn[i])
-        cref = float(constants.c_ref[n])
-        row[mu[n]] = cref
-        row[rho[n]] = -1.0
-        model.add_constraint(row, "<=", cref, name=f"reach_link_n{n}")
-    counts["reach_link"] = n_refs
+    model.add_rows([f"reach_link_n{n}" for n in range(n_refs)], "<=", constants.c_ref,
+                   _dense(np.vstack(constants.c).T, pi_ids),     # row n: c[d][:, n] by d
+                   (each_ref, mu, constants.c_ref), (each_ref, rho, -1.0))
 
     # at most max_changes non-zero actions; categorical groups stay consistent
     # through their own pick row, since a dimension moves whole one-hot blocks
-    zero_row = {pi[d][dim.zero_index]: 1.0 for d, dim in enumerate(space.dims)}
-    model.add_constraint(zero_row, ">=", float(len(space.dims) - space.max_changes),
-                         name="max_changes")
-    counts["max_changes"] = 1
+    model.add_rows(["max_changes"], ">=", float(n_dims - space.max_changes),
+                   (0, [ids[dim.zero_index] for ids, dim in zip(pi, space.dims)], 1.0))
 
-    return FormulationHandles(pi=pi, mu=mu, rho=rho, delta=delta_ids, t_id=None,
-                              tag="", counts=counts, x_enc=np.asarray(x_enc, float),
-                              space=space, constants=constants, w_cols=w_cols)
+    handles.counts.update(action_onehot=n_dims, md_envelope=2 * n_enc, nn_onehot=1,
+                          reach_floor=n_refs, reach_link=n_refs, max_changes=1)
+    return handles
 
 
 def add_nearest_original(model: MilpModel, handles: FormulationHandles,
                          constants: MilpConstants) -> None:
     """Quadratic encoding: a dominance row for every ordered reference pair."""
     n_refs = constants.n_refs
-    n_dims = len(handles.pi)
-    for n in range(n_refs):
-        cref = float(constants.c_ref[n])
-        for m_ in range(n_refs):
-            row = {}
-            for d in range(n_dims):
-                diff = constants.c[d][:, n] - constants.c[d][:, m_]
-                for i, vid in enumerate(handles.pi[d]):
-                    row[vid] = float(diff[i])
-            row[handles.mu[n]] = cref
-            model.add_constraint(row, "<=", cref, name=f"nn_o_{n}_{m_}")
+    table = np.vstack(constants.c).T              # row n: distance terms to ref n
+    diff = (table[:, None, :] - table[None, :, :]).reshape(n_refs * n_refs, -1)
+    cref = np.repeat(constants.c_ref, n_refs)
+    model.add_rows([f"nn_o_{n}_{m}" for n in range(n_refs) for m in range(n_refs)],
+                   "<=", cref, _dense(diff, handles.pi_ids),
+                   (np.arange(n_refs * n_refs), np.repeat(handles.mu, n_refs), cref))
     handles.counts["nearest"] = n_refs * n_refs
     handles.tag = "original"
 
@@ -166,41 +145,36 @@ def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
                         constants: MilpConstants) -> None:
     """Linear encoding: one reachability scalar sandwiched by 2N rows."""
     n_refs = constants.n_refs
-    n_dims = len(handles.pi)
     big_m = constants.big_m
     t_id = model.add_continuous("t_reach", 0.0, big_m)
-    for n in range(n_refs):
-        row_lo = {}
-        for d in range(n_dims):
-            cn = constants.c[d][:, n]
-            for i, vid in enumerate(handles.pi[d]):
-                row_lo[vid] = float(cn[i])
-        row_hi = {vid: -cf for vid, cf in row_lo.items()}
-        row_lo[handles.mu[n]] = big_m
-        row_lo[t_id] = -1.0
-        row_hi[t_id] = 1.0
-        model.add_constraint(row_lo, "<=", big_m, name=f"nn_r_lo_{n}")
-        model.add_constraint(row_hi, "<=", 0.0, name=f"nn_r_hi_{n}")
+    table = np.vstack(constants.c).T              # row n: distance terms to ref n
+    lo = 2 * np.arange(n_refs)
+    model.add_rows([f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")],
+                   "<=", np.tile([big_m, 0.0], n_refs),
+                   _dense(np.stack([table, -table], axis=1).reshape(2 * n_refs, -1),
+                          handles.pi_ids),
+                   (lo, handles.mu, big_m), (lo, t_id, -1.0), (lo + 1, t_id, 1.0))
     handles.counts["nearest"] = 2 * n_refs
     handles.t_id = t_id
     handles.tag = "reduced"
 
 
-def _action_coeffs(handles: FormulationHandles, col_weight) -> dict:
-    """Row coefficients sum(col_weight[c] * delta_c) per action candidate."""
-    row = {}
-    for dim, ids in zip(handles.space.dims, handles.pi):
-        for i, vid in enumerate(ids):
-            row[vid] = float(sum(col_weight[c] * dv for c, dv in zip(dim.columns, dim.deltas[i])))
-    return row
+def _action_coeffs(space: ActionSpace, col_weight: np.ndarray) -> np.ndarray:
+    """sum_c col_weight[c] * delta_c per action candidate, in pi order, its
+    column terms added left to right."""
+    return np.concatenate([
+        np.cumsum(np.array(dim.deltas, dtype=float) * col_weight[list(dim.columns)],
+                  axis=1)[:, -1]
+        for dim in space.dims])
 
 
 def add_validity_linear(model: MilpModel, handles: FormulationHandles,
                         weights: np.ndarray, intercept: float) -> None:
     """Decision value of the moved instance must be >= 0 (strict boundary kept)."""
-    row = _action_coeffs(handles, np.asarray(weights, float))
-    const = float(np.asarray(weights, float) @ handles.x_enc + intercept)
-    model.add_constraint(row, ">=", -const, name="validity")
+    w = np.asarray(weights, float)
+    const = float(w @ handles.x_enc + intercept)
+    model.add_rows(["validity"], ">=", -const,
+                   (0, handles.pi_ids, _action_coeffs(handles.space, w)))
     handles.counts["validity"] = 1
 
 
@@ -209,9 +183,9 @@ def add_validity_scaled_svm(model: MilpModel, handles: FormulationHandles,
                             scaler: StandardScaler) -> None:
     """Validity in scaled space: a raw offset a_d enters as a_d / sigma_d."""
     w = np.asarray(weights, float)
-    row = _action_coeffs(handles, w / scaler.stds)
     const = float(w @ apply_scaler(scaler, handles.x_enc) + intercept)
-    model.add_constraint(row, ">=", -const, name="validity")
+    model.add_rows(["validity"], ">=", -const,
+                   (0, handles.pi_ids, _action_coeffs(handles.space, w / scaler.stds)))
     handles.counts["validity"] = 1
 
 
@@ -241,56 +215,38 @@ def add_validity_forest(model: MilpModel, handles: FormulationHandles,
     no candidate can reach gets a [0,0] indicator and stays well-formed.
     """
     space = handles.space
-    x_enc = handles.x_enc
-    col_dim = {}
-    for d, dim in enumerate(space.dims):
-        for c in dim.columns:
-            col_dim[c] = d
+    col_dim = {c: d for d, dim in enumerate(space.dims) for c in dim.columns}
     # candidate value per (dim, i, col) for interval tests
-    value = []
-    for dim in space.dims:
-        value.append({(i, c): float(x_enc[c] + dv)
-                      for i in range(dim.n_candidates)
-                      for c, dv in zip(dim.columns, dim.deltas[i])})
+    value = [{(i, c): float(handles.x_enc[c] + dv) for i in range(dim.n_candidates)
+              for c, dv in zip(dim.columns, dim.deltas[i])} for dim in space.dims]
 
-    n_pick = n_path = 0
-    threshold_row = {}
+    rows = []                # (name, cmp, rhs, ids, coefficients): one block for the forest
+    probs = []
     for t_idx, tree in enumerate(forest.trees):
         leaves = _tree_leaves(tree)
-        phi_ids = []
-        for l_ord, (node, conds, prob) in enumerate(leaves):
-            by_dim: dict[int, list] = {}
-            for col, lo, hi in conds:
-                by_dim.setdefault(col_dim[col], []).append((col, lo, hi))
-            sets = {}
-            dead = False
-            for d, cs in by_dim.items():
-                dim = space.dims[d]
-                ok = [i for i in range(dim.n_candidates)
-                      if all(lo < value[d][(i, col)] <= hi for col, lo, hi in cs)]
-                if not ok:
-                    dead = True
-                sets[d] = ok
-            name = f"phi_t{t_idx}_l{l_ord}"
-            if dead:
-                vid = model.add_continuous(name, 0.0, 0.0)
-            else:
-                vid = model.add_binary(name)
-                for d, ok in sets.items():
-                    row = {handles.pi[d][i]: 1.0 for i in ok}
-                    row[vid] = -1.0
-                    model.add_constraint(row, ">=", 0.0, name=f"path_t{t_idx}_l{l_ord}_d{d}")
-                    n_path += 1
-            phi_ids.append(vid)
-            threshold_row[vid] = prob
-        model.add_constraint({v: 1.0 for v in phi_ids}, "=", 1.0, name=f"pick_leaf_t{t_idx}")
-        n_pick += 1
-        handles.phi.append(phi_ids)
+        # per leaf, per dimension its path constrains: the candidates it lets through
+        sets = [{d: [i for i in range(space.dims[d].n_candidates)
+                     if all(lo < value[d][(i, col)] <= hi
+                            for col, lo, hi in conds if col_dim[col] == d)]
+                 for d in dict.fromkeys(col_dim[col] for col, _, _ in conds)}
+                for _, conds, _ in leaves]
+        live = np.array([all(by_dim.values()) for by_dim in sets])
+        phi = model.add_variables([f"phi_t{t_idx}_l{l_ord}" for l_ord in range(len(leaves))],
+                                  0.0, live.astype(float), binary=live)
+        for l_ord in np.nonzero(live)[0]:
+            for d, ok in sets[l_ord].items():
+                rows.append((f"path_t{t_idx}_l{l_ord}_d{d}", ">=", 0.0,
+                             [handles.pi[d][i] for i in ok] + [phi[l_ord]], [1.0] * len(ok) + [-1.0]))
+        rows.append((f"pick_leaf_t{t_idx}", "=", 1.0, phi, [1.0] * len(phi)))
+        handles.phi.append(list(phi))
         handles.leaf_nodes.append([node for node, _, _ in leaves])
-    model.add_constraint(threshold_row, ">=", 0.5 * len(forest.trees), name="validity")
-    handles.counts["leaf_pick"] = n_pick
-    handles.counts["leaf_path"] = n_path
-    handles.counts["validity"] = 1
+        probs += [prob for _, _, prob in leaves]
+    n_trees = len(forest.trees)
+    handles.counts.update(leaf_pick=n_trees, leaf_path=len(rows) - n_trees, validity=1)
+    rows.append(("validity", ">=", 0.5 * n_trees, [v for ids in handles.phi for v in ids], probs))
+    names, cmps, rhs, ids, coefs = zip(*rows)
+    model.add_rows(names, cmps, rhs, (np.repeat(np.arange(len(rows)), [len(r) for r in ids]),
+                                      [v for r in ids for v in r], [c for r in coefs for c in r]))
 
 
 def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
@@ -357,19 +313,13 @@ def _single_change_hint(model, handles, classifier, lof_ctx, lam):
     for d, dim in enumerate(space.dims):
         choice = i_star if d == d_star else dim.zero_index
         vals[handles.pi[d][choice]] = 1.0
-    for r, vid in enumerate(handles.delta):
-        vals[vid] = abs(float(handles.w_cols[d_star][r, i_star]))
+    vals[handles.delta] = np.abs(handles.w_cols[d_star][:, i_star])
     vals[handles.mu[n_star]] = 1.0
     vals[handles.rho[n_star]] = reach
     if handles.t_id is not None:
         vals[handles.t_id] = float(dists[n_star])
-    if handles.phi:
-        trees = classifier.trees
-        for t_idx, phi_ids in enumerate(handles.phi):
-            leaves = _tree_leaves(trees[t_idx])
-            reached = trees[t_idx].leaf_of(cf)
-            for (node, _, _), vid in zip(leaves, phi_ids):
-                vals[vid] = 1.0 if node == reached else 0.0
+    for t, (phi_ids, nodes) in enumerate(zip(handles.phi, handles.leaf_nodes)):
+        vals[phi_ids[nodes.index(classifier.trees[t].leaf_of(cf))]] = 1.0
     return vals
 
 
@@ -415,7 +365,6 @@ class Explanation:
 def decode_action(handles: FormulationHandles, values: np.ndarray,
                   int_tol: float = 1e-6):
     """Chosen candidate index per dimension from the pi block of a solution."""
-    space = handles.space
     out = []
     for d, ids in enumerate(handles.pi):
         vals = np.array([values[v] for v in ids])
@@ -461,27 +410,19 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
     indices = decode_action(handles, values)
     disp = space.displacement(indices)
     cf = x_enc + disp
-    action = {}
-    for dim, i in zip(space.dims, indices):
-        if i == dim.zero_index:
-            continue
-        action[dim.feature] = dim.labels[i] if dim.kind == "categorical" else float(dim.labels[i])
+    action = {dim.feature: dim.labels[i] if dim.kind == "categorical" else float(dim.labels[i])
+              for dim, i in zip(space.dims, indices) if i != dim.zero_index}
 
     md_term = float(sum(values[v] for v in handles.delta))
     lof_term = float(sum(lam * float(lof_ctx.lrd1[n]) * values[v]
                          for n, v in enumerate(handles.rho)))
-    mu_vals = np.array([values[v] for v in handles.mu])
-    n_star = int(np.argmax(mu_vals))
+    n_star = int(np.argmax(values[handles.mu]))
     q1 = q1_surrogate(lof_ctx, cf)
     q1_ok = abs(lam * q1 - lof_term) <= 1e-6 * max(1.0, abs(lof_term))
     valid = predict(classifier, cf) == 1
 
-    tree_leaves = None
-    if handles.phi:
-        tree_leaves = []
-        for phi_ids, nodes_ in zip(handles.phi, handles.leaf_nodes):
-            leaf_vals = [values[v] for v in phi_ids]
-            tree_leaves.append(int(nodes_[int(np.argmax(leaf_vals))]))
+    tree_leaves = [int(nodes_[int(np.argmax(values[phi_ids]))])
+                   for phi_ids, nodes_ in zip(handles.phi, handles.leaf_nodes)] or None
 
     return Explanation(
         status=sol.status, formulation=formulation, action=action,

@@ -96,7 +96,7 @@ from scipy.linalg.blas import dger as _dger
 from scipy.linalg.lapack import dgetrf as _dgetrf
 from scipy.linalg.lapack import dgetrs as _dgetrs
 
-from .milpcore import MilpModel, MilpSolution, evaluate
+from .milpcore import MilpModel, MilpSolution, ModelArrays, Rows, evaluate
 
 
 @functools.cache
@@ -155,43 +155,9 @@ class SolverParams:
 @dataclass
 class LpResult:
     status: str                      # optimal | infeasible | unbounded | cutoff
-    x: np.ndarray | None
-    objective: float | None
     iterations: int
-
-
-class _Rows:
-    """Sparse matrix in compressed columns, with the few operations the
-    simplex needs.  Plain arrays, because importing scipy.sparse and its LU
-    adds about 5 MiB of resident memory to every process that solves."""
-
-    def __init__(self, row, col, val, shape):
-        order = np.lexsort((row, col))
-        self.row, self.col, self.val = row[order], col[order], val[order]
-        self.shape = shape
-        self.indptr = np.searchsorted(self.col, np.arange(shape[1] + 1))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.row, weights=self.val * x[self.col], minlength=self.shape[0])
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.col, weights=self.val * y[self.row], minlength=self.shape[1])
-
-    def dense(self, cols: np.ndarray) -> np.ndarray:
-        """The columns ``cols`` as a dense Fortran-ordered (m, len(cols)) array."""
-        starts = self.indptr[cols]
-        counts = self.indptr[cols + 1] - starts
-        nz = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        out = np.zeros((self.shape[0], cols.size), order="F")
-        out[self.row[nz], np.repeat(np.arange(cols.size), counts)] = self.val[nz]
-        return out
-
-    def take_rows(self, keep: np.ndarray) -> "_Rows":
-        new_id = np.full(self.shape[0], -1)
-        new_id[keep] = np.arange(keep.size)
-        sel = new_id[self.row] >= 0
-        return _Rows(new_id[self.row[sel]], self.col[sel], self.val[sel],
-                     (keep.size, self.shape[1]))
+    x: np.ndarray | None = None
+    objective: float | None = None
 
 
 class _Factor:
@@ -202,7 +168,7 @@ class _Factor:
     columns on the rows no such column covers.
     """
 
-    def __init__(self, rows: _Rows, basis: np.ndarray):
+    def __init__(self, rows: Rows, basis: np.ndarray):
         m = basis.size
         single = rows.indptr[basis + 1] - rows.indptr[basis] == 1
         self.ps = np.nonzero(single)[0]            # basis positions of singletons
@@ -248,41 +214,6 @@ class _Factor:
 
 
 @dataclass
-class _Std:
-    """Model arrays extracted once; bound vectors vary per node."""
-
-    c: np.ndarray
-    const: float
-    a: _Rows                         # (m, n) constraint rows
-    cmps: np.ndarray                 # (m,) "<=", ">=" or "="
-    rhs: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    binaries: np.ndarray
-
-
-def _extract(model: MilpModel) -> _Std:
-    n = model.n_vars
-    c = np.zeros(n)
-    for vid, coef in model.objective.items():
-        c[vid] = coef
-    cons = model.constraints
-    nnz = sum(len(con.coeffs) for con in cons)
-    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    ids = np.fromiter((v for con in cons for v, _ in con.coeffs), dtype=int, count=nnz)
-    vals = np.fromiter((cf for con in cons for _, cf in con.coeffs), dtype=float, count=nnz)
-    a = _Rows(row, ids, vals, (len(cons), n))
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-    binaries = np.zeros(n, dtype=bool)
-    binaries[model.binary_ids] = True
-    return _Std(c=c, const=model.objective_constant, a=a,
-                cmps=np.array([con.cmp for con in cons], dtype=object),
-                rhs=np.array([con.rhs for con in cons], dtype=float),
-                lb=lb, ub=ub, binaries=binaries)
-
-
-@dataclass
 class _Layout:
     """Model variables and rows as nonnegative tableau columns and signed rows.
 
@@ -295,7 +226,7 @@ class _Layout:
     col_neg: np.ndarray              # (n,) second column of a split variable, else -1
     base: np.ndarray
     sign: np.ndarray
-    rows: _Rows                      # (m, n_cols)
+    rows: Rows                       # (m, n_cols)
     rhs: np.ndarray                  # (m,) >= 0
     ubt: np.ndarray                  # (n_cols,) column upper bounds, inf allowed
     cost: np.ndarray                 # (n_cols,)
@@ -309,7 +240,7 @@ class _Layout:
         return x
 
 
-def _layout(std: _Std, lb: np.ndarray, ub: np.ndarray) -> _Layout:
+def _layout(std: ModelArrays, lb: np.ndarray, ub: np.ndarray) -> _Layout:
     fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
     split = ~fin_lb & ~fin_ub
     width = 1 + split.astype(int)
@@ -320,12 +251,12 @@ def _layout(std: _Std, lb: np.ndarray, ub: np.ndarray) -> _Layout:
     sign = np.where(fin_lb | ~fin_ub, 1.0, -1.0)
 
     m = std.rhs.size
-    slack_rows = np.nonzero(std.cmps != "=")[0]
+    slack_rows = np.nonzero(std.cmp != "=")[0]
     n_cols = n_t + slack_rows.size
     slack_cols = n_t + np.arange(slack_rows.size)
     rhs = std.rhs - std.a.matvec(base)
     flip = np.where(rhs < 0.0, -1.0, 1.0)
-    slack_sign = np.where(std.cmps[slack_rows] == "<=", 1.0, -1.0) * flip[slack_rows]
+    slack_sign = np.where(std.cmp[slack_rows] == "<=", 1.0, -1.0) * flip[slack_rows]
 
     a = std.a
     sr = np.nonzero(split[a.col])[0]
@@ -333,7 +264,7 @@ def _layout(std: _Std, lb: np.ndarray, ub: np.ndarray) -> _Layout:
     cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], slack_cols])
     data = np.concatenate([sign[a.col] * a.val * flip[a.row],
                            -a.val[sr] * flip[a.row[sr]], slack_sign])
-    rows = _Rows(r, cols, data, (m, n_cols))
+    rows = Rows(r, cols, data, (m, n_cols))
 
     ubt = np.full(n_cols, np.inf)
     ubt[col_of[fin_lb]] = (ub - lb)[fin_lb]
@@ -366,7 +297,7 @@ class _Tableau:
     The tableau stays Fortran-ordered: ``dger`` updates it in place.
     """
 
-    def __init__(self, rows: _Rows, xb, basis, ubt):
+    def __init__(self, rows: Rows, xb, basis, ubt):
         self.xb = xb                  # (m,) current basic values
         self.basis = basis            # (m,) int, column basic in each row
         self.ubt = ubt                # (n,) upper bounds, inf allowed
@@ -519,7 +450,7 @@ class _Tableau:
 
     # -- bounded dual simplex over a live tableau --------------------------------
 
-    def prepare_dual(self, rows: _Rows, rhs: np.ndarray, cost: np.ndarray) -> None:
+    def prepare_dual(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray) -> None:
         """Attach the signed sparse rows the tableau is B^-1 of, and the cost,
         and refactor from them: the primal pivots before may have left some
         tableau columns far off while the basic values stay accurate.  A
@@ -678,7 +609,7 @@ class _Tableau:
             self.since_refactor += 1
 
 
-def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
+def _solve_arrays(std: ModelArrays, lb: np.ndarray, ub: np.ndarray,
                   deadline: float | None = None):
     """Two-phase bounded primal simplex for one bound configuration, cold.
 
@@ -705,14 +636,11 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
             raise SimplexError("phase 1 reported unbounded")
         art_sum = float(cost1 @ tab.values())
         if art_sum > feas_tol:
-            return LpResult(status="infeasible", x=None, objective=None,
-                            iterations=tab.iterations), None
+            return LpResult("infeasible", tab.iterations), None
         # drive artificials out of the basis; drop rows that are redundant
         drop = []
         real = tab.nb < art_start
-        for p in range(m):
-            if tab.basis[p] < art_start:
-                continue
+        for p in np.nonzero(tab.basis >= art_start)[0]:     # a pivot changes only row p
             alpha = tab.t[p, :].copy()
             row = np.where(real, np.abs(alpha), 0.0)
             best = row.max() if row.size else 0.0
@@ -735,8 +663,7 @@ def _solve_arrays(std: _Std, lb: np.ndarray, ub: np.ndarray,
     cost2 = np.concatenate([lay.cost, np.zeros(n_art)])
     out = tab.run(cost2, deadline=deadline)
     if out == "unbounded":
-        return LpResult(status="unbounded", x=None, objective=None,
-                        iterations=tab.iterations), None
+        return LpResult("unbounded", tab.iterations), None
 
     x = lay.point(tab.values())
     obj = float(std.c @ x) + std.const
@@ -751,12 +678,12 @@ class _Warm:
     binaries by dual pivots from whatever basis the previous solve left.
     """
 
-    def __init__(self, std: _Std, lay: _Layout, tab: _Tableau, keep: np.ndarray):
+    def __init__(self, std: ModelArrays, lay: _Layout, tab: _Tableau, keep: np.ndarray):
         n_cols = lay.cost.size
         rows, rhs = lay.rows, lay.rhs
         if keep.size < rhs.size:
             # redundant rows stay out, so a cold re-solve fits the live rows
-            std = dataclasses.replace(std, a=std.a.take_rows(keep), cmps=std.cmps[keep],
+            std = dataclasses.replace(std, a=std.a.take_rows(keep), cmp=std.cmp[keep],
                                       rhs=std.rhs[keep])
             rows, rhs = rows.take_rows(keep), rhs[keep]
         self.std = std
@@ -776,7 +703,7 @@ class _Warm:
         self.root_ubt = tab.ubt.copy()
         self.root_basis = tab.basis.copy()
         self.root_upper = tab.at_upper.copy()
-        self.bin_cols = lay.col_of[std.binaries]
+        self.bin_cols = lay.col_of[std.binary]
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const
 
@@ -796,12 +723,10 @@ class _Warm:
                 if out != "infeasible":
                     if tab.residual_ok():
                         if out == "cutoff":
-                            return LpResult(status="cutoff", x=None, objective=None,
-                                            iterations=tab.iterations - start)
+                            return LpResult("cutoff", tab.iterations - start)
                         break
                 elif tab.proves_infeasible(tab.infeasible_row):
-                    return LpResult(status="infeasible", x=None, objective=None,
-                                    iterations=tab.iterations - start)
+                    return LpResult("infeasible", tab.iterations - start)
                 if refactored:
                     raise _Restart
                 tab.refactor()
@@ -864,7 +789,7 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     ``overrides`` maps variable id to an (lb, ub) pair replacing the
     declared bounds, which is how branch-and-bound fixes binaries.
     """
-    std = _extract(model)
+    std = model.arrays
     lb, ub = std.lb.copy(), std.ub.copy()
     for vid, (lo, hi) in (overrides or {}).items():
         lb[vid], ub[vid] = lo, hi
@@ -886,22 +811,16 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     params = params or SolverParams()
     t_start = time.perf_counter()
     deadline = t_start + params.time_limit_s
-    std = _extract(model)
-    bin_ids = np.nonzero(std.binaries)[0]
-    prio = np.zeros(bin_ids.size)
-    if branch_priority:
-        for k, vid in enumerate(bin_ids):
-            prio[k] = branch_priority.get(int(vid), 0)
+    std = model.arrays
+    bin_ids = np.nonzero(std.binary)[0]
+    prio = np.array([(branch_priority or {}).get(v, 0) for v in bin_ids.tolist()], dtype=float)
 
     incumbent = None
     inc_obj = np.inf
     if incumbent_hint is not None:
         if isinstance(incumbent_hint, dict):
-            hint = np.zeros(model.n_vars)
-            for vid, v in incumbent_hint.items():
-                hint[vid] = v
-        else:
-            hint = np.asarray(incumbent_hint, dtype=float)
+            incumbent_hint = [incumbent_hint.get(v, 0.0) for v in range(model.n_vars)]
+        hint = np.asarray(incumbent_hint, dtype=float)
         ev = evaluate(model, hint)
         if ev.feasible:
             incumbent = hint.copy()
@@ -991,18 +910,15 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         next_id += 1
         heapq.heappush(heap, (bound, next_id, {**fixes, j: (1.0, 1.0)}))
 
-    wall = time.perf_counter() - t_start
+    work = dict(nodes=nodes, lp_iterations=lp_iters, wall_time=time.perf_counter() - t_start)
     if root_unbounded:
-        return MilpSolution(status="unbounded", values=None, objective=None,
-                            nodes=nodes, lp_iterations=lp_iters, wall_time=wall)
+        return MilpSolution("unbounded", **work)
     if incumbent is None:
-        status = "infeasible-unproven" if (timed_out or hit_node_limit) and heap else "infeasible"
-        return MilpSolution(status=status, values=None, objective=None,
-                            nodes=nodes, lp_iterations=lp_iters, wall_time=wall)
+        stopped = (timed_out or hit_node_limit) and heap
+        return MilpSolution("infeasible-unproven" if stopped else "infeasible", **work)
     if heap and (timed_out or hit_node_limit):
         gap = (inc_obj - best_bound) / max(1.0, abs(inc_obj)) if np.isfinite(best_bound) else None
-        return MilpSolution(status="feasible-time-limit", values=incumbent, objective=inc_obj,
-                            nodes=nodes, lp_iterations=lp_iters, wall_time=wall, gap=gap)
+        return MilpSolution("feasible-time-limit", **work, values=incumbent, objective=inc_obj,
+                            gap=gap)
     gap = 0.0 if not heap else max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
-    return MilpSolution(status="optimal", values=incumbent, objective=inc_obj,
-                        nodes=nodes, lp_iterations=lp_iters, wall_time=wall, gap=gap)
+    return MilpSolution("optimal", **work, values=incumbent, objective=inc_obj, gap=gap)

@@ -130,9 +130,10 @@ def classifier_instance(seed, kind, n_refs=10, grid_size=3, max_changes=3):
             "lof_ctx": ctx, "space": space, "lam": lam, "n_refs": n_refs}
 
 
-def credit_instance(kind, n_refs, rank=0, formulation="reduced"):
+def credit_instance(kind, n_refs, rank=0, formulation="reduced", grid_size=3):
     """A rejected applicant of the synthetic credit data, the benchmark's
-    pipeline: 600 rows, 0.75 split, grid 3, at most 3 changes, lambda 0.01.
+    pipeline: 600 rows, 0.75 split, grid ``grid_size``, at most 3 changes,
+    lambda 0.01.
 
     ``kind`` is "svm", "logistic" or "forest" (5 trees of depth 3); ``rank``
     picks among the rejected test rows.  Returns the instance with its
@@ -148,7 +149,7 @@ def credit_instance(kind, n_refs, rank=0, formulation="reduced"):
     mahal = build_mahalanobis(train.x)
     ctx = build_lof_context(sample_reference_set(train.x, train.y, n_refs, 5), metric)
     x = test.x[np.nonzero(predict_many(clf, test.x) == -1)[0][rank]]
-    space = build_action_space(x, train, ActionConfig(grid_size=3, max_changes=3))
+    space = build_action_space(x, train, ActionConfig(grid_size=grid_size, max_changes=3))
     model, handles, _ = build_model(x, clf, mahal, ctx, space, 0.01, formulation)
     return {"x": x, "classifier": clf, "mahal": mahal, "lof_ctx": ctx, "space": space,
             "lam": 0.01, "model": model, "handles": handles, "formulation": formulation}

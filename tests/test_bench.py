@@ -388,6 +388,37 @@ def test_cli_export_lp(tmp_path, capsys):
     assert any(c["name"] == "nn_r_lo_0" for c in parsed["constraints"])
 
 
+def test_cli_bench_survives_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # one solve of the sweep fails numerically: its record says "error", every
+    # other record is still written, and the exit code is 2 without a traceback
+    from cfmilp import bench
+    from cfmilp.solver import SimplexError
+
+    real = bench.explain
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SimplexError("pivot cap exceeded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "explain", flaky)
+    cfg_path = write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", cfg_path, "--quiet", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "pivot cap exceeded" in err
+    assert "Traceback" not in err
+    with open(out_dir / "records.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(calls) > 2
+    failed = [r for r in rows if r["status"] == "error"]
+    assert len(failed) == 1
+    assert failed[0]["objective"] == "" and failed[0]["nodes"] == "0"
+    assert all(r["status"] in ("optimal", "no-recourse") for r in rows if r not in failed)
+
+
 def test_cli_bench_writes_outputs(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "out"

@@ -63,6 +63,66 @@ def test_unknown_formulation_rejected():
                     inst["lof_ctx"], inst["space"], inst["lam"], "fancy")
 
 
+def _reference_rows(model, handles, constants, inst):
+    """The rows the builders emit as blocks, written one row at a time from
+    the same tables: {name: (coeffs, cmp, rhs)}, zeros dropped."""
+    pi, c, cref, big_m, t_id = (handles.pi, constants.c, constants.c_ref, constants.big_m,
+                                handles.t_id)
+    each_pi = [(d, i, v) for d, ids in enumerate(pi) for i, v in enumerate(ids)]
+    rows = {}
+
+    def put(name, coeffs, cmp, rhs):
+        rows[name] = (tuple(sorted((v, cf) for v, cf in coeffs.items() if cf != 0.0)),
+                      cmp, float(rhs))
+
+    for r, vid in enumerate(handles.delta):
+        env = {v: float(handles.w_cols[d][r, i]) for d, i, v in each_pi}
+        put(f"env_pos_c{r}", {**env, vid: -1.0}, "<=", 0.0)
+        put(f"env_neg_c{r}", {**{v: -cf for v, cf in env.items()}, vid: -1.0}, "<=", 0.0)
+    for n, (mu, rho) in enumerate(zip(handles.mu, handles.rho)):
+        dist = {v: float(c[d][i, n]) for d, i, v in each_pi}
+        put(f"reach_floor_n{n}", {mu: float(inst["lof_ctx"].d1[n]), rho: -1.0}, "<=", 0.0)
+        put(f"reach_link_n{n}", {**dist, mu: cref[n], rho: -1.0}, "<=", cref[n])
+        if t_id is None:
+            for m in range(len(cref)):
+                put(f"nn_o_{n}_{m}", {**{v: float(c[d][i, n] - c[d][i, m]) for d, i, v in each_pi},
+                                      mu: cref[n]}, "<=", cref[n])
+        else:
+            put(f"nn_r_lo_{n}", {**dist, mu: big_m, t_id: -1.0}, "<=", big_m)
+            put(f"nn_r_hi_{n}", {**{v: -cf for v, cf in dist.items()}, t_id: 1.0}, "<=", 0.0)
+    w, dims = inst["classifier"].weights, inst["space"].dims
+    put("validity", {v: float(sum(w[col] * dv for col, dv in zip(dims[d].columns,
+                                                                 dims[d].deltas[i])))
+                     for d, i, v in each_pi},
+        ">=", -float(w @ inst["x"] + inst["classifier"].intercept))
+    return rows
+
+
+@pytest.mark.parametrize("formulation", ["original", "reduced"])
+def test_row_blocks_match_row_by_row_reference(formulation):
+    # row order and every coefficient are the solver's input: the blocks must
+    # give what a row-by-row build gives, bit for bit
+    for seed in range(6):
+        inst = random_instance(seed)
+        model, handles, constants = build_model(
+            inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
+            inst["space"], inst["lam"], formulation)
+        n_dims, n_enc, n_refs = len(handles.pi), len(handles.delta), len(handles.mu)
+        nearest = ([f"nn_o_{n}_{m}" for n in range(n_refs) for m in range(n_refs)]
+                   if formulation == "original" else
+                   [f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")])
+        records = {con.name: con for con in model.constraints}
+        assert list(records) == (
+            [f"pick_d{d}" for d in range(n_dims)]
+            + [f"env_{side}_c{r}" for r in range(n_enc) for side in ("pos", "neg")]
+            + ["pick_nn"] + [f"reach_floor_n{n}" for n in range(n_refs)]
+            + [f"reach_link_n{n}" for n in range(n_refs)] + ["max_changes"]
+            + nearest + ["validity"])
+        for name, want in _reference_rows(model, handles, constants, inst).items():
+            con = records[name]
+            assert (con.coeffs, con.cmp, con.rhs) == want, f"seed {seed} {name}"
+
+
 # -- assignment-level encoding semantics ----------------------------------------
 
 def _manual_assignment(model, handles, constants, inst, combo, n_pick):

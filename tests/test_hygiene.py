@@ -1,5 +1,7 @@
 """Source hygiene checks that need no linter: every top-level import of the
-package is used by the module that makes it."""
+package is used by the module that makes it, and no module imports
+scipy.sparse, whose import alone adds about 5 MiB of resident memory to
+every process that solves (the reason ``milpcore.Rows`` exists)."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,34 @@ def test_no_unused_top_level_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import json\nimport os\nfrom x import (a, b as c)\nos.sep\nc()\n")
     assert _unused_imports(tree) == ["a (line 3)", "json (line 1)"]
+
+
+def _sparse_imports(tree: ast.Module) -> list[int]:
+    """Lines, at any nesting level, that import scipy.sparse or a submodule."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_sparse_import(path):
+    assert _sparse_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_sparse_import_is_caught():
+    tree = ast.parse("import scipy.linalg\n"
+                     "from scipy import sparse\n"
+                     "def f():\n"
+                     "    import scipy.sparse.linalg as sl\n"
+                     "    from scipy.sparse import csr_matrix\n"
+                     "    from .sparse import x\n"
+                     "    from scipy import optimize\n")
+    assert _sparse_imports(tree) == [2, 4, 5]

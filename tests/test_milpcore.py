@@ -7,12 +7,12 @@ import pytest
 
 from cfmilp.milpcore import (
     MilpModel,
-    MilpSolution,
     ModelError,
     evaluate,
     export_lp,
 )
 
+from _instances import credit_instance
 from _oracles import parse_lp
 
 
@@ -191,13 +191,103 @@ def test_evaluate_tolerance():
     assert not evaluate(m, vals, tol=1e-9).feasible
 
 
-def test_solution_value_map():
-    sol = MilpSolution(status="optimal", values=np.array([1.0, 0.25]),
-                       objective=1.25, nodes=1, lp_iterations=3, wall_time=0.0)
-    assert sol.value_map() == {0: 1.0, 1: 0.25}
-    empty = MilpSolution(status="infeasible", values=None, objective=None,
-                         nodes=1, lp_iterations=0, wall_time=0.0)
-    assert empty.value_map() == {}
+# -- row blocks --------------------------------------------------------------
+
+# (coefficient pairs, comparison, rhs, name): a repeated id, explicit zeros,
+# a row that merges to nothing and a three-way merge
+_ROWS = [
+    ([(0, 1.0), (2, 0.0), (0, 2.0), (3, -1.5)], "<=", 3.0, "r0"),
+    ([(1, 1.0), (1, -1.0)], ">=", -1.0, "r1"),
+    ([(3, 0.25), (0, 4.0), (1, 0.5)], "=", 0.5, "r2"),
+    ([(2, 1.0), (2, 1e-3), (2, 1e-3)], "<=", 1.0, "r3"),
+]
+
+
+def _four_vars():
+    m = MilpModel("blocks")
+    assert m.add_variables(["b0", "b1"], 0.0, 1.0, binary=True) == range(0, 2)
+    assert m.add_variables(["x", "y"], [-1.0, 0.0], [2.0, math.inf]) == range(2, 4)
+    m.set_objective({0: 1.0, 2: -0.5, 3: 0.0})
+    return m
+
+
+def test_row_block_matches_single_rows():
+    single, block = _four_vars(), _four_vars()
+    for coeffs, cmp, rhs, name in _ROWS:
+        single.add_constraint(coeffs, cmp, rhs, name=name)
+    row, vid, val = map(np.array, zip(*[(i, v, c) for i, (coeffs, *_) in enumerate(_ROWS)
+                                         for v, c in coeffs]))
+    block.add_rows([r[3] for r in _ROWS], [r[1] for r in _ROWS], [r[2] for r in _ROWS],
+                   (row, vid, val))
+    assert single.constraints == block.constraints
+    assert [c.coeffs for c in block.constraints] == [
+        ((0, 3.0), (3, -1.5)), (), ((0, 4.0), (1, 0.5), (3, 0.25)), ((2, 1.0 + 1e-3 + 1e-3),)]
+    assert block.objective == {0: 1.0, 2: -0.5}
+    assert export_lp(single) == export_lp(block)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        x = np.concatenate([rng.choice([0.0, 0.5, 1.0], 2), rng.uniform(-2.0, 3.0, 2)])
+        assert evaluate(single, x) == evaluate(block, x)
+
+
+def test_row_block_broadcasts_and_validates():
+    m = _four_vars()
+    # two rows sharing x with coefficient 1; scalars broadcast over the rows
+    m.add_rows(["u0", "u1"], "<=", [1.0, 2.0], ([0, 1], [0, 1], 1.0), ([0, 1], 2, 1.0))
+    assert [c.coeffs for c in m.constraints] == [((0, 1.0), (2, 1.0)), ((1, 1.0), (2, 1.0))]
+    with pytest.raises(ModelError, match="outside"):
+        m.add_rows(["v0"], "<=", 1.0, ([1], [0], 1.0))
+    with pytest.raises(ModelError, match="unknown"):
+        m.add_rows(["v0"], "<=", 1.0, (0, [4], 1.0))
+    with pytest.raises(ModelError, match="duplicate"):
+        m.add_rows(["v0", "v0"], "<=", 1.0)
+    with pytest.raises(ModelError, match="comparison"):
+        m.add_rows(["v0", "v1"], ["<=", "<"], 1.0)
+    assert m.n_constraints == 2
+
+
+def test_model_arrays_are_shared_and_read_only():
+    m = small_model()
+    arr = m.arrays
+    assert m.arrays is arr
+    with pytest.raises(ValueError):
+        arr.rhs[0] = 5.0
+    m.add_constraint([(1, 1.0), (0, 2.0), (1, 0.5)], "<=", 2.0)
+    assert m.arrays is not arr and m.arrays.rhs.size == 4
+    # rows appended after a join read as if the model was built in one go
+    fresh = small_model()
+    fresh.add_constraint([(1, 1.0), (0, 2.0), (1, 0.5)], "<=", 2.0)
+    assert m.constraints == fresh.constraints
+    assert export_lp(m) == export_lp(fresh)
+
+
+def _row_walk_violation(model, x):
+    """Worst bound, integrality or row violation by a plain walk over the
+    Variable and Constraint records."""
+    worst = 0.0
+    for v in model.variables:
+        worst = max(worst, v.lb - x[v.vid], x[v.vid] - v.ub)
+        if v.kind == "binary":
+            worst = max(worst, abs(x[v.vid] - round(x[v.vid])))
+    for con in model.constraints:
+        lhs = sum(c * x[v] for v, c in con.coeffs)
+        gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.cmp]
+        worst = max(worst, gap)
+    return worst
+
+
+@pytest.mark.parametrize("kind,formulation", [("svm", "original"), ("forest", "reduced")])
+def test_evaluate_matches_row_walk_on_credit_models(kind, formulation):
+    model = credit_instance(kind, 20, formulation=formulation)["model"]
+    arr = model.arrays
+    rng = np.random.default_rng(29)
+    hi = np.minimum(arr.ub, 10.0)
+    for _ in range(10):
+        x = rng.uniform(arr.lb - 0.1, hi + 0.1)
+        snap = rng.random(model.n_vars) < 0.8
+        x[snap & arr.binary] = np.round(x[snap & arr.binary])
+        # the rows sum their terms by increasing id, as the walk does
+        assert evaluate(model, x).worst_violation == _row_walk_violation(model, x)
 
 
 # -- LP export ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from cfmilp import solver
 from cfmilp.formulations import explain
 from cfmilp.milpcore import MilpModel, evaluate
-from cfmilp.solver import SolverParams, _extract, _solve_arrays, solve_lp, solve_milp
+from cfmilp.solver import SolverParams, _solve_arrays, solve_lp, solve_milp
 
 from _instances import credit_instance
 from _oracles import milp_enumerate
@@ -397,7 +397,7 @@ def _fixings(rng, bin_ids, count):
 def _warm_vs_cold(model, fixings):
     """Warm-solve the fixings in turn, each from the basis the previous one
     left, and compare every LP with a cold solve_lp; returns the statuses."""
-    std = _extract(model)
+    std = model.arrays
     root, final = _solve_arrays(std, std.lb, std.ub)
     assert root.status == "optimal"
     warm = solver._Warm(std, *final)
@@ -478,7 +478,7 @@ def test_warm_cutoff_stops_only_above_the_optimum():
     # leaves the optimum as it was
     inst = credit_instance("svm", 30)
     model = inst["model"]
-    std = _extract(model)
+    std = model.arrays
     rng = np.random.default_rng(43)
     fixings = _fixings(rng, np.array(model.binary_ids), 12)
     refs = [solve_lp(model, overrides=f) for f in fixings]
@@ -590,11 +590,18 @@ def _highs(model):
     return ref.fun + model.objective_constant if ref.status == 0 else None
 
 
-@pytest.mark.parametrize("kind", ["svm", "logistic", "forest"])
-@pytest.mark.parametrize("formulation,n_refs", [("original", 20), ("reduced", 20),
-                                                ("reduced", 50)])
-def test_counterfactual_models_match_highs(kind, formulation, n_refs):
-    inst = credit_instance(kind, n_refs, formulation=formulation)
+_KINDS = ("svm", "logistic", "forest")
+
+
+@pytest.mark.parametrize("kind,formulation,n_refs,grid_size", [
+    *(pytest.param(kind, form, n, 3, id=f"{form}-{n}-{kind}")
+      for form, n in (("original", 20), ("reduced", 20), ("reduced", 50)) for kind in _KINDS),
+    # ActionConfig's default grid of 10, where the row blocks are at their largest
+    *(pytest.param(kind, "reduced", 50, 10, id=f"reduced-50-grid10-{kind}") for kind in _KINDS),
+    pytest.param("svm", "reduced", 200, 10, id="reduced-200-grid10-svm"),
+])
+def test_counterfactual_models_match_highs(kind, formulation, n_refs, grid_size):
+    inst = credit_instance(kind, n_refs, formulation=formulation, grid_size=grid_size)
     exp = explain(inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
                   inst["space"], inst["lam"], formulation=formulation,
                   params=SolverParams(time_limit_s=120.0))
