@@ -27,7 +27,7 @@ from .actionspace import ActionSpace, MilpConstants, precompute_constants
 from .classifiers import Forest, predict
 from .data import StandardScaler, apply_scaler
 from .milpcore import MilpModel
-from .solver import SolverParams, solve_milp
+from .solver import INT_TOL, SolverParams, solve_milp
 from .stats import LofContext, MahalanobisContext, q1_surrogate
 
 
@@ -362,14 +362,13 @@ class Explanation:
         }
 
 
-def decode_action(handles: FormulationHandles, values: np.ndarray,
-                  int_tol: float = 1e-6):
+def decode_action(handles: FormulationHandles, values: np.ndarray):
     """Chosen candidate index per dimension from the pi block of a solution."""
     out = []
     for d, ids in enumerate(handles.pi):
         vals = np.array([values[v] for v in ids])
         i = int(np.argmax(vals))
-        if abs(vals[i] - 1.0) > int_tol:
+        if abs(vals[i] - 1.0) > INT_TOL:
             raise ValueError(f"dimension {d}: action indicators not integral")
         out.append(i)
     return out

@@ -64,13 +64,6 @@ class Rows:
         out[self.row[nz], np.repeat(np.arange(cols.size), counts)] = self.val[nz]
         return out
 
-    def take_rows(self, keep: np.ndarray) -> "Rows":
-        new_id = np.full(self.shape[0], -1)
-        new_id[keep] = np.arange(keep.size)
-        sel = new_id[self.row] >= 0
-        return Rows(new_id[self.row[sel]], self.col[sel], self.val[sel],
-                    (keep.size, self.shape[1]))
-
 
 @dataclass(frozen=True)
 class ModelArrays:

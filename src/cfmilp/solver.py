@@ -1,58 +1,67 @@
-"""Exact MILP solving: branch and bound over a bounded-variable simplex.
+"""Exact MILP solving: branch and bound over a bounded dual simplex.
 
 The LP core works on the bounded-variable standard form (min c'x,
 Ax {<=,=,>=} b, l <= x <= u): variable bounds are handled implicitly through
 nonbasic at-lower/at-upper flags instead of explicit rows.  Free or
 upper-bounded-only variables are transformed away up front (shift, mirror,
-or split), every inequality gets a slack column, and rows without a natural
-slack basis get a phase-1 artificial.
+or split), so every column has a lower bound of 0.  Every row then gets a
+column of its own, a slack (+1 in a "<=" row, -1 in a ">=" row) or, in an
+"=" row, an artificial boxed at [0, 0]; these row columns are the start
+basis.  Rows are not flipped, so the rhs may have either sign.
 
 The tableau keeps only B^-1 N: a dense (#rows) x (#columns - #rows) array
-with one slot per nonbasic column.  The basic columns are identity columns
-and are never stored; ``nb`` maps each slot to its column and ``slot`` each
-column to its slot (-1 when basic).  A pivot on row r and slot s writes e_r,
-the leaving column, into slot s and then applies the usual rank-1 update, so
-slot s holds the leaving column from then on.  Bland's rule picks the lowest
-column id, never the lowest slot, since slots are permuted.  On the paper's
-original encoding most columns are basic slacks: at N=100 its 10,269-row
-model needs a 21 MiB tableau, where all columns would take 826 MiB.
+with one slot per nonbasic column, built by a refactorization from any
+basis.  The basic columns are identity columns and are never stored; ``nb``
+maps each slot to its column and ``slot`` each column to its slot (-1 when
+basic).  A pivot on row r and slot s writes e_r, the leaving column, into
+slot s and then applies the usual rank-1 update, so slot s holds the leaving
+column from then on.  On the paper's original encoding most columns are
+basic slacks: at N=100 its 10,269-row model needs a 21 MiB tableau, where
+all columns would take 826 MiB.
 
-An LP solved from scratch -- ``solve_lp``, and the root of branch and bound --
-runs a two-phase primal simplex, starting from the slack and artificial
-basis.  Entering variables follow Dantzig's rule with a permanent switch to
-Bland's rule after a long run of degenerate pivots, which rules out cycling
-in exact arithmetic.
+There is one LP algorithm, a bounded dual simplex.  The leaving row is the
+largest infeasibility scaled by the squared norm of its tableau row (the
+row's basic 1 included); the entering column comes from a two-pass Harris
+ratio test.  An LP solved from scratch -- ``solve_lp``, and the root of
+branch and bound -- starts from the slack basis, whose reduced costs are the
+costs: each column with a finite range goes to the bound its cost favours,
+which leaves the basis dual feasible unless a column unbounded above has a
+negative reduced cost.  Only then does a dual phase 1 run, with the same
+dual simplex on a subproblem (Koberstein and Suhl, "Progress in the dual
+simplex method for large scale LP problems: practical dual phase 1
+algorithms", Comput. Optim. Appl. 37, 2007): it either ends with a dual
+feasible basis or shows that the LP is unbounded or infeasible.  No counterfactual model needs it, since all
+their variables are boxed.  Artificials that leave the basis stay in the
+tableau as zero-range columns and never enter again; a redundant equality
+row keeps its artificial basic at zero.
 
-Branch and bound keeps the root's optimal tableau, artificial slots dropped,
-as the one live tableau of the whole search, and solves every later node
-with a bounded dual simplex from the basis the previous node left.
-Branching only fixes binaries, each boxed in [0,1], so that basis is dual
-feasible for any node once every nonbasic binary sits at its fixed value or,
-when the node leaves it free, at the bound its reduced cost favours.  The
-leaving row is the largest infeasibility scaled by the squared norm of its
-tableau row (the row's basic 1 included); the entering column comes from a
-two-pass Harris ratio test.  The objective of a dual feasible basis is a
-lower bound on the node's LP, so a node stops as soon as it reaches the
-incumbent's pruning threshold: the node would be pruned once solved anyway.
-On the reduced encoding this stops most infeasible nodes long before their
-last pivot.  The tableau is refactored from the sparse rows when the search
-starts, every ``_REFACTOR`` pivots, and whenever a node's primal point fails
-its residual against those rows.  An infeasible verdict stands only once the
-leaving row, recomputed from a fresh factor of the basis, proves it.  A node
-that still fails after one refactor, a singular basis or the pivot cap send
-that one node back to the cold two-phase solve, whose basis the search then
-continues from.
+Branch and bound solves every node after the root on the same live tableau,
+from the basis the previous node left.  Branching only fixes binaries, each
+boxed in [0,1], so that basis is dual feasible for any node once every
+nonbasic binary sits at its fixed value or, when the node leaves it free, at
+the bound its reduced cost favours.  The objective of a dual feasible basis
+is a lower bound on the node's LP, so a node, the root included, stops as
+soon as it reaches the incumbent's pruning threshold: the node would be
+pruned once solved anyway.  On the reduced encoding this stops most
+infeasible nodes long before their last pivot.  The tableau is refactored
+from the sparse rows every ``_REFACTOR`` pivots and whenever an LP's primal
+point fails its residual against those rows.  An infeasible verdict stands
+only once the leaving row, recomputed from a fresh factor of the basis,
+proves it.  An LP that still fails after one refactor, meets a singular
+basis or hits the pivot cap restarts once from the basis the root's dual
+started from; a second failure raises ``SimplexError``.  There is no
+anti-cycling rule beyond that cap.
 
 Nodes are selected best-bound-first (ties by creation order), branching is on
 the most fractional binary within the highest caller-assigned priority level
 (ties by lowest variable id), and the search stops at a proven relative gap
 of 1e-6.  All tie-breaks are by lowest index, making the whole solve a pure
-function of its input.  The time limit is checked inside the pivot loops as
-well as between nodes.  There is no presolve beyond dropping rows that turn
-out linearly redundant in phase 1 and no cutting planes, so measured solve
-times track the constraint counts of the formulation being solved.
+function of its input.  The time limit is checked inside the pivot loop as
+well as between nodes.  There is no presolve and there are no cutting
+planes, so measured solve times track the constraint counts of the
+formulation being solved.
 
-Every BLAS call in the pivot loops goes through ``scipy.linalg.blas``, and
+Every BLAS call in the pivot loop goes through ``scipy.linalg.blas``, and
 ``solve_lp`` and ``solve_milp`` run scipy's OpenBLAS on one thread, putting
 the caller's thread count back when they return.  A pivot is one row copy,
 one ``dgemv`` and one ``dger`` between a few dozen small numpy calls, and
@@ -64,8 +73,8 @@ largest tableau of the benchmark and acceptance models.  So one constant
 serves and no size rule is kept.  A loop of just those three BLAS calls and
 twenty small numpy calls ran faster threaded from about 400k entries
 (2669 x 157: 455 us on one thread, 397 threaded; 2669 x 300: 814 and 466),
-so a size rule may pay for larger tableaus such as a 20-tree forest root
-(1162 x 1397) or the original encoding at N=100 (10269 x 272).  One thread
+so a size rule may pay for larger tableaus such as a 20-tree depth-4
+forest (1162 x 402) or the original encoding at N=100 (10269 x 270).  One thread
 also makes the pivot path independent of the caller's setting: threaded
 reductions round differently, and the N=100 solve above took 1736 pivots
 threaded against 1542.  The rule touches only scipy's bundled OpenBLAS;
@@ -78,11 +87,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import glob
 import heapq
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -141,14 +148,12 @@ class _Timeout(Exception):
 
 
 class _Restart(Exception):
-    """The warm basis cannot go on (singular or pivot cap): solve the node cold."""
+    """The basis cannot go on (singular, pivot cap or failed checks): restart."""
 
 
 @dataclass
 class SolverParams:
     time_limit_s: float = 1200.0
-    rel_gap: float = 1e-6
-    int_tol: float = 1e-6
     node_limit: int | None = None
 
 
@@ -215,11 +220,13 @@ class _Factor:
 
 @dataclass
 class _Layout:
-    """Model variables and rows as nonnegative tableau columns and signed rows.
+    """Model variables and rows as nonnegative tableau columns.
 
     x = base + sign * column, except a split (free) variable, which is
-    column - second column.  Structural columns precede one slack per
-    inequality row; every row is signed so that its rhs is nonnegative.
+    column - second column.  Structural columns precede one column per row:
+    a slack (+1 in a "<=" row, -1 in a ">=" row) or, in an "=" row, an
+    artificial boxed at [0, 0].  These row columns are the start basis of
+    every LP solved from scratch.
     """
 
     col_of: np.ndarray               # (n,) column of each variable
@@ -227,10 +234,9 @@ class _Layout:
     base: np.ndarray
     sign: np.ndarray
     rows: Rows                       # (m, n_cols)
-    rhs: np.ndarray                  # (m,) >= 0
+    rhs: np.ndarray                  # (m,) any sign
     ubt: np.ndarray                  # (n_cols,) column upper bounds, inf allowed
     cost: np.ndarray                 # (n_cols,)
-    slack_basis: np.ndarray          # (m,) slack column with +1 in the row, else -1
 
     def point(self, xt: np.ndarray) -> np.ndarray:
         x = self.base + self.sign * xt[self.col_of]
@@ -251,67 +257,62 @@ def _layout(std: ModelArrays, lb: np.ndarray, ub: np.ndarray) -> _Layout:
     sign = np.where(fin_lb | ~fin_ub, 1.0, -1.0)
 
     m = std.rhs.size
-    slack_rows = np.nonzero(std.cmp != "=")[0]
-    n_cols = n_t + slack_rows.size
-    slack_cols = n_t + np.arange(slack_rows.size)
-    rhs = std.rhs - std.a.matvec(base)
-    flip = np.where(rhs < 0.0, -1.0, 1.0)
-    slack_sign = np.where(std.cmp[slack_rows] == "<=", 1.0, -1.0) * flip[slack_rows]
-
+    n_cols = n_t + m
     a = std.a
     sr = np.nonzero(split[a.col])[0]
-    r = np.concatenate([a.row, a.row[sr], slack_rows])
-    cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], slack_cols])
-    data = np.concatenate([sign[a.col] * a.val * flip[a.row],
-                           -a.val[sr] * flip[a.row[sr]], slack_sign])
+    r = np.concatenate([a.row, a.row[sr], np.arange(m)])
+    cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], n_t + np.arange(m)])
+    data = np.concatenate([sign[a.col] * a.val, -a.val[sr],
+                           np.where(std.cmp == ">=", -1.0, 1.0)])
     rows = Rows(r, cols, data, (m, n_cols))
 
     ubt = np.full(n_cols, np.inf)
     ubt[col_of[fin_lb]] = (ub - lb)[fin_lb]
+    ubt[n_t:][std.cmp == "="] = 0.0
     cost = np.zeros(n_cols)
     cost[col_of] = sign * std.c
     cost[col_neg[split]] = -std.c[split]
-    slack_basis = np.full(m, -1)
-    natural = slack_sign > 0
-    slack_basis[slack_rows[natural]] = slack_cols[natural]
     return _Layout(col_of=col_of, col_neg=col_neg, base=base, sign=sign, rows=rows,
-                   rhs=np.abs(rhs), ubt=ubt, cost=cost, slack_basis=slack_basis)
+                   rhs=std.rhs - a.matvec(base), ubt=ubt, cost=cost)
 
 
-_EPS_RC = 1e-9          # reduced-cost threshold for entering candidates
-_EPS_PIV = 1e-9         # smallest usable primal pivot magnitude
+_EPS_RC = 1e-9          # reduced cost of the wrong sign tolerated by dual feasibility
 _EPS_DUAL_PIV = 1e-7    # smallest usable dual pivot (Harris ratio test)
 _EPS_FEAS = 1e-9        # basic value outside its bounds by more than this leaves
-_EPS_RES = 1e-9         # node residual |Ax - b| allowed, relative to 1 + max|b|
+_EPS_RES = 1e-9         # residual |Ax - b| allowed, relative to 1 + max|b|
 _EPS_FIX = 1e-12        # columns with a range below this never enter
-_REFRESH = 512          # primal pivots between exact reduced-cost recomputations
 _REFACTOR = 200         # dual pivots between refactorizations
 _BLOCK = 64             # tableau columns solved per block in a refactorization
+_REL_GAP = 1e-6         # relative gap at which branch and bound stops
+INT_TOL = 1e-6          # a binary within this of 0 or 1 counts as integral
 
 
 class _Tableau:
-    """Mutable simplex state over the transformed bounded variables.
+    """Bounded dual simplex state over the columns of ``rows``.
 
-    Starts from a basis of identity columns (slacks and artificials) in
-    ``rows``, so the nonbasic columns of ``rows`` are the first tableau.
-    The tableau stays Fortran-ordered: ``dger`` updates it in place.
+    Built by a refactorization from any basis; every nonbasic column starts
+    at its lower bound until ``place`` moves it.  The tableau stays
+    Fortran-ordered: ``dger`` updates it in place.
     """
 
-    def __init__(self, rows: Rows, xb, basis, ubt):
-        self.xb = xb                  # (m,) current basic values
-        self.basis = basis            # (m,) int, column basic in each row
+    def __init__(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray, ubt: np.ndarray,
+                 basis: np.ndarray):
+        self.rows, self.rhs, self.cost = rows, rhs, cost
         self.ubt = ubt                # (n,) upper bounds, inf allowed
         self.lo = np.zeros(ubt.size)
+        self.basis = basis            # (m,) int, column basic in each row
         self.at_upper = np.zeros(ubt.size, dtype=bool)
         self.nb = self.slot = None
         self.index()
-        self.t = rows.dense(self.nb)  # (m, n - m) B^-1 N, one slot per nonbasic column
+        # (m, n - m) B^-1 N, one slot per nonbasic column; basic values,
+        # reduced costs by slot and dual row weights, all set by refactor
+        self.t = np.empty((basis.size, ubt.size - basis.size), order="F")
+        self.xb = self.z = self.w = None
         self.iterations = 0
-        # dual simplex state, set by prepare_dual
-        self.rows = self.rhs = self.cost = self.z = self.w = None
-        self.cutoff = np.inf              # objective at which dual pivots stop
         self.since_refactor = 0
+        self.cutoff = np.inf              # objective at which dual pivots stop
         self.infeasible_row = -1
+        self.refactor()
 
     def index(self) -> None:
         """Give the nonbasic columns of the basis slots in ascending order."""
@@ -330,6 +331,23 @@ class _Tableau:
             return cost[self.nb].copy()
         return cost[self.nb] - _dgemv(1.0, self.t, cost[self.basis], trans=1)
 
+    def place(self, lo: np.ndarray, ubt: np.ndarray, cols: np.ndarray) -> None:
+        """Take the bounds ``lo`` and ``ubt``, which differ from the current
+        ones only on ``cols``; put each nonbasic column among ``cols`` at
+        the finite bound its reduced cost favours (the lower one on a tie),
+        and move the basic values with it."""
+        slots = self.slot[cols]
+        cols, slots = cols[slots >= 0], slots[slots >= 0]
+        before = np.where(self.at_upper[cols], self.ubt[cols], self.lo[cols])
+        self.lo, self.ubt = lo, ubt
+        lo, hi = lo[cols], ubt[cols]
+        up = (self.z[slots] < 0.0) & (hi > lo) & np.isfinite(hi)
+        self.at_upper[cols] = up
+        delta = np.where(up, hi, lo) - before
+        moved = delta != 0.0
+        if moved.any() and self.xb.size:
+            self.xb = _dgemv(-1.0, self.t[:, slots[moved]], delta[moved], 1.0, self.xb)
+
     def exchange(self, r: int, s: int, alpha: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Pivot on row r and slot s: the slot's column turns basic in row r
         and the slot takes the leaving column, which is e_r before the
@@ -347,121 +365,6 @@ class _Tableau:
         self.basis[r], self.nb[s] = q, leaving
         self.slot[leaving], self.slot[q] = s, -1
         return prow
-
-    def _lowest_column(self, slots: np.ndarray) -> int:
-        return int(slots[np.argmin(self.nb[slots])])
-
-    def run(self, cost: np.ndarray, deadline: float | None = None) -> str:
-        """Primal pivots until optimal or unbounded under ``cost``.
-
-        Assumes zero lower bounds, as every cold start has.  Columns with a
-        zero range (artificials in phase 2) never enter.
-        """
-        m, k = self.t.shape
-        n = self.ubt.size
-        if not k:
-            return "optimal"
-        z = self._reduced_costs(cost)
-        # per slot: +1 when entering raises it from its lower bound, -1 when
-        # it falls from its upper, 0 when it cannot enter
-        dirn = np.where(self.at_upper[self.nb], -1.0, 1.0)
-        dirn[self.ubt[self.nb] <= _EPS_FIX] = 0.0
-        ub_b = self.ubt[self.basis]
-        fin_b = np.isfinite(ub_b)
-        bland = False
-        stall = 0
-        stall_limit = 3 * (m + n) + 200
-        cap = 100 * (m + n) + 10000
-
-        since_refresh = 0
-        while True:
-            if self.iterations > cap:
-                raise SimplexError("pivot cap exceeded")
-            if deadline is not None and time.perf_counter() > deadline:
-                raise _Timeout
-            if since_refresh >= _REFRESH:
-                z = self._reduced_costs(cost)
-                since_refresh = 0
-
-            gain = z * dirn                       # < 0: entering lowers the cost
-            if bland:
-                cand = (gain < -_EPS_RC).nonzero()[0]
-                if not cand.size:
-                    return "optimal"
-                s = self._lowest_column(cand)
-            else:
-                s = int(gain.argmin())
-                if gain[s] >= -_EPS_RC:
-                    return "optimal"
-            q = int(self.nb[s])
-            d = dirn[s]
-
-            y = self.t[:, s]
-            yd = d * y
-            # rows whose basic value falls to 0, and rows whose rises to its bound
-            dec = (yd > _EPS_PIV).nonzero()[0]
-            inc = ((yd < -_EPS_PIV) & fin_b).nonzero()[0]
-            t_dec = np.maximum(self.xb[dec], 0.0) / yd[dec]
-            t_inc = (ub_b[inc] - self.xb[inc]) / -yd[inc]
-            rmin = min(t_dec.min(initial=np.inf), t_inc.min(initial=np.inf))
-            p = -1
-            if rmin < self.ubt[q]:
-                # leaving row: among the minimal ratios pick the lowest basic id
-                hit_dec, hit_inc = dec[t_dec == rmin], inc[t_inc == rmin]
-                cand = np.concatenate([hit_dec, hit_inc])
-                j = int(np.argmin(self.basis[cand]))
-                p, to_upper = int(cand[j]), j >= hit_dec.size
-                step = float(rmin)
-            else:
-                step = float(self.ubt[q])
-            if not math.isfinite(step):
-                return "unbounded"
-
-            self.iterations += 1
-            since_refresh += 1
-            if z[s] * d * step > -1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-
-            if p < 0:
-                # bound flip: q jumps to its other bound, basis unchanged
-                if m:
-                    _daxpy(y, self.xb, a=-d * step)
-                self.at_upper[q] = not self.at_upper[q]
-                dirn[s] = -d
-                continue
-
-            leaving = int(self.basis[p])
-            v_new = (self.ubt[q] if self.at_upper[q] else 0.0) + d * step
-            _daxpy(y, self.xb, a=-d * step)
-            self.xb[p] = v_new
-            self.at_upper[leaving] = to_upper
-            self.at_upper[q] = False
-            dirn[s] = (-1.0 if to_upper else 1.0) if self.ubt[leaving] > _EPS_FIX else 0.0
-            ub_b[p] = self.ubt[q]
-            fin_b[p] = math.isfinite(ub_b[p])
-            zs = z[s]
-            prow = self.exchange(p, s, self.t[p, :].copy(), y.copy())
-            z[s] = 0.0
-            _daxpy(prow, z, a=-zs)
-
-    # -- bounded dual simplex over a live tableau --------------------------------
-
-    def prepare_dual(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray) -> None:
-        """Attach the signed sparse rows the tableau is B^-1 of, and the cost,
-        and refactor from them: the primal pivots before may have left some
-        tableau columns far off while the basic values stay accurate.  A
-        basis that does not factor keeps the primal's tableau."""
-        self.rows, self.rhs, self.cost = rows, rhs, cost
-        try:
-            self.refactor()
-        except _Restart:
-            self.z = self._reduced_costs(cost)
-            self.w = 1.0 + np.einsum("ij,ij->i", self.t, self.t)
-            self.since_refactor = 0
 
     def refactor(self) -> None:
         """Recompute tableau, basic values, reduced costs and row weights from
@@ -510,7 +413,7 @@ class _Tableau:
         if not self.rhs.size:
             return True
         res = self.rows.matvec(self.values()) - self.rhs
-        return float(np.abs(res).max()) <= _EPS_RES * (1.0 + float(self.rhs.max()))
+        return float(np.abs(res).max()) <= _EPS_RES * (1.0 + float(np.abs(self.rhs).max()))
 
     def dual(self, deadline: float | None = None) -> str:
         """Dual pivots from a dual feasible basis until every basic value is
@@ -608,178 +511,127 @@ class _Tableau:
             self.iterations += 1
             self.since_refactor += 1
 
+    def solve(self, deadline: float | None = None) -> str:
+        """``dual`` under the checks every answer passes: a point must meet
+        the sparse rows, and an infeasible verdict needs a Farkas proof.  An
+        answer that fails them is tried once more after a refactor; a second
+        failure raises _Restart."""
+        refactored = False
+        while True:
+            out = self.dual(deadline)
+            if out == "infeasible":
+                if self.proves_infeasible(self.infeasible_row):
+                    return out
+            elif self.residual_ok():
+                return out
+            if refactored:
+                raise _Restart
+            self.refactor()
+            refactored = True
 
-def _solve_arrays(std: ModelArrays, lb: np.ndarray, ub: np.ndarray,
-                  deadline: float | None = None):
-    """Two-phase bounded primal simplex for one bound configuration, cold.
+    def _rebase(self, ubt: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> None:
+        """Swap in new upper bounds, rhs and costs, and place every column."""
+        self.rhs, self.cost = rhs, cost
+        self.refactor()
+        self.place(self.lo, ubt, np.arange(ubt.size))
 
-    Returns the result and, when it is optimal, the final state
-    ``(layout, tableau, kept row indices)`` a ``_Warm`` search starts from.
-    """
-    lay = _layout(std, lb, ub)
-    m, n_cols = lay.rows.shape
-    art_rows = np.nonzero(lay.slack_basis < 0)[0]
-    n_art = art_rows.size
-    art_start = n_cols
-    basis = lay.slack_basis.copy()
-    basis[art_rows] = art_start + np.arange(n_art)
-    ubt = np.concatenate([lay.ubt, np.full(n_art, np.inf)])
-    tab = _Tableau(lay.rows, xb=lay.rhs.copy(), basis=basis, ubt=ubt)
+    def phase1(self, deadline: float | None = None) -> str | None:
+        """Make a placed basis dual feasible, or return the LP's status.
 
-    keep = np.arange(m)
-    feas_tol = 1e-8 * max(1.0, float(lay.rhs.max()) if m else 1.0)
-    if n_art > 0:
-        cost1 = np.zeros(n_cols + n_art)
-        cost1[art_start:] = 1.0
-        out = tab.run(cost1, deadline=deadline)
-        if out != "optimal":
-            raise SimplexError("phase 1 reported unbounded")
-        art_sum = float(cost1 @ tab.values())
-        if art_sum > feas_tol:
-            return LpResult("infeasible", tab.iterations), None
-        # drive artificials out of the basis; drop rows that are redundant
-        drop = []
-        real = tab.nb < art_start
-        for p in np.nonzero(tab.basis >= art_start)[0]:     # a pivot changes only row p
-            alpha = tab.t[p, :].copy()
-            row = np.where(real, np.abs(alpha), 0.0)
-            best = row.max() if row.size else 0.0
-            if best > 1e-7:
-                s = tab._lowest_column(np.nonzero(row == best)[0])
-                q = tab.nb[s]
-                tab.xb[p] = tab.ubt[q] if tab.at_upper[q] else 0.0
-                tab.at_upper[q] = False
-                tab.exchange(p, s, alpha, tab.t[:, s].copy())
-                real[s] = False
-            else:
-                drop.append(p)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            tab.t = np.asfortranarray(tab.t[keep])
-            tab.xb = tab.xb[keep]
-            tab.basis = tab.basis[keep]
-        tab.ubt[art_start:] = 0.0             # no artificial enters again
-
-    cost2 = np.concatenate([lay.cost, np.zeros(n_art)])
-    out = tab.run(cost2, deadline=deadline)
-    if out == "unbounded":
-        return LpResult("unbounded", tab.iterations), None
-
-    x = lay.point(tab.values())
-    obj = float(std.c @ x) + std.const
-    res = LpResult(status="optimal", x=x, objective=obj, iterations=tab.iterations)
-    return res, (lay, tab, keep)
+        Once every column with a finite range sits at the bound its reduced
+        cost favours, only a column unbounded above can be dual infeasible.
+        The subproblem boxes those columns in [0, 1], fixes the others at 0
+        and zeroes the rhs.  Its optimum is the sum of the reduced costs
+        left at 1, so an optimum of 0 ends with a dual feasible basis for
+        the LP.  A negative optimum is a ray along which the LP's objective
+        falls: the LP is unbounded if it is feasible at all, which a dual
+        solve under zero costs decides.  Returns None when the basis is
+        dual feasible, else "unbounded" or "infeasible".
+        """
+        if not (np.isinf(self.ubt[self.nb]) & (self.z < -_EPS_RC)).any():
+            return None
+        ubt, rhs, cost = self.ubt, self.rhs, self.cost
+        self._rebase(np.where(np.isfinite(ubt), 0.0, 1.0), np.zeros(rhs.size), cost)
+        if self.solve(deadline) != "optimal":
+            raise SimplexError("dual phase 1 lost its zero point")
+        if float(cost @ self.values()) >= -_EPS_RC:
+            self._rebase(ubt, rhs, cost)
+            return None
+        self._rebase(ubt, rhs, np.zeros(cost.size))
+        return "unbounded" if self.solve(deadline) == "optimal" else "infeasible"
 
 
 class _Warm:
-    """The live tableau of one branch-and-bound search.
+    """The live tableau of one LP, or of one branch-and-bound search.
 
-    Built from a cold optimum; ``solve`` re-solves it under new bounds on
-    binaries by dual pivots from whatever basis the previous solve left.
+    ``root`` solves the LP from the slack basis; ``solve`` re-solves it
+    under new bounds on binaries by dual pivots from whatever basis the
+    previous solve left.
     """
 
-    def __init__(self, std: ModelArrays, lay: _Layout, tab: _Tableau, keep: np.ndarray):
-        n_cols = lay.cost.size
-        rows, rhs = lay.rows, lay.rhs
-        if keep.size < rhs.size:
-            # redundant rows stay out, so a cold re-solve fits the live rows
-            std = dataclasses.replace(std, a=std.a.take_rows(keep), cmp=std.cmp[keep],
-                                      rhs=std.rhs[keep])
-            rows, rhs = rows.take_rows(keep), rhs[keep]
+    def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
         self.std = std
-        self.lay = lay
-        real = np.nonzero(tab.nb < n_cols)[0]    # artificials are nonbasic at zero
-        if real.size < tab.nb.size:
-            tab.t = tab.t[:, real]
-        tab.ubt = tab.ubt[:n_cols].copy()
-        tab.lo = tab.lo[:n_cols]
-        tab.at_upper = tab.at_upper[:n_cols].copy()
-        tab.nb = tab.nb[real]
-        tab.slot = tab.slot[:n_cols]
-        tab.slot[tab.nb] = np.arange(tab.nb.size)
-        tab.prepare_dual(rows, rhs, lay.cost)
-        self.tab = tab
-        self.root_lo = tab.lo.copy()
-        self.root_ubt = tab.ubt.copy()
-        self.root_basis = tab.basis.copy()
-        self.root_upper = tab.at_upper.copy()
+        self.lay = lay = _layout(std, lb, ub)
+        m, n_cols = lay.rows.shape
+        self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt, np.arange(n_cols - m, n_cols))
         self.bin_cols = lay.col_of[std.binary]
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const
+        self.start = None                       # (basis, at_upper) the root's dual starts from
+
+    def root(self, deadline: float | None = None, cutoff: float = np.inf) -> LpResult:
+        """The LP under the bounds given: place every column, run the dual
+        phase 1 if a column needs it, then ``solve`` with no fixes."""
+        tab = self.tab
+        tab.place(tab.lo, tab.ubt, np.arange(tab.ubt.size))
+        try:
+            out = tab.phase1(deadline)
+        except _Restart:
+            raise SimplexError("dual phase 1 failed its checks") from None
+        if out is not None:
+            return LpResult(out, tab.iterations)
+        self.start = tab.basis.copy(), tab.at_upper.copy()
+        res = self.solve({}, deadline, cutoff)
+        res.iterations = tab.iterations
+        return res
 
     def solve(self, fixes: dict, deadline: float | None = None,
               cutoff: float = np.inf) -> LpResult:
         """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
         other bounds as at the root; status "cutoff", without a point, once
-        the LP is proven not to end under ``cutoff``."""
+        the LP is proven not to end under ``cutoff``.  A solve that fails
+        its checks, meets a singular basis or hits the pivot cap restarts
+        once from the basis the root's dual started from."""
         tab = self.tab
         start = tab.iterations
-        self._place(fixes)
         tab.cutoff = cutoff - self.offset
-        refactored = False
-        while True:
+        try:
+            self._place(fixes)
+            out = tab.solve(deadline)
+        except _Restart:
+            tab.basis[:], tab.at_upper[:] = self.start
+            tab.index()
             try:
-                out = tab.dual(deadline)
-                if out != "infeasible":
-                    if tab.residual_ok():
-                        if out == "cutoff":
-                            return LpResult("cutoff", tab.iterations - start)
-                        break
-                elif tab.proves_infeasible(tab.infeasible_row):
-                    return LpResult("infeasible", tab.iterations - start)
-                if refactored:
-                    raise _Restart
                 tab.refactor()
-                refactored = True
+                self._place(fixes)
+                out = tab.solve(deadline)
             except _Restart:
-                return self._cold(fixes, deadline, tab.iterations - start)
+                raise SimplexError("LP failed its checks after a restart") from None
+        if out != "optimal":
+            return LpResult(out, tab.iterations - start)
         x = self.lay.point(tab.values())
-        return LpResult(status="optimal", x=x, objective=float(self.std.c @ x) + self.std.const,
-                        iterations=tab.iterations - start)
+        return LpResult("optimal", tab.iterations - start, x,
+                        float(self.std.c @ x) + self.std.const)
 
     def _place(self, fixes: dict) -> None:
-        """Set the node's bounds; put each nonbasic binary at its fixed value
-        or its reduced cost's bound, and move the basic values with it."""
-        tab = self.tab
-        before = tab.values()
-        tab.lo = self.root_lo.copy()
-        tab.ubt = self.root_ubt.copy()
+        """Set the bounds of the node ``fixes`` describes and place its
+        nonbasic binaries."""
+        lo, ubt = np.zeros(self.lay.ubt.size), self.lay.ubt.copy()
         if fixes:
             cols = self.lay.col_of[list(fixes)]
             bounds = np.array(list(fixes.values()), dtype=float)
-            tab.lo[cols] = bounds[:, 0]
-            tab.ubt[cols] = bounds[:, 1]
-        cols = self.bin_cols[tab.slot[self.bin_cols] >= 0]
-        slots = tab.slot[cols]
-        tab.at_upper[cols] = (tab.ubt[cols] > tab.lo[cols]) & (tab.z[slots] < 0.0)
-        delta = np.where(tab.at_upper[cols], tab.ubt[cols], tab.lo[cols]) - before[cols]
-        moved = delta != 0.0
-        if moved.any() and tab.xb.size:
-            tab.xb = _dgemv(-1.0, tab.t[:, slots[moved]], delta[moved], 1.0, tab.xb)
-
-    def _cold(self, fixes: dict, deadline: float | None, spent: int) -> LpResult:
-        """Solve the node from scratch and continue from its optimal basis, or
-        from the root's when it has none that fits the live rows."""
-        lb, ub = self.std.lb.copy(), self.std.ub.copy()
-        for vid, (lo, hi) in fixes.items():
-            lb[vid], ub[vid] = lo, hi
-        res, final = _solve_arrays(self.std, lb, ub, deadline)
-        if res.status == "unbounded":
-            raise SimplexError("child LP unbounded under restricted bounds")
-        tab = self.tab
-        if final is not None and final[1].basis.size == tab.basis.size:
-            tab.basis[:] = final[1].basis
-            tab.at_upper[:] = final[1].at_upper[:tab.at_upper.size]
-        else:
-            tab.basis[:] = self.root_basis
-            tab.at_upper[:] = self.root_upper
-        tab.index()
-        try:
-            tab.refactor()
-        except _Restart:
-            raise SimplexError("basis singular after a cold re-solve") from None
-        res.iterations += spent
-        return res
+            lo[cols], ubt[cols] = bounds[:, 0], bounds[:, 1]
+        self.tab.place(lo, ubt, self.bin_cols)
 
 
 @_one_blas_thread()
@@ -793,7 +645,7 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     lb, ub = std.lb.copy(), std.ub.copy()
     for vid, (lo, hi) in (overrides or {}).items():
         lb[vid], ub[vid] = lo, hi
-    return _solve_arrays(std, lb, ub)[0]
+    return _Warm(std, lb, ub).root()
 
 
 @_one_blas_thread()
@@ -801,7 +653,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
                incumbent_hint=None, branch_priority: dict | None = None) -> MilpSolution:
     """Best-bound branch and bound over the LP relaxation.
 
-    ``incumbent_hint`` may carry a full assignment (array or id->value map);
+    ``incumbent_hint`` may carry a full assignment, one value per variable;
     it is accepted as the starting incumbent only if it passes evaluate().
     ``branch_priority`` maps variable id to an integer level; branching picks
     the most fractional binary within the highest fractional level, so callers
@@ -818,8 +670,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     incumbent = None
     inc_obj = np.inf
     if incumbent_hint is not None:
-        if isinstance(incumbent_hint, dict):
-            incumbent_hint = [incumbent_hint.get(v, 0.0) for v in range(model.n_vars)]
         hint = np.asarray(incumbent_hint, dtype=float)
         ev = evaluate(model, hint)
         if ev.feasible:
@@ -843,7 +693,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         bound_est, _, fixes = heap[0]
         if np.isfinite(inc_obj):
             gap = (inc_obj - bound_est) / max(1.0, abs(inc_obj))
-            if bound_est > -np.inf and gap <= params.rel_gap:
+            if bound_est > -np.inf and gap <= _REL_GAP:
                 best_bound = bound_est
                 break
             if bound_est >= inc_obj - prune_eps():
@@ -861,9 +711,8 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
 
         try:
             if nodes == 0:
-                res, final = _solve_arrays(std, std.lb, std.ub, deadline)
-                if final is not None:
-                    warm = _Warm(std, *final)
+                warm = _Warm(std, std.lb, std.ub)
+                res = warm.root(deadline, inc_obj - prune_eps())
             else:
                 res = warm.solve(fixes, deadline, inc_obj - prune_eps())
         except _Timeout:
@@ -884,7 +733,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
 
         vals = res.x[bin_ids] if bin_ids.size else np.empty(0)
         frac = np.abs(vals - np.round(vals))
-        if not bin_ids.size or frac.max() <= params.int_tol:
+        if not bin_ids.size or frac.max() <= INT_TOL:
             cand = res.x.copy()
             cand[bin_ids] = np.round(cand[bin_ids])
             ev = evaluate(model, cand)
@@ -901,7 +750,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         # most fractional binary within the highest fractional priority
         # level, ties by lowest variable id
         dist = np.minimum(vals % 1.0, 1.0 - vals % 1.0)
-        frac_mask = dist > params.int_tol
+        frac_mask = dist > INT_TOL
         level = prio[frac_mask].max()
         score = np.where(frac_mask & (prio == level), dist, -1.0)
         j = int(bin_ids[int(np.argmax(score))])

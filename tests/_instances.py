@@ -130,12 +130,14 @@ def classifier_instance(seed, kind, n_refs=10, grid_size=3, max_changes=3):
             "lof_ctx": ctx, "space": space, "lam": lam, "n_refs": n_refs}
 
 
-def credit_instance(kind, n_refs, rank=0, formulation="reduced", grid_size=3):
+def credit_instance(kind, n_refs, rank=0, formulation="reduced", grid_size=3,
+                    n_trees=5, max_depth=3):
     """A rejected applicant of the synthetic credit data, the benchmark's
     pipeline: 600 rows, 0.75 split, grid ``grid_size``, at most 3 changes,
     lambda 0.01.
 
-    ``kind`` is "svm", "logistic" or "forest" (5 trees of depth 3); ``rank``
+    ``kind`` is "svm", "logistic" or "forest" (``n_trees`` trees of depth
+    ``max_depth``, seed 3); ``rank``
     picks among the rejected test rows.  Returns the instance with its
     model built under ``formulation``.
     """
@@ -143,7 +145,7 @@ def credit_instance(kind, n_refs, rank=0, formulation="reduced", grid_size=3):
     train, test = split(enc, 0.75, 1)
     config = {"kind": kind}
     if kind == "forest":
-        config.update(n_trees=5, max_depth=3, seed=3)
+        config.update(n_trees=n_trees, max_depth=max_depth, seed=3)
     clf = train_classifier(config, train)
     metric = DeltaMetric.from_matrix(train.x)
     mahal = build_mahalanobis(train.x)

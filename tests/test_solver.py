@@ -15,7 +15,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from cfmilp import solver
 from cfmilp.formulations import explain
 from cfmilp.milpcore import MilpModel, evaluate
-from cfmilp.solver import SolverParams, _solve_arrays, solve_lp, solve_milp
+from cfmilp.solver import SolverParams, solve_lp, solve_milp
 
 from _instances import credit_instance
 from _oracles import milp_enumerate
@@ -94,7 +94,7 @@ def test_lp_bound_flip_vertex():
 
 
 def test_lp_redundant_equality_rows():
-    # the duplicated equality forces a dependent artificial row in phase 1
+    # the duplicated equality leaves one artificial basic, at zero
     m = build([1.0, 1.0], [(0, 3), (0, 3)],
               [([1.0, 1.0], "=", 2.0), ([2.0, 2.0], "=", 4.0)])
     res = solve_lp(m)
@@ -201,6 +201,63 @@ def test_lp_sweep_unbounded_directions_vs_scipy():
     assert "optimal" in seen and "unbounded" in seen
 
 
+# -- dual phase 1: columns unbounded above with negative reduced costs -----------------
+
+def test_lp_beale_cycling_example():
+    # x0 and x2 have negative costs and no upper bound, so the slack
+    # basis is not dual feasible and the dual phase 1 runs first
+    c = [-0.75, 20.0, -0.5, 6.0]
+    bounds = [(0, INF)] * 4
+    rows = [([0.25, -8.0, -1.0, 9.0], "<=", 0.0), ([0.5, -12.0, -0.5, 3.0], "<=", 0.0),
+            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0)]
+    ref = _scipy_lp(c, bounds, rows)
+    res = solve_lp(build(c, bounds, rows))
+    assert ref.status == 0 and res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert res.objective == pytest.approx(-1.25, abs=1e-9)
+    assert res.iterations > 0
+
+
+@pytest.mark.parametrize("c,rows", [
+    pytest.param([-1.0], [([1.0], "<=", -1.0)], id="one-column"),
+    # the cost falls along x0, which no row holds, while x1 cannot meet its row
+    pytest.param([-1.0, 0.0], [([0.0, 1.0], "<=", -1.0)], id="ray-beside-an-infeasible-row"),
+])
+def test_lp_primal_and_dual_infeasible(c, rows):
+    bounds = [(0, INF)] * len(c)
+    assert _scipy_lp(c, bounds, rows).status == 2
+    assert solve_lp(build(c, bounds, rows)).status == "infeasible"
+
+
+def test_lp_unbounded_beside_redundant_equalities():
+    c = [-1.0, 1.0, 1.0]
+    bounds = [(0, INF)] * 3
+    rows = [([1.0, 1.0, 0.0], ">=", 1.0),
+            ([0.0, 1.0, 1.0], "=", 1.0), ([0.0, 2.0, 2.0], "=", 2.0)]
+    assert _scipy_lp(c, bounds, rows).status == 3
+    assert solve_lp(build(c, bounds, rows)).status == "unbounded"
+
+
+@pytest.mark.parametrize("k", [6, 10, 15])
+def test_lp_degenerate_assignment(k):
+    # a vertex has k ones among its 2k basic values, so every vertex is
+    # degenerate; costs drawn from five integers tie many of them, and the
+    # negative ones send the columns, unbounded above, through the dual phase 1
+    rng = np.random.default_rng(k)
+    c = list(rng.integers(-2, 3, size=k * k).astype(float))
+    rows = []
+    for i in range(k):
+        for picked in (np.arange(k * k) // k == i, np.arange(k * k) % k == i):
+            rows.append((list(picked.astype(float)), "=", 1.0))
+    bounds = [(0, INF)] * (k * k)
+    ref = _scipy_lp(c, bounds, rows)
+    m = build(c, bounds, rows)
+    res = solve_lp(m)
+    assert ref.status == 0 and res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert evaluate(m, res.x, tol=1e-9).feasible
+
+
 def test_lp_solution_vector_feasible():
     rng = np.random.default_rng(23)
     for _ in range(30):
@@ -269,7 +326,7 @@ def test_milp_time_limit_statuses():
     assert res.status == "infeasible-unproven"
     assert res.nodes == 0
     hinted = solve_milp(m, SolverParams(time_limit_s=0.0),
-                        incumbent_hint={0: 1.0, 1: 1.0})
+                        incumbent_hint=[1.0, 1.0])
     assert hinted.status == "feasible-time-limit"
     assert hinted.gap is None
 
@@ -398,9 +455,8 @@ def _warm_vs_cold(model, fixings):
     """Warm-solve the fixings in turn, each from the basis the previous one
     left, and compare every LP with a cold solve_lp; returns the statuses."""
     std = model.arrays
-    root, final = _solve_arrays(std, std.lb, std.ub)
-    assert root.status == "optimal"
-    warm = solver._Warm(std, *final)
+    warm = solver._Warm(std, std.lb, std.ub)
+    assert warm.root().status == "optimal"
     statuses = []
     for fixes in fixings:
         got = warm.solve(fixes)
@@ -482,8 +538,8 @@ def test_warm_cutoff_stops_only_above_the_optimum():
     rng = np.random.default_rng(43)
     fixings = _fixings(rng, np.array(model.binary_ids), 12)
     refs = [solve_lp(model, overrides=f) for f in fixings]
-    _, final = _solve_arrays(std, std.lb, std.ub)
-    warm = solver._Warm(std, *final)
+    warm = solver._Warm(std, std.lb, std.ub)
+    warm.root()
     n_cut = 0
     for fixes, ref in zip(fixings, refs):
         if ref.status != "optimal":
@@ -500,8 +556,8 @@ def test_warm_cutoff_stops_only_above_the_optimum():
 
 
 def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
-    # every third warm node LP fails as on a singular basis: the node is solved
-    # cold and the search continues from that node's basis, or the root's
+    # every third LP solve fails as on a singular basis: the LP restarts from
+    # the basis the root's dual started from, and the search goes on from there
     inst = credit_instance("svm", 20)
     expected = solve_milp(inst["model"])
     calls = []
@@ -530,8 +586,8 @@ def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
 
 
 def test_milp_with_redundant_equality_rows():
-    # the root drops one of each duplicated row; every warm node and cold
-    # re-solve must work on the rows that remain
+    # each duplicated row keeps a basic artificial at zero through every node
+    # and restart
     rng = np.random.default_rng(53)
     n_optimal = 0
     for _ in range(15):
@@ -593,15 +649,20 @@ def _highs(model):
 _KINDS = ("svm", "logistic", "forest")
 
 
-@pytest.mark.parametrize("kind,formulation,n_refs,grid_size", [
-    *(pytest.param(kind, form, n, 3, id=f"{form}-{n}-{kind}")
+@pytest.mark.parametrize("kind,formulation,n_refs,options", [
+    *(pytest.param(kind, form, n, {}, id=f"{form}-{n}-{kind}")
       for form, n in (("original", 20), ("reduced", 20), ("reduced", 50)) for kind in _KINDS),
     # ActionConfig's default grid of 10, where the row blocks are at their largest
-    *(pytest.param(kind, "reduced", 50, 10, id=f"reduced-50-grid10-{kind}") for kind in _KINDS),
-    pytest.param("svm", "reduced", 200, 10, id="reduced-200-grid10-svm"),
+    *(pytest.param(kind, form, n, {"grid_size": 10}, id=f"{form}-{n}-grid10-{kind}")
+      for form, n in (("original", 20), ("reduced", 50)) for kind in _KINDS),
+    pytest.param("svm", "reduced", 200, {"grid_size": 10}, id="reduced-200-grid10-svm"),
+    # 20 trees of depth 4: about 1,160 rows, most of them equalities, and
+    # degenerate root LPs
+    *(pytest.param("forest", "reduced", 20, {"n_trees": 20, "max_depth": 4, "rank": rank},
+                   id=f"reduced-20-forest20x4-rank{rank}") for rank in (0, 1)),
 ])
-def test_counterfactual_models_match_highs(kind, formulation, n_refs, grid_size):
-    inst = credit_instance(kind, n_refs, formulation=formulation, grid_size=grid_size)
+def test_counterfactual_models_match_highs(kind, formulation, n_refs, options):
+    inst = credit_instance(kind, n_refs, formulation=formulation, **options)
     exp = explain(inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
                   inst["space"], inst["lam"], formulation=formulation,
                   params=SolverParams(time_limit_s=120.0))
@@ -639,13 +700,13 @@ def _knapsack():
 
 def test_solves_run_on_one_blas_thread_and_restore_it(blas_threads, monkeypatch):
     seen = []
-    run = solver._Tableau.run
+    dual = solver._Tableau.dual
 
     def spy(self, *args, **kwargs):
         seen.append(blas_threads())
-        return run(self, *args, **kwargs)
+        return dual(self, *args, **kwargs)
 
-    monkeypatch.setattr(solver._Tableau, "run", spy)
+    monkeypatch.setattr(solver._Tableau, "dual", spy)
     assert solve_milp(_knapsack()).status == "optimal"
     assert blas_threads() == 2
     assert solve_lp(_knapsack()).status == "optimal"
@@ -664,7 +725,7 @@ def test_blas_threads_restored_after_simplex_error(blas_threads, monkeypatch):
     def fail(self, *args, **kwargs):
         raise solver.SimplexError("forced")
 
-    monkeypatch.setattr(solver._Tableau, "run", fail)
+    monkeypatch.setattr(solver._Tableau, "dual", fail)
     with pytest.raises(solver.SimplexError):
         solve_milp(_knapsack())
     assert blas_threads() == 2
