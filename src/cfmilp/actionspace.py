@@ -91,10 +91,6 @@ class ActionSpace:
     max_changes: int
     n_encoded: int
 
-    @property
-    def n_candidates_total(self) -> int:
-        return sum(d.n_candidates for d in self.dims)
-
     def displacement(self, choice) -> np.ndarray:
         """Full encoded displacement for candidate indices ``choice`` (one per dim)."""
         a = np.zeros(self.n_encoded)

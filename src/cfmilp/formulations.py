@@ -357,6 +357,7 @@ class Explanation:
             "n_star": self.n_star,
             "valid": self.valid,
             "nodes": self.nodes,
+            "lp_iterations": self.lp_iterations,
             "time_s": self.time_s,
             "constraint_counts": dict(self.counts),
         }

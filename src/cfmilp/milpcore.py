@@ -179,6 +179,8 @@ class MilpModel:
         row, vid, val = (np.concatenate([p[i].ravel() for p in parts]).astype(dtype)
                          for i, dtype in enumerate((np.intp, np.intp, float)))
         self._check_vids(vid)
+        if not np.isfinite(val).all():
+            raise ModelError("constraint coefficients must be finite")
         if ((row < 0) | (row >= k)).any():
             raise ModelError("row index outside the block")
         self._check_names(names)
@@ -195,6 +197,8 @@ class MilpModel:
     def set_objective(self, coeffs, constant: float = 0.0) -> None:
         vid, val = _coeff_arrays(coeffs)
         self._check_vids(vid)
+        if not (np.isfinite(val).all() and math.isfinite(constant)):
+            raise ModelError("objective coefficients and constant must be finite")
         obj = Rows(np.zeros(vid.size, np.intp), vid, val, (1, self.n_vars))
         self.objective = dict(zip(obj.col.tolist(), obj.val.tolist()))
         self.objective_constant = float(constant)

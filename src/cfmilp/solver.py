@@ -35,12 +35,25 @@ their variables are boxed.  Artificials that leave the basis stay in the
 tableau as zero-range columns and never enter again; a redundant equality
 row keeps its artificial basic at zero.
 
-Branch and bound solves every node after the root on the same live tableau,
-from the basis the previous node left.  Branching only fixes binaries, each
-boxed in [0,1], so that basis is dual feasible for any node once every
-nonbasic binary sits at its fixed value or, when the node leaves it free, at
-the bound its reduced cost favours.  The objective of a dual feasible basis
-is a lower bound on the node's LP, so a node, the root included, stops as
+Branch and bound solves every node after the root on the same live tableau.
+Each open node records its parent and the one binary it fixes, and starts
+from its parent's optimal state: tableau, basic values, reduced costs, row
+weights, basis and bounds.  Branching only fixes binaries, each boxed in
+[0,1], so any dual feasible basis stays dual feasible for a node once every
+nonbasic binary whose bounds differ from the live ones sits at its fixed
+value or, when the node leaves it free, at the bound its reduced cost
+favours; from the parent's state that is one column.  States are saved
+lazily.  A copy is made only when the live state is about to be overwritten
+while a child of its node is still open; the last child takes the saved
+arrays without a copy, and freed arrays are reused: copying a 469 x 271
+tableau took 663 us into fresh pages against 120 us into reused ones (2-core
+x86 host).  The states one search holds stay within ``_SNAPSHOT_BYTES``; a
+node whose parent's state did not fit starts from the basis the previous
+node left.  Against always starting from that basis, this halves the pivots
+of the benchmark's credit-svm-scale and paper-pair rounds (4,554 -> 2,475
+and 2,090 -> 1,008) and cuts small-mixed's by a third (6,251 -> 4,233).
+The objective of a dual feasible basis is a lower bound on the node's LP,
+so a node, the root included, stops as
 soon as it reaches the incumbent's pruning threshold: the node would be
 pruned once solved anyway.  On the reduced encoding this stops most
 infeasible nodes long before their last pivot.  The tableau is refactored
@@ -285,6 +298,9 @@ _REFACTOR = 200         # dual pivots between refactorizations
 _BLOCK = 64             # tableau columns solved per block in a refactorization
 _REL_GAP = 1e-6         # relative gap at which branch and bound stops
 INT_TOL = 1e-6          # a binary within this of 0 or 1 counts as integral
+_SNAPSHOT_BYTES = 32 << 20   # node LP states one search may save and pool
+# what a node LP leaves in its tableau, which its children start from
+_STATE = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt", "since_refactor")
 
 
 class _Tableau:
@@ -297,8 +313,9 @@ class _Tableau:
 
     def __init__(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray, ubt: np.ndarray,
                  basis: np.ndarray):
-        self.rows, self.rhs, self.cost = rows, rhs, cost
-        self.ubt = ubt                # (n,) upper bounds, inf allowed
+        self.rows, self.cost = rows, cost
+        self.set_rhs(rhs)
+        self.ubt = ubt.copy()         # (n,) upper bounds, inf allowed
         self.lo = np.zeros(ubt.size)
         self.basis = basis            # (m,) int, column basic in each row
         self.at_upper = np.zeros(ubt.size, dtype=bool)
@@ -313,6 +330,19 @@ class _Tableau:
         self.cutoff = np.inf              # objective at which dual pivots stop
         self.infeasible_row = -1
         self.refactor()
+
+    def set_rhs(self, rhs: np.ndarray) -> None:
+        self.rhs = rhs
+        self.res_tol = _EPS_RES * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+
+    def state(self) -> list:
+        """The arrays named by ``_STATE``, by reference, and ``since_refactor``."""
+        return [getattr(self, k) for k in _STATE]
+
+    def load(self, state: list) -> None:
+        """Make ``state`` live: its arrays are the tableau's from then on."""
+        for k, v in zip(_STATE, state):
+            setattr(self, k, v)
 
     def index(self) -> None:
         """Give the nonbasic columns of the basis slots in ascending order."""
@@ -331,16 +361,16 @@ class _Tableau:
             return cost[self.nb].copy()
         return cost[self.nb] - _dgemv(1.0, self.t, cost[self.basis], trans=1)
 
-    def place(self, lo: np.ndarray, ubt: np.ndarray, cols: np.ndarray) -> None:
-        """Take the bounds ``lo`` and ``ubt``, which differ from the current
-        ones only on ``cols``; put each nonbasic column among ``cols`` at
-        the finite bound its reduced cost favours (the lower one on a tie),
-        and move the basic values with it."""
+    def place(self, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Give the columns ``cols`` the bounds ``lo`` and ``hi``; put each
+        nonbasic one among them at the finite bound its reduced cost favours
+        (the lower one on a tie), and move the basic values with it."""
         slots = self.slot[cols]
-        cols, slots = cols[slots >= 0], slots[slots >= 0]
         before = np.where(self.at_upper[cols], self.ubt[cols], self.lo[cols])
-        self.lo, self.ubt = lo, ubt
-        lo, hi = lo[cols], ubt[cols]
+        self.lo[cols], self.ubt[cols] = lo, hi
+        nonbasic = slots >= 0
+        cols, slots, before = cols[nonbasic], slots[nonbasic], before[nonbasic]
+        lo, hi = self.lo[cols], self.ubt[cols]
         up = (self.z[slots] < 0.0) & (hi > lo) & np.isfinite(hi)
         self.at_upper[cols] = up
         delta = np.where(up, hi, lo) - before
@@ -408,18 +438,17 @@ class _Tableau:
         return (yb - lo_sum < self.lo[col] - _EPS_FEAS
                 or yb - hi_sum > self.ubt[col] + _EPS_FEAS)
 
-    def residual_ok(self) -> bool:
-        """Whether the primal point satisfies the sparse rows it came from."""
+    def residual_ok(self, x: np.ndarray) -> bool:
+        """Whether the primal point ``x`` satisfies the sparse rows it came from."""
         if not self.rhs.size:
             return True
-        res = self.rows.matvec(self.values()) - self.rhs
-        return float(np.abs(res).max()) <= _EPS_RES * (1.0 + float(np.abs(self.rhs).max()))
+        return float(np.abs(self.rows.matvec(x) - self.rhs).max()) <= self.res_tol
 
     def dual(self, deadline: float | None = None) -> str:
-        """Dual pivots from a dual feasible basis until every basic value is
-        within its bounds ("optimal"), the leaving row has no entering
-        column ("infeasible"), or the objective reaches ``self.cutoff``
-        ("cutoff").  Raises _Restart past the pivot cap.
+        """Dual pivots from a dual feasible basis until the objective
+        reaches ``self.cutoff`` ("cutoff"), every basic value is within its
+        bounds ("optimal"), or the leaving row has no entering column
+        ("infeasible").  Raises _Restart past the pivot cap.
 
         The objective of a dual feasible basis bounds the LP optimum from
         below and never falls under dual pivots, so once it reaches the
@@ -440,6 +469,10 @@ class _Tableau:
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 raise _Timeout
+            if obj >= cutoff:
+                obj = float(self.cost @ self.values())   # not the running sum
+                if obj >= cutoff:
+                    return "cutoff"
             xb = self.xb
             infeas = np.maximum(lo_b - xb, xb - up_b)
             np.maximum(infeas, 0.0, out=infeas)
@@ -452,10 +485,6 @@ class _Tableau:
                 r = score.argmax()
                 if score[r] <= 0.0:
                     return "optimal"
-            if obj >= cutoff:
-                obj = float(self.cost @ self.values())   # not the running sum
-                if obj >= cutoff:
-                    return "cutoff"
             if self.iterations >= cap:
                 raise _Restart
             if self.since_refactor >= _REFACTOR:
@@ -511,19 +540,22 @@ class _Tableau:
             self.iterations += 1
             self.since_refactor += 1
 
-    def solve(self, deadline: float | None = None) -> str:
+    def solve(self, deadline: float | None = None) -> tuple[str, np.ndarray | None]:
         """``dual`` under the checks every answer passes: a point must meet
         the sparse rows, and an infeasible verdict needs a Farkas proof.  An
         answer that fails them is tried once more after a refactor; a second
-        failure raises _Restart."""
+        failure raises _Restart.  Returns the status and the checked point
+        (None when infeasible)."""
         refactored = False
         while True:
             out = self.dual(deadline)
             if out == "infeasible":
                 if self.proves_infeasible(self.infeasible_row):
-                    return out
-            elif self.residual_ok():
-                return out
+                    return out, None
+            else:
+                x = self.values()
+                if self.residual_ok(x):
+                    return out, x
             if refactored:
                 raise _Restart
             self.refactor()
@@ -531,9 +563,10 @@ class _Tableau:
 
     def _rebase(self, ubt: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> None:
         """Swap in new upper bounds, rhs and costs, and place every column."""
-        self.rhs, self.cost = rhs, cost
+        self.set_rhs(rhs)
+        self.cost = cost
         self.refactor()
-        self.place(self.lo, ubt, np.arange(ubt.size))
+        self.place(np.arange(ubt.size), self.lo.copy(), ubt)
 
     def phase1(self, deadline: float | None = None) -> str | None:
         """Make a placed basis dual feasible, or return the LP's status.
@@ -550,23 +583,24 @@ class _Tableau:
         """
         if not (np.isinf(self.ubt[self.nb]) & (self.z < -_EPS_RC)).any():
             return None
-        ubt, rhs, cost = self.ubt, self.rhs, self.cost
+        ubt, rhs, cost = self.ubt.copy(), self.rhs, self.cost
         self._rebase(np.where(np.isfinite(ubt), 0.0, 1.0), np.zeros(rhs.size), cost)
-        if self.solve(deadline) != "optimal":
+        if self.solve(deadline)[0] != "optimal":
             raise SimplexError("dual phase 1 lost its zero point")
         if float(cost @ self.values()) >= -_EPS_RC:
             self._rebase(ubt, rhs, cost)
             return None
         self._rebase(ubt, rhs, np.zeros(cost.size))
-        return "unbounded" if self.solve(deadline) == "optimal" else "infeasible"
+        return "unbounded" if self.solve(deadline)[0] == "optimal" else "infeasible"
 
 
 class _Warm:
     """The live tableau of one LP, or of one branch-and-bound search.
 
     ``root`` solves the LP from the slack basis; ``solve`` re-solves it
-    under new bounds on binaries by dual pivots from whatever basis the
-    previous solve left.
+    under new bounds on binaries by dual pivots from the live state, which
+    ``enter`` first makes the optimal state of the node's parent when that
+    is live or saved.
     """
 
     def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
@@ -578,12 +612,17 @@ class _Warm:
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const
         self.start = None                       # (basis, at_upper) the root's dual starts from
+        self.owner = None                       # node whose optimal state is live, with open children
+        self.entered = set()                    # nodes one of whose two children was entered
+        self.saved = {}                         # node -> its optimal state, while a child is open
+        self.free = []                          # state buffers to reuse
+        self.held = 0                           # bytes of the buffers in saved and free
 
     def root(self, deadline: float | None = None, cutoff: float = np.inf) -> LpResult:
         """The LP under the bounds given: place every column, run the dual
         phase 1 if a column needs it, then ``solve`` with no fixes."""
         tab = self.tab
-        tab.place(tab.lo, tab.ubt, np.arange(tab.ubt.size))
+        tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
         try:
             out = tab.phase1(deadline)
         except _Restart:
@@ -596,42 +635,113 @@ class _Warm:
         return res
 
     def solve(self, fixes: dict, deadline: float | None = None,
-              cutoff: float = np.inf) -> LpResult:
+              cutoff: float = np.inf, changed: int | None = None) -> LpResult:
         """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
         other bounds as at the root; status "cutoff", without a point, once
-        the LP is proven not to end under ``cutoff``.  A solve that fails
-        its checks, meets a singular basis or hits the pivot cap restarts
-        once from the basis the root's dual started from."""
+        the LP is proven not to end under ``cutoff``.  ``changed`` names the
+        one binary whose bounds differ from the live state's, when the live
+        state is the node's parent's optimum.  A solve that fails its checks,
+        meets a singular basis or hits the pivot cap restarts once from the
+        basis the root's dual started from."""
         tab = self.tab
         start = tab.iterations
         tab.cutoff = cutoff - self.offset
         try:
-            self._place(fixes)
-            out = tab.solve(deadline)
+            self._place(fixes, changed)
+            out, x = tab.solve(deadline)
         except _Restart:
             tab.basis[:], tab.at_upper[:] = self.start
+            tab.lo[:], tab.ubt[:] = 0.0, self.lay.ubt
             tab.index()
             try:
                 tab.refactor()
                 self._place(fixes)
-                out = tab.solve(deadline)
+                out, x = tab.solve(deadline)
             except _Restart:
                 raise SimplexError("LP failed its checks after a restart") from None
         if out != "optimal":
             return LpResult(out, tab.iterations - start)
-        x = self.lay.point(tab.values())
+        x = self.lay.point(x)
         return LpResult("optimal", tab.iterations - start, x,
                         float(self.std.c @ x) + self.std.const)
 
-    def _place(self, fixes: dict) -> None:
-        """Set the bounds of the node ``fixes`` describes and place its
-        nonbasic binaries."""
-        lo, ubt = np.zeros(self.lay.ubt.size), self.lay.ubt.copy()
+    def _place(self, fixes: dict, changed: int | None = None) -> None:
+        """Give the binaries the bounds of the node ``fixes`` describes, and
+        place the nonbasic ones whose bounds differ from the live ones."""
+        tab = self.tab
+        if changed is not None:
+            col = self.lay.col_of[changed]
+            if tab.slot[col] < 0:
+                # fractional in its parent's optimum, so basic: no other
+                # bound differs, and the dual moves this one into its range
+                tab.lo[col], tab.ubt[col] = fixes[changed]
+                return
+        lo, hi = np.zeros(tab.ubt.size), self.lay.ubt.copy()
         if fixes:
             cols = self.lay.col_of[list(fixes)]
-            bounds = np.array(list(fixes.values()), dtype=float)
-            lo[cols], ubt[cols] = bounds[:, 0], bounds[:, 1]
-        self.tab.place(lo, ubt, self.bin_cols)
+            lo[cols], hi[cols] = np.array(list(fixes.values()), dtype=float).T
+        cols = self.bin_cols[((lo != tab.lo) | (hi != tab.ubt))[self.bin_cols]]
+        tab.place(cols, lo[cols], hi[cols])
+
+    def branch(self, node: int) -> None:
+        """Mark the live state as node ``node``'s optimum, with two children open."""
+        self.owner = node
+
+    def enter(self, parent: int) -> bool:
+        """Before a child of ``parent`` is solved, make the live state the
+        parent's optimum if that is live or saved; return whether it is.
+        The live state is kept, within the budget, when it is about to be
+        overwritten while its node has a child open."""
+        tab, owner = self.tab, self.owner
+        self.owner = None
+        last = parent in self.entered
+        self.entered ^= {parent}
+        if parent == owner:
+            if not last:
+                self._keep(parent)
+            return True
+        state = self.saved.get(parent)
+        if state is None:
+            if owner is not None:
+                self._keep(owner)
+            return False
+        buf = None if last else self._buffer()
+        if buf is None:                         # the last child, or no room for a copy
+            del self.saved[parent]
+        else:
+            state = _copy(state, buf)
+        live = tab.state()
+        tab.load(state)
+        if owner is not None:
+            self.saved[owner] = live
+        else:
+            self.free.append(live)
+        return True
+
+    def _keep(self, node: int) -> None:
+        buf = self._buffer()
+        if buf is not None:
+            self.saved[node] = _copy(self.tab.state(), buf)
+
+    def _buffer(self) -> list | None:
+        """A pooled state buffer, or a new one while the bytes held stay
+        within ``_SNAPSHOT_BYTES``; None when neither is there."""
+        if self.free:
+            return self.free.pop()
+        arrays = self.tab.state()[:-1]
+        size = sum(a.nbytes for a in arrays)
+        if self.held + size > _SNAPSHOT_BYTES:
+            return None
+        self.held += size
+        return [np.empty_like(a) for a in arrays] + [0]
+
+
+def _copy(src: list, dst: list) -> list:
+    """Copy the state ``src`` into the buffers of ``dst``, and return ``dst``."""
+    for a, b in zip(src[:-1], dst):
+        np.copyto(b, a)
+    dst[-1] = src[-1]
+    return dst
 
 
 @_one_blas_thread()
@@ -676,13 +786,11 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             incumbent = hint.copy()
             inc_obj = ev.objective
 
-    def prune_eps():
-        return 1e-9 * max(1.0, abs(inc_obj)) if np.isfinite(inc_obj) else 0.0
-
     nodes = 0
     lp_iters = 0
     next_id = 0
-    heap = [(-np.inf, next_id, {})]          # (parent bound, id, {vid: (lb, ub)})
+    # (parent bound, id, {vid: (lb, ub)}, parent id, the vid the node fixes)
+    heap = [(-np.inf, next_id, {}, None, None)]
     warm = None                               # live tableau, from the root on
     timed_out = False
     hit_node_limit = False
@@ -690,13 +798,15 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     best_bound = -np.inf
 
     while heap:
-        bound_est, _, fixes = heap[0]
+        bound_est, node_id, fixes, parent, vid = heap[0]
+        # a node whose bound reaches this is pruned
+        cut = inc_obj - 1e-9 * max(1.0, abs(inc_obj)) if np.isfinite(inc_obj) else np.inf
         if np.isfinite(inc_obj):
             gap = (inc_obj - bound_est) / max(1.0, abs(inc_obj))
             if bound_est > -np.inf and gap <= _REL_GAP:
                 best_bound = bound_est
                 break
-            if bound_est >= inc_obj - prune_eps():
+            if bound_est >= cut:
                 best_bound = bound_est
                 break
         if time.perf_counter() > deadline:
@@ -710,11 +820,11 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         node = heapq.heappop(heap)
 
         try:
-            if nodes == 0:
+            if warm is None:
                 warm = _Warm(std, std.lb, std.ub)
-                res = warm.root(deadline, inc_obj - prune_eps())
+                res = warm.root(deadline, cut)
             else:
-                res = warm.solve(fixes, deadline, inc_obj - prune_eps())
+                res = warm.solve(fixes, deadline, cut, vid if warm.enter(parent) else None)
         except _Timeout:
             heapq.heappush(heap, node)       # the node stays open
             timed_out = True
@@ -728,12 +838,12 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             root_unbounded = True
             break
         bound = res.objective
-        if np.isfinite(inc_obj) and bound >= inc_obj - prune_eps():
+        if bound >= cut:
             continue
 
-        vals = res.x[bin_ids] if bin_ids.size else np.empty(0)
-        frac = np.abs(vals - np.round(vals))
-        if not bin_ids.size or frac.max() <= INT_TOL:
+        frac = res.x[bin_ids] % 1.0
+        dist = np.minimum(frac, 1.0 - frac)
+        if not bin_ids.size or dist.max() <= INT_TOL:
             cand = res.x.copy()
             cand[bin_ids] = np.round(cand[bin_ids])
             ev = evaluate(model, cand)
@@ -749,15 +859,14 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
 
         # most fractional binary within the highest fractional priority
         # level, ties by lowest variable id
-        dist = np.minimum(vals % 1.0, 1.0 - vals % 1.0)
         frac_mask = dist > INT_TOL
         level = prio[frac_mask].max()
         score = np.where(frac_mask & (prio == level), dist, -1.0)
         j = int(bin_ids[int(np.argmax(score))])
-        next_id += 1
-        heapq.heappush(heap, (bound, next_id, {**fixes, j: (0.0, 0.0)}))
-        next_id += 1
-        heapq.heappush(heap, (bound, next_id, {**fixes, j: (1.0, 1.0)}))
+        warm.branch(node_id)
+        for b in (0.0, 1.0):
+            next_id += 1
+            heapq.heappush(heap, (bound, next_id, {**fixes, j: (b, b)}, node_id, j))
 
     work = dict(nodes=nodes, lp_iterations=lp_iters, wall_time=time.perf_counter() - t_start)
     if root_unbounded:

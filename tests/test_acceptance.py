@@ -199,6 +199,7 @@ def test_4_solve_time_reduction(credit_pipeline):
     params = SolverParams(time_limit_s=300.0)
     times = {("original", 20): [], ("original", 50): [],
              ("reduced", 20): [], ("reduced", 50): [], ("reduced", 100): []}
+    work = {k: [] for k in times}
     ctxs = {n: build_lof_context(p.refs[:n], p.metric) for n in (20, 50, 100)}
     for idx in p.rejected[:3]:
         x = p.test.x[idx]
@@ -208,7 +209,12 @@ def test_4_solve_time_reduction(credit_pipeline):
                           formulation=form, params=params)
             assert exp.status == "optimal", f"instance {idx} {form} N={n}: {exp.status}"
             times[(form, n)].append(exp.time_s)
+            work[(form, n)].append((exp.nodes, exp.lp_iterations))
     med = {k: statistics.median(v) for k, v in times.items()}
+    # median nodes and pivots per cell, to tell a timing failure from a search change
+    counts = "; ".join(f"{form} N={n} {statistics.median(c[0] for c in cells):g} nodes "
+                       f"{statistics.median(c[1] for c in cells):g} pivots"
+                       for (form, n), cells in work.items())
     ratio20 = med[("reduced", 20)] / med[("original", 20)]
     gap20 = med[("original", 20)] - med[("reduced", 20)]
     gap50 = med[("original", 50)] - med[("reduced", 50)]
@@ -219,7 +225,7 @@ def test_4_solve_time_reduction(credit_pipeline):
            f"median reduced/original at N=20: {ratio20:.2f} <= 0.8; "
            f"gap N=20 {gap20:.2f}s < gap N=50 {gap50:.2f}s; reduced growth to "
            f"N=100 {red_growth:.2f}s < original growth to N=50 {orig_growth:.2f}s; "
-           f"original capped at N=50 by the dense-solver envelope")
+           f"original capped at N=50 by the dense-solver envelope; {counts}")
     assert ok
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,8 @@ def test_cli_explain_and_oracle_agree(tmp_path, capsys):
         assert code == 0
         expl = json.loads(out.read_text(encoding="utf-8"))
         for key in ("action", "counterfactual", "objective", "md_term", "lof_term",
-                    "n_star", "status", "nodes", "time_s", "constraint_counts"):
+                    "n_star", "status", "nodes", "lp_iterations", "time_s",
+                    "constraint_counts"):
             assert key in expl
         assert expl["status"] == "optimal"
         assert main(["oracle", "--config", cfg_path, "--index", str(idx)]) == 0
@@ -371,6 +373,20 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["explain", "--config", cfg_path, "--index", str(idx)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: pivot cap exceeded")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_cli_non_finite_lambda_exit_code(tmp_path, capsys, lam):
+    # the model refuses the cost before any solve, instead of searching until
+    # the time limit
+    cfg_path = write_config(tmp_path, lam=lam)
+    idx = prepare(RunConfig.from_json(cfg_path)).rejected[0]
+    t0 = time.perf_counter()
+    assert main(["explain", "--config", cfg_path, "--index", str(idx)]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
     assert "Traceback" not in err
 
 

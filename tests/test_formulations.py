@@ -267,8 +267,9 @@ def test_explanation_json_contract():
     inst = random_instance(3)
     d = _explain(inst, "reduced").to_json_dict()
     for key in ("action", "counterfactual", "objective", "md_term", "lof_term",
-                "n_star", "status", "nodes", "time_s", "constraint_counts"):
+                "n_star", "status", "nodes", "lp_iterations", "time_s", "constraint_counts"):
         assert key in d
+    assert isinstance(d["lp_iterations"], int)
     assert isinstance(d["counterfactual"], list)
     assert isinstance(d["constraint_counts"], dict)
     import json

@@ -122,6 +122,21 @@ def test_comparison_and_rhs_validation():
         m.add_constraint([(a, 1.0)], "<=", math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    m = MilpModel()
+    a, b = m.add_variables(["a", "b"], 0.0, math.inf)     # infinite bounds stay allowed
+    with pytest.raises(ModelError, match="finite"):
+        m.add_constraint([(a, 1.0), (b, bad)], "<=", 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        m.add_rows(["r0", "r1"], "<=", 1.0, ([0, 1], [a, b], [1.0, bad]))
+    with pytest.raises(ModelError, match="finite"):
+        m.set_objective({a: bad})
+    with pytest.raises(ModelError, match="finite"):
+        m.set_objective({a: 1.0}, constant=bad)
+    assert m.n_constraints == 0 and m.objective == {}
+
+
 def test_auto_constraint_names():
     m = MilpModel()
     a = m.add_continuous("a", 0.0, 1.0)

@@ -503,6 +503,126 @@ def test_warm_start_matches_cold_lp_credit_model():
     assert "optimal" in statuses and "infeasible" in statuses
 
 
+def _state_bytes(model):
+    """Bytes of one saved node LP state of ``model``'s search."""
+    std = model.arrays
+    return sum(a.nbytes for a in solver._Warm(std, std.lb, std.ub).tab.state()[:-1])
+
+
+def _search_vs_cold(monkeypatch, model, budget=None):
+    """Solve ``model`` by branch and bound, then check every node LP it
+    solved against a cold solve_lp.  Returns the solution and how often each
+    node started from its parent's state live, copied from a saved one,
+    taken from a saved one, or from the live basis (fallback)."""
+    if budget is not None:
+        monkeypatch.setattr(solver, "_SNAPSHOT_BYTES", budget)
+    paths = dict.fromkeys(("live", "copy", "take", "fallback"), 0)
+    solved = []
+    enter, solve = solver._Warm.enter, solver._Warm.solve
+
+    def spy_enter(self, parent):
+        if parent == self.owner:
+            path = "live"
+        elif parent in self.saved:
+            path = "take" if parent in self.entered else "copy"
+        else:
+            path = "fallback"
+        assert enter(self, parent) == (path != "fallback")
+        assert self.held <= solver._SNAPSHOT_BYTES
+        paths[path] += 1
+        return path != "fallback"
+
+    def spy_solve(self, fixes, deadline=None, cutoff=math.inf, changed=None):
+        res = solve(self, fixes, deadline, cutoff, changed)
+        solved.append((dict(fixes), cutoff, res))
+        return res
+
+    monkeypatch.setattr(solver._Warm, "enter", spy_enter)
+    monkeypatch.setattr(solver._Warm, "solve", spy_solve)
+    sol = solve_milp(model)
+    for fixes, cutoff, got in list(solved):
+        ref = solve_lp(model, overrides=fixes)
+        if got.status == "cutoff":
+            assert ref.status == "infeasible" or ref.objective >= cutoff - 1e-7, fixes
+            continue
+        assert got.status == ref.status, fixes
+        if ref.status == "optimal":
+            assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            assert _lp_violation(model, got.x, fixes) <= 1e-7
+    return sol, paths
+
+
+@pytest.mark.parametrize("budget", ["default", "zero", "one state"])
+def test_nodes_from_parent_states_match_cold_lps(monkeypatch, budget):
+    # every node of the search, whichever way it got its start, solves its LP
+    # as a cold solve would; a budget of 0 saves nothing and one of a single
+    # state saves too little, so nodes fall back to the live basis
+    inst = credit_instance("svm", 20)
+    models = [inst["model"]]
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        c, bounds, rows, bins = _random_milp(rng)
+        models.append(build(c, bounds, rows, binaries=bins))
+    total = dict.fromkeys(("live", "copy", "take", "fallback"), 0)
+    for model in models:
+        size = {"default": None, "zero": 0, "one state": _state_bytes(model)}[budget]
+        want = solve_milp(model)
+        got, paths = _search_vs_cold(monkeypatch, model, size)
+        monkeypatch.undo()
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+        total = {k: total[k] + paths[k] for k in total}
+    assert total["live"] > 0
+    if budget == "zero":
+        assert total["copy"] == total["take"] == 0 and total["fallback"] > 0
+    else:
+        assert total["copy"] > 0 and total["take"] > 0
+        assert (total["fallback"] > 0) == (budget == "one state")
+
+
+def test_resolving_an_optimal_node_takes_no_pivots():
+    inst = credit_instance("svm", 30)
+    model = inst["model"]
+    std = model.arrays
+    warm = solver._Warm(std, std.lb, std.ub)
+    warm.root()
+    n_optimal = 0
+    for fixes in _fixings(np.random.default_rng(61), np.array(model.binary_ids), 20):
+        first = warm.solve(fixes)
+        if first.status != "optimal":
+            continue
+        again = warm.solve(fixes)
+        assert again.iterations == 0
+        assert again.objective == first.objective
+        assert np.array_equal(again.x, first.x)
+        n_optimal += 1
+    assert n_optimal >= 5
+
+
+def test_snapshot_bytes_stay_within_the_budget(monkeypatch):
+    # a budget of three states on a search that would hold more
+    inst = credit_instance("svm", 50)
+    model = inst["model"]
+    size = _state_bytes(model)
+    peak = []
+    keep = solver._Warm._keep
+
+    def spy(self, node):
+        keep(self, node)
+        assert self.held <= solver._SNAPSHOT_BYTES
+        peak.append(self.held)
+
+    monkeypatch.setattr(solver, "_SNAPSHOT_BYTES", 3 * size)
+    monkeypatch.setattr(solver._Warm, "_keep", spy)
+    got = solve_milp(model)
+    monkeypatch.undo()
+    assert max(peak) == 3 * size
+    want = solve_milp(model)
+    assert got.status == want.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+
+
 def test_refactor_reproduces_live_tableau(monkeypatch):
     live = []
 
