@@ -8,10 +8,10 @@ counterfactual, constraint counts, node count and solve-only wall time.
 Reference sets are nested (the N-point set is a prefix of the largest one)
 so the scaling curves compare like against like.
 
-Exit codes: 0 success, 1 usage, 2 bad data, violated precondition or a
-numerical failure in the solver (a bench sweep records that solve with status
-"error" and exits 2 once every record is written), 3 no recourse exists for
-the requested instance.
+Exit codes: 0 success, 1 usage, 2 bad config or data, violated precondition
+or a numerical failure in the solver (a bench sweep records that solve with
+status "error" and exits 2 once every record is written), 3 no recourse
+exists for the requested instance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import argparse
 import csv
 import itertools
 import json
+import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,6 +47,13 @@ RECORD_HEADER = ["instance", "formulation", "N", "status", "objective", "md",
 
 class ConfigError(ValueError):
     pass
+
+
+def _count(value, what: str, low: int) -> int:
+    """``value`` if it is an int (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _default_time_limit(n: int) -> float:
@@ -80,8 +89,22 @@ class RunConfig:
         kw = dict(d)
         if "actions" in kw:
             kw["actions"] = ActionConfig.from_dict(kw["actions"])
+        if "lam" in kw:
+            lam = kw["lam"]
+            if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+                    or not math.isfinite(lam) or lam < 0):
+                raise ConfigError(f"lam must be a finite number >= 0, got {lam!r}")
+            kw["lam"] = float(lam)
+        if "n_reference" in kw:
+            kw["n_reference"] = _count(kw["n_reference"], "n_reference", 2)
         if "n_values" in kw:
-            kw["n_values"] = tuple(int(v) for v in kw["n_values"])
+            if not isinstance(kw["n_values"], (list, tuple)):
+                raise ConfigError(f"n_values must be a list, got {kw['n_values']!r}")
+            # an integer string such as "20" is read as its integer
+            kw["n_values"] = tuple(
+                _count(int(v) if isinstance(v, str) and v.isdigit() else v,
+                       "every n_values entry", 2)
+                for v in kw["n_values"])
         if "formulations" in kw:
             kw["formulations"] = tuple(kw["formulations"])
         return cls(**kw)
@@ -137,8 +160,10 @@ def train_classifier(cfg: dict, train: EncodedDataset):
         scaler = fit_scaler(train.x, numeric)
         return train_linear_svm(train.x, train.y, scaler, c=float(cfg.get("c", 1.0)))
     if kind == "forest":
-        return train_forest(train.x, train.y, n_trees=int(cfg.get("n_trees", 100)),
-                            max_depth=int(cfg.get("max_depth", 6)), seed=seed)
+        return train_forest(train.x, train.y,
+                            n_trees=_count(cfg.get("n_trees", 100), "n_trees", 1),
+                            max_depth=_count(cfg.get("max_depth", 6), "max_depth", 1),
+                            seed=seed)
     raise ConfigError(f"unknown classifier kind {kind!r}")
 
 

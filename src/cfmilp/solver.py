@@ -74,7 +74,17 @@ well as between nodes.  There is no presolve and there are no cutting
 planes, so measured solve times track the constraint counts of the
 formulation being solved.
 
-Every BLAS call in the pivot loop goes through ``scipy.linalg.blas``, and
+The solver calls six routines of scipy's f2py BLAS and LAPACK wrappers:
+``daxpy``, ``dgemm``, ``dgemv``, ``dger``, ``dgetrf`` and ``dgetrs``.
+``_scipy_linalg_extension`` loads their two extension modules,
+``scipy.linalg._fblas`` and ``_flapack``, straight from their files.
+Importing ``scipy.linalg.blas`` instead would run the whole ``scipy.linalg``
+package: a fresh ``import cfmilp`` took 56.4 MiB resident, 555 modules and
+0.49 s that way, against 33.9 MiB, 260 modules and 0.20 s now (medians of
+10 runs, 2-core x86 host).  The wrappers are the objects
+``scipy.linalg.blas`` hands out, with the same argument checks and
+kernels.
+
 ``solve_lp`` and ``solve_milp`` run scipy's OpenBLAS on one thread, putting
 the caller's thread count back when they return.  A pivot is one row copy,
 one ``dgemv`` and one ``dger`` between a few dozen small numpy calls, and
@@ -103,20 +113,44 @@ import ctypes
 import functools
 import glob
 import heapq
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg.blas import daxpy as _daxpy
-from scipy.linalg.blas import dgemm as _dgemm
-from scipy.linalg.blas import dgemv as _dgemv
-from scipy.linalg.blas import dger as _dger
-from scipy.linalg.lapack import dgetrf as _dgetrf
-from scipy.linalg.lapack import dgetrs as _dgetrs
 
 from .milpcore import MilpModel, MilpSolution, ModelArrays, Rows, evaluate
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy.linalg's compiled module ``name``, loaded from its own file so
+    that the rest of the scipy.linalg package is not imported.  It is
+    registered under its full name, so a later ``import scipy.linalg.blas``
+    hands out the very same module.  Falls back to the plain import when
+    scipy.linalg is already loaded or no file matches."""
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules and "scipy.linalg" not in sys.modules:
+        for base in importlib.util.find_spec("scipy").submodule_search_locations:
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(base, "linalg", name + suffix)
+                if os.path.isfile(path):
+                    loader = importlib.machinery.ExtensionFileLoader(full, path)
+                    spec = importlib.util.spec_from_file_location(full, path, loader=loader)
+                    module = importlib.util.module_from_spec(spec)
+                    loader.exec_module(module)
+                    sys.modules[full] = module
+                    return module
+    return importlib.import_module(full)
+
+
+_fblas = _scipy_linalg_extension("_fblas")
+_flapack = _scipy_linalg_extension("_flapack")
+_daxpy, _dgemm, _dgemv, _dger = _fblas.daxpy, _fblas.dgemm, _fblas.dgemv, _fblas.dger
+_dgetrf, _dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 
 @functools.cache

@@ -139,9 +139,12 @@ def sample_reference_set(x: np.ndarray, y: np.ndarray, n: int, seed: int) -> np.
     """Uniformly sample ``n`` distinct positive-label rows without replacement.
 
     Duplicated rows collapse to their first drawn copy; sampling continues
-    until n unique rows are collected.  Raises when the positive class has
-    fewer than n unique rows.
+    until n unique rows are collected.  Raises when n < 2, the least a LOF
+    reference set needs, or when the positive class has fewer than n unique
+    rows.
     """
+    if n < 2:
+        raise ValueError(f"reference set needs at least 2 points, got n={n}")
     pos = np.nonzero(np.asarray(y) == 1)[0]
     if pos.size == 0:
         raise ValueError("no positive-label rows to sample from")

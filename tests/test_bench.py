@@ -381,12 +381,59 @@ def test_cli_non_finite_lambda_exit_code(tmp_path, capsys, lam):
     # the model refuses the cost before any solve, instead of searching until
     # the time limit
     cfg_path = write_config(tmp_path, lam=lam)
-    idx = prepare(RunConfig.from_json(cfg_path)).rejected[0]
+    idx = prepare(RunConfig.from_json(write_config(tmp_path, "ok.json"))).rejected[0]
     t0 = time.perf_counter()
     assert main(["explain", "--config", cfg_path, "--index", str(idx)]) == 2
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
+BAD_CONFIG_VALUES = [
+    ({"lam": "x"}, "lam"),
+    ({"lam": -1.0}, "lam"),
+    ({"lam": True}, "lam"),
+    ({"n_reference": "5"}, "n_reference"),
+    ({"n_reference": 1}, "n_reference"),
+    ({"n_reference": 0}, "n_reference"),
+    ({"n_reference": 6.0}, "n_reference"),
+    ({"n_values": [6, "x"]}, "n_values"),
+    ({"n_values": [6, 1]}, "n_values"),
+    ({"n_values": [6.5]}, "n_values"),
+    ({"n_values": 6}, "n_values"),
+]
+BAD_FOREST_SIZES = [
+    ({"n_trees": -1}, "n_trees"),
+    ({"n_trees": 0}, "n_trees"),
+    ({"n_trees": "3"}, "n_trees"),
+    ({"max_depth": 0}, "max_depth"),
+    ({"max_depth": 2.5}, "max_depth"),
+]
+
+
+@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES)
+def test_config_rejects_bad_values(tmp_path, over, key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(config_dict(tmp_path, **over))
+
+
+@pytest.mark.parametrize("over, key", BAD_FOREST_SIZES)
+def test_train_classifier_rejects_bad_forest_sizes(over, key):
+    # an empty forest used to train and give "optimal" explanations
+    enc = load_dataset({"kind": "synthetic", "n_rows": 200, "seed": 3})
+    with pytest.raises(ConfigError, match=key):
+        train_classifier({"kind": "forest", "n_trees": 3, "max_depth": 2, **over}, enc)
+
+
+@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + [
+    ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, **bad}}, key)
+    for bad, key in BAD_FOREST_SIZES])
+def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
+    cfg_path = write_config(tmp_path, **over)
+    assert main(["explain", "--config", cfg_path, "--index", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
 
 

@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter: every top-level import of the
 package is used by the module that makes it, and no module imports
-scipy.sparse, whose import alone adds about 5 MiB of resident memory to
-every process that solves (the reason ``milpcore.Rows`` exists)."""
+scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds about
+5 MiB of resident memory to every process that solves (the reason
+``milpcore.Rows`` exists); importing scipy.linalg adds about 21 MiB (the
+reason ``solver._scipy_linalg_extension`` loads the BLAS and LAPACK
+wrappers from their files)."""
 
 import ast
 from pathlib import Path
@@ -37,8 +40,8 @@ def test_unused_import_is_caught():
     assert _unused_imports(tree) == ["a (line 3)", "json (line 1)"]
 
 
-def _sparse_imports(tree: ast.Module) -> list[int]:
-    """Lines, at any nesting level, that import scipy.sparse or a submodule."""
+def _imports_of(tree: ast.Module, package: str) -> list[int]:
+    """Lines, at any nesting level, that import ``package`` or a submodule."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -47,14 +50,14 @@ def _sparse_imports(tree: ast.Module) -> list[int]:
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.") for n in names):
+        if any(n == package or n.startswith(package + ".") for n in names):
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_sparse_import(path):
-    assert _sparse_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _imports_of(ast.parse(path.read_text(encoding="utf-8")), "scipy.sparse") == []
 
 
 def test_sparse_import_is_caught():
@@ -65,4 +68,20 @@ def test_sparse_import_is_caught():
                      "    from scipy.sparse import csr_matrix\n"
                      "    from .sparse import x\n"
                      "    from scipy import optimize\n")
-    assert _sparse_imports(tree) == [2, 4, 5]
+    assert _imports_of(tree, "scipy.sparse") == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_linalg_import(path):
+    assert _imports_of(ast.parse(path.read_text(encoding="utf-8")), "scipy.linalg") == []
+
+
+def test_linalg_import_is_caught():
+    tree = ast.parse("import scipy\n"
+                     "from scipy.linalg.blas import dger\n"
+                     "def f():\n"
+                     "    import scipy.linalg as la\n"
+                     "    from scipy import linalg\n"
+                     "    from scipy.linalgx import y\n"
+                     "    from .linalg import z\n")
+    assert _imports_of(tree, "scipy.linalg") == [2, 4, 5]

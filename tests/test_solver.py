@@ -4,9 +4,14 @@ scipy.optimize (HiGHS) is used here purely as an independent reference
 implementation; the package itself never imports it for solving.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -862,6 +867,56 @@ def test_solve_without_scipy_openblas(monkeypatch):
     assert got.status == expected.status == "optimal"
     assert got.objective == pytest.approx(expected.objective, rel=1e-12)
     assert solve_lp(_knapsack()).objective == pytest.approx(-17.0)
+
+
+# -- how the BLAS and LAPACK wrappers are loaded -------------------------------------------
+
+_TESTS = Path(__file__).resolve().parent
+_ROUTINES = {"blas": ["daxpy", "dgemm", "dgemv", "dger"], "lapack": ["dgetrf", "dgetrs"]}
+
+
+def _fresh_process(prelude):
+    """Run ``prelude``, import cfmilp and solve the SVM credit model at N=20
+    in a new interpreter; report whether importing cfmilp loaded
+    scipy.linalg, whether the solver's modules and routines are those a later
+    import of scipy.linalg.blas and scipy.linalg.lapack hands out, and the
+    solve's counts."""
+    code = prelude + f"""
+import json, sys
+import cfmilp
+from cfmilp import solver
+linalg = "scipy.linalg" in sys.modules
+import scipy.linalg.blas, scipy.linalg.lapack
+same = all(getattr(solver, "_" + f) is getattr(getattr(scipy.linalg, mod), f)
+           for mod, names in {_ROUTINES!r}.items() for f in names)
+same &= solver._fblas is sys.modules["scipy.linalg._fblas"]
+same &= solver._flapack is sys.modules["scipy.linalg._flapack"]
+from _instances import credit_instance
+sol = solver.solve_milp(credit_instance("svm", 20)["model"])
+print(json.dumps({{"linalg": linalg, "same": same, "status": sol.status,
+                  "objective": sol.objective.hex(), "nodes": sol.nodes,
+                  "pivots": sol.lp_iterations}}))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_TESTS.parent / "src"), str(_TESTS), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_wrappers_load_without_scipy_linalg_and_fallbacks_solve_alike():
+    loaded = _fresh_process("")
+    # importing cfmilp leaves the scipy.linalg package out; importing it later
+    # hands out the very wrappers the solver holds
+    assert loaded["linalg"] is False and loaded["same"] is True
+    assert loaded["status"] == "optimal"
+    no_file = _fresh_process("import importlib.machinery\n"
+                             "importlib.machinery.EXTENSION_SUFFIXES = []\n")
+    imported_first = _fresh_process("import scipy.linalg\n")
+    solve = ("status", "objective", "nodes", "pivots")
+    for fallback in (no_file, imported_first):
+        assert fallback["linalg"] is True and fallback["same"] is True
+        assert [fallback[k] for k in solve] == [loaded[k] for k in solve]
 
 
 # -- memory --------------------------------------------------------------------------------

@@ -237,3 +237,10 @@ class TestReferenceSampling:
         y = np.array([1, 1, 1])
         with pytest.raises(ValueError):
             sample_reference_set(x, y, 3, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_fewer_than_two_points_rejected(self, n):
+        # n=0 used to miss its stop and return every positive row
+        x, y = self._data()
+        with pytest.raises(ValueError, match="at least 2"):
+            sample_reference_set(x, y, n, seed=4)
