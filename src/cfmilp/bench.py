@@ -35,7 +35,7 @@ from .classifiers import (classification_metrics, load_model, predict,
                           train_logistic)
 from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, encode,
                    fit_scaler, load_csv, split, synthetic_credit)
-from .formulations import PreconditionError, build_model, explain
+from .formulations import FORMULATIONS, PreconditionError, build_model, explain
 from .milpcore import ModelError, export_lp
 from .solver import SimplexError, SolverParams
 from .stats import (DeltaMetric, LofContext, build_lof_context, build_mahalanobis,
@@ -56,6 +56,20 @@ def _count(value, what: str, low: int) -> int:
     return int(value)
 
 
+def _real(value, what: str, rule: str, ok) -> float:
+    """``value`` as a float if it is a finite real (not a bool) that ``ok`` accepts."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not ok(value)):
+        raise ConfigError(f"{what} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _section(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _default_time_limit(n: int) -> float:
     return 1200.0 if n <= 50 else 3600.0
 
@@ -69,7 +83,7 @@ class RunConfig:
     lam: float = 0.01
     n_values: tuple = (20, 50, 100, 200)
     n_reference: int = 20
-    formulations: tuple = ("original", "reduced")
+    formulations: tuple = FORMULATIONS
     actions: ActionConfig = field(default_factory=ActionConfig)
     n_explained: int = 10
     reference_seed: int = 5
@@ -89,12 +103,28 @@ class RunConfig:
         kw = dict(d)
         if "actions" in kw:
             kw["actions"] = ActionConfig.from_dict(kw["actions"])
+        dataset = _section(kw["dataset"], "dataset")
+        for key, low in (("n_rows", 1), ("seed", 0)):
+            if key in dataset:
+                _count(dataset[key], f"dataset {key}", low)
+        classifier = _section(kw.get("classifier", {}), "classifier")
+        if "c" in classifier:
+            _real(classifier["c"], "classifier c", "a finite number > 0", lambda v: v > 0)
         if "lam" in kw:
-            lam = kw["lam"]
-            if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
-                    or not math.isfinite(lam) or lam < 0):
-                raise ConfigError(f"lam must be a finite number >= 0, got {lam!r}")
-            kw["lam"] = float(lam)
+            kw["lam"] = _real(kw["lam"], "lam", "a finite number >= 0", lambda v: v >= 0)
+        if "split_ratio" in kw:
+            kw["split_ratio"] = _real(kw["split_ratio"], "split_ratio",
+                                      "a number strictly between 0 and 1", lambda v: 0 < v < 1)
+        if "time_limits" in kw:
+            kw["time_limits"] = {
+                n: _real(v, f"time_limits[{n!r}]", "a finite number > 0", lambda v: v > 0)
+                for n, v in _section(kw["time_limits"], "time_limits").items()}
+        for key, low in (("n_explained", 1), ("lof_eval_k", 1), ("split_seed", 0),
+                         ("reference_seed", 0)):
+            if key in kw:
+                kw[key] = _count(kw[key], key, low)
+        if not isinstance(kw.get("out_dir", ""), str):
+            raise ConfigError(f"out_dir must be a string, got {kw['out_dir']!r}")
         if "n_reference" in kw:
             kw["n_reference"] = _count(kw["n_reference"], "n_reference", 2)
         if "n_values" in kw:
@@ -106,7 +136,11 @@ class RunConfig:
                        "every n_values entry", 2)
                 for v in kw["n_values"])
         if "formulations" in kw:
-            kw["formulations"] = tuple(kw["formulations"])
+            forms = kw["formulations"]
+            if not isinstance(forms, list) or not all(f in FORMULATIONS for f in forms):
+                raise ConfigError(f"formulations must be a list of names from {list(FORMULATIONS)}, "
+                                  f"got {forms!r}")
+            kw["formulations"] = tuple(forms)
         return cls(**kw)
 
     @classmethod
@@ -400,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--index", type=int, required=True,
                             help="row index into the test split (must be rejected)")
             sp.add_argument("--model", default=None, help="load model JSON instead of training")
-            sp.add_argument("--formulation", choices=["original", "reduced"],
+            sp.add_argument("--formulation", choices=FORMULATIONS,
                             default="reduced")
 
     sp = sub.add_parser("train", help="train a classifier and write it as JSON")

@@ -30,6 +30,8 @@ from .milpcore import MilpModel
 from .solver import INT_TOL, SolverParams, solve_milp
 from .stats import LofContext, MahalanobisContext, q1_surrogate
 
+FORMULATIONS = ("original", "reduced")
+
 
 class PreconditionError(ValueError):
     """The instance to explain is not actually rejected by the classifier."""
@@ -253,7 +255,7 @@ def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
                 lof_ctx: LofContext, space: ActionSpace, lam: float,
                 formulation: str = "reduced"):
     """Assemble the full MILP; returns (model, handles, constants)."""
-    if formulation not in ("original", "reduced"):
+    if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}")
     constants = precompute_constants(space, x_enc, lof_ctx, lof_ctx.metric)
     model = MilpModel(name=f"counterfactual-{formulation}")

@@ -44,9 +44,20 @@ class Rows:
             val = np.bincount(np.cumsum(new) - 1, weights=val)     # adds left to right
             row, col = row[new], col[new]
         keep = val != 0.0
-        self.row, self.col, self.val = row[keep], col[keep], val[keep]
+        self._set(row[keep], col[keep], val[keep], shape)
+
+    @classmethod
+    def canonical(cls, row, col, val, shape) -> "Rows":
+        """Entries already in the order ``__init__`` leaves them: sorted by
+        column, then row, with no repeats and no zeros."""
+        rows = cls.__new__(cls)
+        rows._set(row, col, val, shape)
+        return rows
+
+    def _set(self, row, col, val, shape) -> None:
+        self.row, self.col, self.val = row, col, val
         self.shape = shape
-        self.indptr = np.searchsorted(self.col, np.arange(shape[1] + 1))
+        self.indptr = np.searchsorted(col, np.arange(shape[1] + 1))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x; each row sums its terms by increasing column."""

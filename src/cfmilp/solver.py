@@ -11,9 +11,19 @@ basis.  Rows are not flipped, so the rhs may have either sign.
 
 The tableau keeps only B^-1 N: a dense (#rows) x (#columns - #rows) array
 with one slot per nonbasic column, built by a refactorization from any
-basis.  The basic columns are identity columns and are never stored; ``nb``
-maps each slot to its column and ``slot`` each column to its slot (-1 when
-basic).  A pivot on row r and slot s writes e_r, the leaving column, into
+basis.  The slack basis needs none: its B is the diagonal of the slacks'
+signs, so the start state is written directly, with the operations a
+refactorization would run in the same order, and is the same bit for bit:
+the layout's rows come straight from the model's column-sorted matrix (no
+sort unless a variable is split), the tableau is the structural columns
+divided by the signs, the basic values are the rhs divided by them, the
+reduced costs are the costs, and the row weights add up 64-column blocks
+as a refactorization does.  A solve's set-up took 0.7 ms against 4.1 ms
+that way on the 509-row original encoding at N=20, and 4.7 against 30.2
+ms on the 2,669-row one at N=50 (medians of 41 interleaved calls, 2-core
+x86 host).  The basic columns are identity columns and are never stored;
+``nb`` maps each slot to its column and ``slot`` each column to its slot
+(-1 when basic).  A pivot on row r and slot s writes e_r, the leaving column, into
 slot s and then applies the usual rank-1 update, so slot s holds the leaving
 column from then on.  On the paper's original encoding most columns are
 basic slacks: at N=100 its 10,269-row model needs a 21 MiB tableau, where
@@ -53,10 +63,19 @@ node left.  Against always starting from that basis, this halves the pivots
 of the benchmark's credit-svm-scale and paper-pair rounds (4,554 -> 2,475
 and 2,090 -> 1,008) and cuts small-mixed's by a third (6,251 -> 4,233).
 The objective of a dual feasible basis is a lower bound on the node's LP,
-so a node, the root included, stops as
-soon as it reaches the incumbent's pruning threshold: the node would be
-pruned once solved anyway.  On the reduced encoding this stops most
-infeasible nodes long before their last pivot.  The tableau is refactored
+so a node, the root included, stops as soon as it reaches the incumbent's
+pruning threshold: the node would be pruned once solved anyway.  On the
+reduced encoding this stops most infeasible nodes long before their last
+pivot.  The threshold is tested when a node starts and after every chosen
+pivot before its work is done: the objective the pivot would reach is the
+running one plus its step times the entering reduced cost, and once that
+reaches the threshold it is recomputed from the point the pivot would
+leave.  If that confirms it, the node ends without the pivot, which saves
+9-13% of the pivots on the benchmark's workloads with the same nodes
+(2,475 -> 2,161 on credit-svm-scale, 1,008 -> 916 on paper-pair, 4,233 ->
+3,766 on small-mixed).  Such a node leaves its state one pivot short of the
+threshold; that matters only to a node that starts from the live basis
+because its parent's state was not saved.  The tableau is refactored
 from the sparse rows every ``_REFACTOR`` pivots and whenever an LP's primal
 point fails its residual against those rows.  An infeasible verdict stands
 only once the leaving row, recomputed from a fresh factor of the basis,
@@ -87,7 +106,8 @@ kernels.
 
 ``solve_lp`` and ``solve_milp`` run scipy's OpenBLAS on one thread, putting
 the caller's thread count back when they return.  A pivot is one row copy,
-one ``dgemv`` and one ``dger`` between a few dozen small numpy calls, and
+one ``dgemv`` and one ``dger`` between about 35 small numpy calls that write
+into work arrays made once per LP, and
 on tableaus this size thread dispatch costs more than a second core gains.
 Measured on a 2-core x86 host over whole solves: 176 us per pivot on one
 thread against 235 us threaded on a 469 x 258 tableau (reduced encoding,
@@ -311,7 +331,12 @@ def _layout(std: ModelArrays, lb: np.ndarray, ub: np.ndarray) -> _Layout:
     cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], n_t + np.arange(m)])
     data = np.concatenate([sign[a.col] * a.val, -a.val[sr],
                            np.where(std.cmp == ">=", -1.0, 1.0)])
-    rows = Rows(r, cols, data, (m, n_cols))
+    if sr.size:
+        # a split variable's second column sits between its first and the next
+        order = np.argsort(cols, kind="stable")
+        r, cols, data = r[order], cols[order], data[order]
+    # a is sorted by column, then row, and col_of increases, so these are too
+    rows = Rows.canonical(r, cols, data, (m, n_cols))
 
     ubt = np.full(n_cols, np.inf)
     ubt[col_of[fin_lb]] = (ub - lb)[fin_lb]
@@ -340,30 +365,44 @@ _STATE = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt", "
 class _Tableau:
     """Bounded dual simplex state over the columns of ``rows``.
 
-    Built by a refactorization from any basis; every nonbasic column starts
-    at its lower bound until ``place`` moves it.  The tableau stays
-    Fortran-ordered: ``dger`` updates it in place.
+    Starts from the slack basis, the last m columns of ``rows`` (one +-1 each,
+    in its own row), with every nonbasic column at its lower bound until
+    ``place`` moves it.  The tableau stays Fortran-ordered: ``dger`` updates
+    it in place.
     """
 
-    def __init__(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray, ubt: np.ndarray,
-                 basis: np.ndarray):
+    def __init__(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray, ubt: np.ndarray):
         self.rows, self.cost = rows, cost
         self.set_rhs(rhs)
         self.ubt = ubt.copy()         # (n,) upper bounds, inf allowed
         self.lo = np.zeros(ubt.size)
-        self.basis = basis            # (m,) int, column basic in each row
         self.at_upper = np.zeros(ubt.size, dtype=bool)
-        self.nb = self.slot = None
-        self.index()
-        # (m, n - m) B^-1 N, one slot per nonbasic column; basic values,
-        # reduced costs by slot and dual row weights, all set by refactor
-        self.t = np.empty((basis.size, ubt.size - basis.size), order="F")
-        self.xb = self.z = self.w = None
+        m = rhs.size
+        k = ubt.size - m
+        self.basis = np.arange(k, k + m)      # (m,) int, column basic in each row
+        self.nb = np.arange(k)
+        self.slot = np.concatenate([self.nb, np.full(m, -1)])
+        # B is the diagonal of the slacks' signs, so what refactor() would
+        # compute is written directly, in its operations and its order: the
+        # (m, k) B^-1 N, one slot per nonbasic column, is each structural
+        # column divided by those signs; the basic values are the rhs
+        # divided by them; the reduced costs are the costs
+        sign = rows.val[rows.indptr[k]:]
+        self.t = t = np.zeros((m, k), order="F")
+        nz = slice(0, rows.indptr[k])
+        t[rows.row[nz], rows.col[nz]] = rows.val[nz]
+        t /= sign[:, None]
+        w = np.ones(m)                          # dual row weights, each row's basic 1
+        for j in range(0, k, _BLOCK):
+            blk = t[:, j:j + _BLOCK]
+            w += np.einsum("ij,ij->i", blk, blk)
+        self.w = w
+        self.xb = rhs / sign
+        self.z = cost[:k].copy()
         self.iterations = 0
         self.since_refactor = 0
         self.cutoff = np.inf              # objective at which dual pivots stop
         self.infeasible_row = -1
-        self.refactor()
 
     def set_rhs(self, rhs: np.ndarray) -> None:
         self.rhs = rhs
@@ -411,24 +450,6 @@ class _Tableau:
         moved = delta != 0.0
         if moved.any() and self.xb.size:
             self.xb = _dgemv(-1.0, self.t[:, slots[moved]], delta[moved], 1.0, self.xb)
-
-    def exchange(self, r: int, s: int, alpha: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """Pivot on row r and slot s: the slot's column turns basic in row r
-        and the slot takes the leaving column, which is e_r before the
-        update.  ``alpha`` and ``col`` are copies of row r and of slot s;
-        ``col`` is overwritten.  Returns the new row r, by which reduced
-        costs update."""
-        t = self.t
-        prow = alpha / alpha[s]
-        prow[s] = 1.0 / alpha[s]
-        t[:, s] = 0.0
-        t[r, :] = prow
-        col[r] = 0.0
-        _dger(-1.0, col, prow, a=t, overwrite_a=1)
-        q, leaving = self.nb[s], self.basis[r]
-        self.basis[r], self.nb[s] = q, leaving
-        self.slot[leaving], self.slot[q] = s, -1
-        return prow
 
     def refactor(self) -> None:
         """Recompute tableau, basic values, reduced costs and row weights from
@@ -486,91 +507,129 @@ class _Tableau:
 
         The objective of a dual feasible basis bounds the LP optimum from
         below and never falls under dual pivots, so once it reaches the
-        cutoff the LP cannot end under it.
+        cutoff the LP cannot end under it.  A pivot whose objective would
+        reach the cutoff is therefore not made: the answer is "cutoff" as
+        soon as the pivot is chosen.
+
+        A pivot on row r and slot s makes the slot's column basic in row r
+        and gives the slot the leaving column, which is e_r before the
+        rank-1 update.
         """
-        t, nb, z, w = self.t, self.nb, self.z, self.w
+        t, nb, basis, slot = self.t, self.nb, self.basis, self.slot
+        lo, ubt, cost, at_upper = self.lo, self.ubt, self.cost, self.at_upper
+        z, w, xb = self.z, self.w, self.xb
         m = t.shape[0]
         if not m:
             return "optimal"
-        cutoff = self.cutoff
-        obj = float(self.cost @ self.values())
+        cutoff = float(self.cutoff)
+        obj = float(cost @ self.values())
         # per slot: +1 at its lower bound, -1 at its upper, 0 if it cannot enter
-        lift = np.where(self.at_upper[nb], -1.0, 1.0)
-        lift[self.ubt[nb] - self.lo[nb] <= _EPS_FIX] = 0.0
-        lo_b = self.lo[self.basis]
-        up_b = self.ubt[self.basis]
-        cap = self.iterations + 10 * (m + self.ubt.size) + 1000
+        lift = np.where(at_upper[nb], -1.0, 1.0)
+        lift[ubt[nb] - lo[nb] <= _EPS_FIX] = 0.0
+        lo_b = lo[basis]
+        up_b = ubt[basis]
+        infeas, score, col, dw = np.empty((4, m))
+        alpha, g = np.empty((2, t.shape[1]))
+        enters = np.empty(t.shape[1], dtype=bool)
+        cap = self.iterations + 10 * (m + ubt.size) + 1000
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 raise _Timeout
             if obj >= cutoff:
-                obj = float(self.cost @ self.values())   # not the running sum
+                obj = float(cost @ self.values())       # not the running sum
                 if obj >= cutoff:
                     return "cutoff"
-            xb = self.xb
-            infeas = np.maximum(lo_b - xb, xb - up_b)
+            np.subtract(lo_b, xb, out=infeas)
+            np.subtract(xb, up_b, out=score)
+            np.maximum(infeas, score, out=infeas)
             np.maximum(infeas, 0.0, out=infeas)
-            score = infeas * infeas
+            np.multiply(infeas, infeas, out=score)
             score /= w
-            r = score.argmax()
+            r = int(score.argmax())
             if infeas[r] <= _EPS_FEAS:
                 # rows within the tolerance count as feasible
                 score[infeas <= _EPS_FEAS] = 0.0
-                r = score.argmax()
+                r = int(score.argmax())
                 if score[r] <= 0.0:
                     return "optimal"
             if self.iterations >= cap:
                 raise _Restart
             if self.since_refactor >= _REFACTOR:
                 self.refactor()
-                z, w = self.z, self.w
-                obj = float(self.cost @ self.values())
+                z, w, xb = self.z, self.w, self.xb
+                obj = float(cost @ self.values())
                 continue
 
-            to_lower = xb[r] < lo_b[r]
-            alpha = t[r].copy()
+            x_r, lo_r, up_r = xb.item(r), lo_b.item(r), up_b.item(r)
+            to_lower = x_r < lo_r
+            np.copyto(alpha, t[r])
             # g > 0: moving slot j off its bound moves the leaving value
             # toward the bound it violates
-            g = alpha * lift
+            np.multiply(alpha, lift, out=g)
             if to_lower:
                 np.negative(g, out=g)
-            cand = (g > _EPS_DUAL_PIV).nonzero()[0]
+            np.greater(g, _EPS_DUAL_PIV, out=enters)
+            cand = enters.nonzero()[0]
             if not cand.size:
-                self.infeasible_row = int(r)
+                self.infeasible_row = r
                 return "infeasible"
             gc = g[cand]
             slack = z[cand] * lift[cand]
             np.maximum(slack, 0.0, out=slack)
             ratio = slack / gc
-            bound = (ratio + _EPS_RC / gc).min()
-            gc[ratio > bound] = 0.0
-            s = cand[gc.argmax()]
+            loose = _EPS_RC / gc
+            loose += ratio
+            bound = loose[loose.argmin()]          # as min(), without its reduction set-up
+            np.putmask(gc, ratio > bound, 0.0)
+            s = int(cand[gc.argmax()])
 
-            q, leaving = nb[s], self.basis[r]
-            aq = alpha[s]
-            step = (xb[r] - (lo_b[r] if to_lower else up_b[r])) / aq
-            entering_from = self.ubt[q] if lift[s] < 0.0 else self.lo[q]
-            col = t[:, s].copy()
+            q, leaving = nb.item(s), basis.item(r)
+            aq, zs = alpha.item(s), z.item(s)
+            at_bound = lo_r if to_lower else up_r     # where the leaving column stops
+            step = (x_r - at_bound) / aq
+            entering_from = ubt.item(q) if lift[s] < 0.0 else lo.item(q)
+            new_obj = obj + step * zs
+            if new_obj >= cutoff:
+                # confirm on the point the pivot would leave, recomputed
+                x = np.where(at_upper, ubt, lo)
+                x_b = xb.copy()
+                _daxpy(t[:, s], x_b, a=-step)
+                x[basis] = x_b
+                x[leaving] = at_bound
+                x[q] = entering_from + step
+                new_obj = float(cost @ x)
+                if new_obj >= cutoff:
+                    return "cutoff"
+
+            np.copyto(col, t[:, s])
             tr = _dgemv(1.0, t, alpha)            # old rows . pivot row, for the weights
-            tr_r = tr[r] + 1.0                    # row r's basic 1 included
+            tr_r = tr.item(r) + 1.0               # row r's basic 1 included
             _daxpy(col, xb, a=-step)
             xb[r] = entering_from + step
-            self.at_upper[leaving] = not to_lower
-            self.at_upper[q] = False
-            lift[s] = (1.0 if to_lower else -1.0) if up_b[r] - lo_b[r] > _EPS_FIX else 0.0
-            lo_b[r], up_b[r] = self.lo[q], self.ubt[q]
-            zs = z[s]
-            prow = self.exchange(r, s, alpha, col)
+            at_upper[leaving] = not to_lower
+            at_upper[q] = False
+            lift[s] = (1.0 if to_lower else -1.0) if up_r - lo_r > _EPS_FIX else 0.0
+            lo_b[r], up_b[r] = lo[q], ubt[q]
+            # the new row r, by which the rest of the tableau and the
+            # reduced costs update
+            alpha /= aq
+            alpha[s] = 1.0 / aq
+            t[:, s] = 0.0
+            t[r, :] = alpha
+            col[r] = 0.0
+            _dger(-1.0, col, alpha, a=t, overwrite_a=1)
+            basis[r], nb[s] = q, leaving
+            slot[leaving], slot[q] = s, -1
             # w_i += (col_i / aq)^2 tr_r - 2 (col_i / aq) tr_i; col_r is now 0
-            dw = col * tr_r
+            np.multiply(col, tr_r, out=dw)
             _daxpy(tr, dw, a=-2.0 * aq)
             dw *= col
             _daxpy(dw, w, a=1.0 / (aq * aq))
             w[r] = tr_r / (aq * aq)
             np.maximum(w, 1.0, out=w)             # a row holds its basic column's 1
             z[s] = 0.0
-            _daxpy(prow, z, a=-zs)
-            obj += step * zs
+            _daxpy(alpha, z, a=-zs)
+            obj = new_obj
             self.iterations += 1
             self.since_refactor += 1
 
@@ -640,8 +699,8 @@ class _Warm:
     def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
         self.std = std
         self.lay = lay = _layout(std, lb, ub)
-        m, n_cols = lay.rows.shape
-        self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt, np.arange(n_cols - m, n_cols))
+        n_cols = lay.rows.shape[1]
+        self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt)
         self.bin_cols = lay.col_of[std.binary]
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const

@@ -402,6 +402,25 @@ BAD_CONFIG_VALUES = [
     ({"n_values": [6, 1]}, "n_values"),
     ({"n_values": [6.5]}, "n_values"),
     ({"n_values": 6}, "n_values"),
+    ({"classifier": {"kind": "logistic", "c": None}}, "classifier c"),
+    ({"classifier": {"kind": "logistic", "c": 0}}, "classifier c"),
+    ({"classifier": {"kind": "svm", "c": -1.0}}, "classifier c"),
+    ({"classifier": None}, "classifier"),
+    ({"dataset": {"kind": "synthetic", "n_rows": None, "seed": 11}}, "n_rows"),
+    ({"dataset": {"kind": "synthetic", "n_rows": 160, "seed": None}}, "dataset seed"),
+    ({"split_ratio": "x"}, "split_ratio"),
+    ({"split_ratio": 1.0}, "split_ratio"),
+    ({"split_seed": "x"}, "split_seed"),
+    ({"reference_seed": "x"}, "reference_seed"),
+    ({"n_explained": "x"}, "n_explained"),
+    ({"lof_eval_k": "x"}, "lof_eval_k"),
+    ({"time_limits": {"6": -5}}, "time_limits"),
+    ({"time_limits": {"6": 0}}, "time_limits"),
+    ({"time_limits": {"6": float("nan")}}, "time_limits"),
+    ({"time_limits": [60]}, "time_limits"),
+    ({"formulations": ["fancy"]}, "formulations"),
+    ({"formulations": "reduced"}, "formulations"),
+    ({"out_dir": 5}, "out_dir"),
 ]
 BAD_FOREST_SIZES = [
     ({"n_trees": -1}, "n_trees"),

@@ -19,7 +19,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cfmilp import solver
 from cfmilp.formulations import explain
-from cfmilp.milpcore import MilpModel, evaluate
+from cfmilp.milpcore import MilpModel, Rows, evaluate
 from cfmilp.solver import SolverParams, solve_lp, solve_milp
 
 from _instances import credit_instance
@@ -678,6 +678,76 @@ def test_warm_cutoff_stops_only_above_the_optimum():
             assert below.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
         n_cut += below.status == "cutoff"
     assert n_cut >= 1
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _start_models(family):
+    if family == "credit svm":
+        return [credit_instance("svm", 20, formulation=f)["model"] for f in ("original", "reduced")]
+    if family == "forest":
+        return [credit_instance("forest", 20)["model"]]
+    rng = np.random.default_rng(7 if family == "boxed random LPs" else 11)
+    return [build(*_random_lp(rng, free_bounds=family == "free random LPs")) for _ in range(40)]
+
+
+@pytest.mark.parametrize("family", ["credit svm", "forest", "boxed random LPs", "free random LPs"])
+def test_slack_start_equals_a_refactor_bit_for_bit(family):
+    # the slack basis is written without a factorization; a refactor of that
+    # basis must give every state array bit for bit, signed zeros included,
+    # and the layout's rows must be those the sorting constructor gives
+    for model in _start_models(family):
+        std = model.arrays
+        tab = solver._Warm(std, std.lb, std.ub).tab
+        rows = tab.rows
+        perm = np.random.default_rng(3).permutation(rows.row.size)
+        ref = Rows(rows.row[perm], rows.col[perm], rows.val[perm], rows.shape)
+        for key in ("row", "col", "val", "indptr"):
+            assert _bits(getattr(rows, key)) == _bits(getattr(ref, key)), key
+        keys = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt")
+        direct = {key: _bits(getattr(tab, key)) for key in keys}
+        tab.index()
+        tab.refactor()
+        for key in keys:
+            assert direct[key] == _bits(getattr(tab, key)), key
+
+
+def test_cutoff_answers_hold_against_cold_lps(monkeypatch):
+    # a node LP answers "cutoff" only when its cold optimum reaches the
+    # cutoff, up to the prune tolerance, and it stops before the pivot that
+    # would reach it: the state it leaves is still under the cutoff
+    models = [credit_instance("svm", 20, formulation=f)["model"] for f in ("original", "reduced")]
+    models.append(credit_instance("forest", 20)["model"])
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        c, bounds, rows, bins = _random_milp(rng)
+        models.append(build(c, bounds, rows, binaries=bins))
+    answers = []
+    solve = solver._Warm.solve
+
+    def spy(self, fixes, deadline=None, cutoff=math.inf, changed=None):
+        res = solve(self, fixes, deadline, cutoff, changed)
+        if res.status == "cutoff":
+            left = float(self.tab.cost @ self.tab.values()) + self.offset
+            answers.append((dict(fixes), cutoff, res.iterations, left))
+        return res
+
+    monkeypatch.setattr(solver._Warm, "solve", spy)
+    n_pivoted = 0
+    for model in models:
+        answers.clear()
+        solve_milp(model)
+        for fixes, cutoff, pivots, left in answers:
+            ref = solve_lp(model, overrides=fixes)
+            tol = 1e-9 * max(1.0, abs(cutoff))
+            assert ref.status == "infeasible" or ref.objective >= cutoff - tol, fixes
+            if pivots:
+                assert left < cutoff, fixes
+                n_pivoted += 1
+    assert n_pivoted >= 20
 
 
 def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
