@@ -402,6 +402,8 @@ BAD_CONFIG_VALUES = [
     ({"n_values": [6, 1]}, "n_values"),
     ({"n_values": [6.5]}, "n_values"),
     ({"n_values": 6}, "n_values"),
+]
+BAD_RUN_SETTINGS = [
     ({"classifier": {"kind": "logistic", "c": None}}, "classifier c"),
     ({"classifier": {"kind": "logistic", "c": 0}}, "classifier c"),
     ({"classifier": {"kind": "svm", "c": -1.0}}, "classifier c"),
@@ -431,7 +433,7 @@ BAD_FOREST_SIZES = [
 ]
 
 
-@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES)
+@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + BAD_RUN_SETTINGS)
 def test_config_rejects_bad_values(tmp_path, over, key):
     with pytest.raises(ConfigError, match=key):
         RunConfig.from_dict(config_dict(tmp_path, **over))
@@ -447,7 +449,7 @@ def test_train_classifier_rejects_bad_forest_sizes(over, key):
 
 @pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + [
     ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, **bad}}, key)
-    for bad, key in BAD_FOREST_SIZES])
+    for bad, key in BAD_FOREST_SIZES] + BAD_RUN_SETTINGS)
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
     cfg_path = write_config(tmp_path, **over)
     assert main(["explain", "--config", cfg_path, "--index", "0"]) == 2
