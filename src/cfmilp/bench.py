@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .actionspace import ActionConfig, ActionConfigError, ActionSpace, build_action_space
-from .classifiers import (classification_metrics, load_model, predict,
+from .classifiers import (Forest, classification_metrics, load_model, predict,
                           predict_many, save_model, train_forest, train_linear_svm,
                           train_logistic)
 from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, encode,
@@ -205,6 +205,9 @@ def prepare(config: RunConfig, model_path: str | None = None) -> Prepared:
     dataset = load_dataset(config.dataset)
     train, test = split(dataset, config.split_ratio, config.split_seed)
     clf = load_model(model_path) if model_path else train_classifier(config.classifier, train)
+    width = clf.n_features if isinstance(clf, Forest) else clf.weights.size
+    if width != train.x.shape[1]:
+        raise ValueError(f"the model takes {width} features, the data has {train.x.shape[1]}")
     metric = DeltaMetric.from_matrix(train.x)
     mahal = build_mahalanobis(train.x)
     preds = predict_many(clf, test.x)

@@ -6,11 +6,22 @@ and evaluated on standardized features and therefore carries its scaler; the
 forest aggregates per-tree leaf probabilities by plain averaging against a
 0.5 threshold.  Trainers are deterministic given their seed, so saving the
 same retrained model twice yields identical bytes.
+
+The SVM and forest trainers are written for few numpy calls per step, and
+compute bit for bit what the plain loops compute: the same floating-point
+operations in the same order.  The SVM step works in buffers made once and
+sums its active rows from rows pre-multiplied by their labels; that is exact
+because a label of +-1 only flips signs, and the gathered rows are summed by
+the same BLAS product, in the same order, as ``y[active] @ xs[active]``.  The
+forest scores all sampled features of a node in one 2-D pass, with the same
+Gini expression per cut and the same rule between features.  The bits can
+still differ between BLAS kernels, as any BLAS sum can.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,24 +125,43 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     schedule step_t = 1 / (lam * (t+1)) with lam = 1 / (c*n), averaging the
     second half of the iterates.  The scaler is stored on the model and is
     applied inside predict, so callers always pass raw encoded instances.
+    Labels must be -1 or +1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.abs(y) == 1.0).all():
+        raise ValueError("SVM labels must be -1 or +1")
     xs = apply_scaler(scaler, x)
     n, d = xs.shape
     lam = 1.0 / (c * n)
+    signed = y[:, None] * xs            # exact: every label is +-1
+    ones = np.ones(n)
+    margin = np.empty(n)
+    active = np.empty(n, dtype=bool)
+    rows = np.empty((n, d))
+    hinge = np.empty(d)
+    gw = np.empty(d)
     w = np.zeros(d)
     b = 0.0
     w_avg = np.zeros(d)
     b_avg = 0.0
     n_avg = 0
     for t in range(max_iter):
-        margin = y * (xs @ w + b)
-        active = margin < 1.0
-        gw = lam * w - (y[active] @ xs[active]) / n
-        gb = -float(y[active].sum()) / n
+        np.matmul(xs, w, out=margin)
+        margin += b
+        margin *= y
+        np.less(margin, 1.0, out=active)
+        idx = np.flatnonzero(active)
+        k = idx.size
+        signed.take(idx, axis=0, out=rows[:k], mode="clip")
+        np.matmul(ones[:k], rows[:k], out=hinge)     # == y[active] @ xs[active]
+        hinge /= n
+        gb = -float(y @ active) / n
         step = 1.0 / (lam * (t + 1))
-        w = w - step * gw
+        np.multiply(w, lam, out=gw)
+        gw -= hinge
+        gw *= step
+        w -= gw
         b = b - step * gb
         if t >= max_iter // 2:
             w_avg += w
@@ -142,33 +172,44 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     return LinearModel(kind="svm", weights=w, intercept=float(b), scaler=scaler)
 
 
-def _gini_split(values: np.ndarray, y01: np.ndarray):
-    """Best threshold for one feature: (weighted_gini, threshold) or None."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    t = y01[order]
-    n = v.size
-    pos = np.cumsum(t)
+def _best_split(xf: np.ndarray, y01: np.ndarray):
+    """Best (weighted_gini, column, threshold) over the columns of ``xf``,
+    or None when no column has two distinct values.
+
+    Each column's best split is its first lowest Gini among the cuts between
+    distinct values; a later column wins only when it is lower by 1e-12.
+    """
+    n = xf.shape[0]
+    order = np.argsort(xf, axis=0, kind="stable")
+    v = np.take_along_axis(xf, order, axis=0)
+    pos = np.cumsum(y01[order], axis=0)
     total_pos = pos[-1]
-    # split after position i (1..n-1), only between distinct values
-    cut = np.nonzero(v[1:] > v[:-1])[0]
-    if cut.size == 0:
-        return None
-    nl = cut + 1.0
+    pos = pos[:-1]
+    # split after row i (1..n-1), only between distinct values
+    nl = np.arange(1.0, n)[:, None]
     nr = n - nl
-    pl = pos[cut] / nl
-    pr = (total_pos - pos[cut]) / nr
+    pl = pos / nl
+    pr = (total_pos - pos) / nr
     gini = nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))
-    j = int(np.argmin(gini))
-    thr = 0.5 * (v[cut[j]] + v[cut[j] + 1])
-    return float(gini[j] / n), float(thr)
+    gini[v[1:] <= v[:-1]] = np.inf
+    cut = np.argmin(gini, axis=0)
+    best = None
+    for col, j in enumerate(cut.tolist()):
+        g = gini[j, col]
+        if g == np.inf:
+            continue
+        g = float(g / n)
+        if best is None or g < best[0] - 1e-12:
+            best = (g, col, float(0.5 * (v[j, col] + v[j + 1, col])))
+    return best
 
 
 def _grow_tree(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
     node = len(nodes["feature"])
     for key in nodes:
         nodes[key].append(0)
-    p = float(y01[idx].mean())
+    yi = y01[idx]
+    p = float(yi.mean())
     nodes["prob"][node] = p
     pure = p == 0.0 or p == 1.0
     if depth >= max_depth or pure or idx.size < 2:
@@ -178,20 +219,14 @@ def _grow_tree(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
         return node
     d = x.shape[1]
     feats = np.sort(rng.choice(d, size=n_sub, replace=False))
-    best = None
-    for f in feats:
-        res = _gini_split(x[idx, f], y01[idx])
-        if res is None:
-            continue
-        g, thr = res
-        if best is None or g < best[0] - 1e-12:
-            best = (g, int(f), thr)
+    best = _best_split(x[idx[:, None], feats], yi)
     if best is None:
         nodes["feature"][node] = -1
         nodes["threshold"][node] = 0.0
         nodes["left"][node] = nodes["right"][node] = -1
         return node
-    _, f, thr = best
+    _, col, thr = best
+    f = int(feats[col])
     mask = x[idx, f] <= thr
     nodes["feature"][node] = f
     nodes["threshold"][node] = thr
@@ -284,28 +319,81 @@ def save_model(model, path: str | Path) -> None:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a JSON number (not a bool) that is a finite float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:         # an integer too large for a float
+        return False
+
+
+def _array(vals, what: str, width: int | None = None) -> np.ndarray:
+    if not isinstance(vals, list) or not vals or not all(_finite(v) for v in vals):
+        raise ValueError(f"{what} must be a non-empty list of finite numbers")
+    if width is not None and len(vals) != width:
+        raise ValueError(f"{what} has {len(vals)} entries, expected {width}")
+    return np.array(vals, dtype=float)
+
+
+def _load_tree(t, n_features: int, what: str) -> Tree:
+    """A tree as save_model writes it: equal-length arrays in preorder, so
+    every split's children come after it and a lookup always ends."""
+    if not isinstance(t, dict):
+        raise ValueError(f"{what} must be an object")
+    prob = _array(t.get("prob"), f"{what} 'prob'")
+    m = prob.size
+    threshold = _array(t.get("threshold"), f"{what} 'threshold'", m)
+    links = np.array([_array(t.get(key), f"{what} '{key}'", m)
+                      for key in ("feature", "left", "right")])
+    if (links % 1).any():
+        raise ValueError(f"{what}: 'feature', 'left' and 'right' must be integers")
+    feature, left, right = links.astype(int)
+    split = feature >= 0
+    node = np.arange(m)[split]
+    if (((feature < 0) & (feature != -1)).any() or (feature >= n_features).any()
+            or ((prob < 0.0) | (prob > 1.0)).any()
+            or not ((node < left[split]) & (left[split] < m)
+                    & (node < right[split]) & (right[split] < m)).all()):
+        raise ValueError(f"{what}: a feature, child index or probability is out of range")
+    return Tree(feature=feature, threshold=threshold, left=left, right=right, prob=prob)
+
+
 def load_model(path: str | Path):
+    """Read a model written by save_model; ValueError on any other document."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc["kind"] == "forest":
-        return Forest(
-            kind="forest",
-            n_features=int(doc["n_features"]),
-            trees=[
-                Tree(
-                    feature=np.array(t["feature"], dtype=int),
-                    threshold=np.array(t["threshold"], dtype=float),
-                    left=np.array(t["left"], dtype=int),
-                    right=np.array(t["right"], dtype=int),
-                    prob=np.array(t["prob"], dtype=float),
-                )
-                for t in doc["trees"]
-            ],
-        )
-    return LinearModel(
-        kind=doc["kind"],
-        weights=np.array(doc["weights"], dtype=float),
-        intercept=float(doc["intercept"]),
-        scaler=StandardScaler.from_dict(doc["scaler"]) if doc.get("scaler") else None,
-        converged=bool(doc.get("converged", True)),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
+    kind = doc.get("kind")
+    if kind == "forest":
+        n_features = doc.get("n_features")
+        if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
+            raise ValueError("forest model 'n_features' must be an integer >= 1")
+        trees = doc.get("trees")
+        if not isinstance(trees, list) or not trees:
+            raise ValueError("forest model 'trees' must be a non-empty list")
+        return Forest(kind="forest", n_features=n_features,
+                      trees=[_load_tree(t, n_features, f"forest model tree {i}")
+                             for i, t in enumerate(trees)])
+    if kind not in ("logistic", "svm"):
+        raise ValueError(f"model kind must be 'logistic', 'svm' or 'forest', got {kind!r}")
+    weights = _array(doc.get("weights"), f"{kind} model 'weights'")
+    intercept = doc.get("intercept")
+    if not _finite(intercept):
+        raise ValueError(f"{kind} model 'intercept' must be a finite number")
+    scaler = doc.get("scaler")
+    if kind == "svm":
+        if not isinstance(scaler, dict):
+            raise ValueError("svm model 'scaler' must be an object")
+        d = weights.size
+        _array(scaler.get("means"), "svm scaler 'means'", d)
+        stds = _array(scaler.get("stds"), "svm scaler 'stds'", d)
+        cols = scaler.get("scaled_cols")
+        if (stds <= 0.0).any() or not isinstance(cols, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < d for c in cols):
+            raise ValueError("svm scaler needs 'stds' > 0 and 'scaled_cols' indexing the weights")
+        scaler = StandardScaler.from_dict(scaler)
+    elif scaler is not None:
+        raise ValueError("logistic model 'scaler' must be null")
+    return LinearModel(kind=kind, weights=weights, intercept=float(intercept),
+                       scaler=scaler, converged=bool(doc.get("converged", True)))

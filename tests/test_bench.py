@@ -458,6 +458,78 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def svm_model_doc(tmp_path_factory):
+    """A config with an SVM and the document ``train`` saves for it."""
+    tmp = tmp_path_factory.mktemp("svm")
+    cfg = write_config(tmp, classifier={"kind": "svm"})
+    assert main(["train", "--config", cfg, "--out", str(tmp / "model.json")]) == 0
+    return cfg, json.loads((tmp / "model.json").read_text(encoding="utf-8"))
+
+
+def _narrowed(doc):
+    width = len(doc["weights"]) - 1
+    scaler = {"means": doc["scaler"]["means"][:width], "stds": doc["scaler"]["stds"][:width],
+              "scaled_cols": [c for c in doc["scaler"]["scaled_cols"] if c < width]}
+    return dict(doc, weights=doc["weights"][:width], scaler=scaler)
+
+
+def _forest(n_features, **tree):
+    return {"kind": "forest", "n_features": n_features,
+            "trees": [dict({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                            "prob": [0.5]}, **tree)]}
+
+
+BAD_MODEL_DOCS = {
+    "empty-object": (lambda d: {}, "kind"),
+    "not-an-object": (lambda d: [1, 2], "object"),
+    "unknown-kind": (lambda d: dict(d, kind="x"), "kind"),
+    "svm-scaler-null": (lambda d: dict(d, scaler=None), "scaler"),
+    "logistic-with-scaler": (lambda d: dict(d, kind="logistic"), "scaler"),
+    "forest-without-trees": (lambda d: {"kind": "forest", "n_features": 5}, "trees"),
+    "weights-shorter-than-scaler": (lambda d: dict(d, weights=d["weights"][:-1]), "entries"),
+    "weights-narrower-than-data": (_narrowed, "features"),
+    "weight-nan": (lambda d: dict(d, weights=[float("nan")] + d["weights"][1:]), "finite"),
+    "weight-string": (lambda d: dict(d, weights=["1"] + d["weights"][1:]), "numbers"),
+    "intercept-null": (lambda d: dict(d, intercept=None), "intercept"),
+    "scaler-std-zero": (lambda d: dict(d, scaler=dict(d["scaler"], stds=[0.0] * len(
+        d["weights"]))), "stds"),
+    "forest-narrower-than-data": (lambda d: _forest(len(d["weights"]) - 1), "features"),
+    "forest-unequal-arrays": (lambda d: _forest(len(d["weights"]), prob=[0.5, 0.5]), "entries"),
+    "forest-child-loop": (lambda d: _forest(len(d["weights"]), feature=[0], left=[0],
+                                            right=[0]), "out of range"),
+    "forest-feature-too-high": (lambda d: _forest(len(d["weights"]), feature=[99], left=[1],
+                                                  right=[1]), "out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODEL_DOCS))
+def test_cli_bad_model_file_exit_code(tmp_path, capsys, svm_model_doc, case):
+    # each of these used to end in a traceback, a numpy message or an answer
+    cfg_path, doc = svm_model_doc
+    bad, key = BAD_MODEL_DOCS[case]
+    model = tmp_path / "bad_model.json"
+    model.write_text(json.dumps(bad(doc)), encoding="utf-8")
+    assert main(["explain", "--config", cfg_path, "--index", "0", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_cli_saved_model_is_explained_as_trained(tmp_path, capsys, svm_model_doc):
+    cfg_path, doc = svm_model_doc
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    idx = str(prepare(RunConfig.from_json(cfg_path)).rejected[0])
+    outs = [tmp_path / "trained.json", tmp_path / "loaded.json"]
+    assert main(["explain", "--config", cfg_path, "--index", idx, "--out", str(outs[0])]) == 0
+    assert main(["explain", "--config", cfg_path, "--index", idx, "--out", str(outs[1]),
+                 "--model", str(model)]) == 0
+    trained, loaded = (json.loads(p.read_text(encoding="utf-8")) for p in outs)
+    for key in ("status", "objective", "action", "nodes", "lp_iterations"):
+        assert trained[key] == loaded[key]
+
+
 def test_cli_export_lp(tmp_path, capsys):
     from _oracles import parse_lp
     cfg_path = write_config(tmp_path)

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from cfmilp.bench import load_dataset
 from cfmilp.classifiers import (Forest, LinearModel, Tree, classification_metrics,
                                 decision_value, load_model, predict, predict_many,
                                 save_model, train_forest, train_linear_svm, train_logistic)
-from cfmilp.data import StandardScaler, fit_scaler
+from cfmilp.data import StandardScaler, fit_scaler, split
+
+from _instances import random_tabular
+from _oracles import forest_reference, svm_reference
 
 
 def separable_cloud(seed=0, n=120, d=4, margin=0.4):
@@ -83,6 +87,15 @@ class TestTrainSvm:
         a = train_linear_svm(x, y, scaler, c=1.0)
         b = train_linear_svm(x, y, scaler, c=1.0)
         assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
+
+    @pytest.mark.parametrize("labels", [(0, 1), (1, 2), (-1, 0.5)])
+    def test_rejects_labels_other_than_plus_minus_one(self, labels):
+        # with 0/1 labels every 0-row is active but adds nothing to the step
+        x, y = separable_cloud(seed=6)
+        y = np.where(y == 1, labels[1], labels[0])
+        scaler = fit_scaler(x, list(range(x.shape[1])))
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            train_linear_svm(x, y, scaler)
 
 
 class TestTree:
@@ -183,3 +196,69 @@ class TestSaveLoad:
         save_model(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # stays valid JSON
+
+
+# -- the trainers against their plain reference loops --------------------------------
+
+def numeric_scaler(enc):
+    return fit_scaler(enc.x, [enc.encoding.spans[i][0]
+                              for i, f in enumerate(enc.schema.features)
+                              if f.kind == "numeric"])
+
+
+@pytest.fixture(scope="module")
+def credit_train():
+    """The benchmark's credit split: 600 synthetic rows, 0.75 with seed 1."""
+    return split(load_dataset({"kind": "synthetic", "n_rows": 600, "seed": 11}), 0.75, 1)[0]
+
+
+def mixed_set(j):
+    """The j-th 70-row set of small-mixed's trained SVM and forest instances."""
+    rng = np.random.default_rng(j)
+    enc = random_tabular(rng, int(rng.integers(2, 4)), int(rng.integers(0, 2)), 70, 0.55)
+    w_true = rng.normal(0, 1, enc.x.shape[1])
+    scores = enc.x @ w_true - np.median(enc.x @ w_true)
+    enc.y = np.where(scores + 0.3 * rng.normal(size=len(scores)) >= 0, 1, -1)
+    return enc
+
+
+def assert_same_saved_bytes(model, reference, tmp_path):
+    save_model(model, tmp_path / "model.json")
+    save_model(reference, tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+class TestSameBitsAsReference:
+    """Saved models equal the plain loops' byte for byte.  Both sides are
+    trained in the same process rather than compared with stored digests,
+    since another BLAS kernel may round its sums differently."""
+
+    @pytest.mark.parametrize("c", [1.0, 0.1])
+    def test_svm_credit(self, tmp_path, credit_train, c):
+        scaler = numeric_scaler(credit_train)
+        assert_same_saved_bytes(train_linear_svm(credit_train.x, credit_train.y, scaler, c=c),
+                                svm_reference(credit_train.x, credit_train.y, scaler, c=c),
+                                tmp_path)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_svm_mixed(self, tmp_path, j):
+        enc = mixed_set(j)
+        scaler = numeric_scaler(enc)
+        assert_same_saved_bytes(train_linear_svm(enc.x, enc.y, scaler),
+                                svm_reference(enc.x, enc.y, scaler), tmp_path)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_forest_mixed(self, tmp_path, j):
+        enc = mixed_set(j)
+        assert_same_saved_bytes(train_forest(enc.x, enc.y, n_trees=5, max_depth=3, seed=j),
+                                forest_reference(enc.x, enc.y, n_trees=5, max_depth=3, seed=j),
+                                tmp_path)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n_trees, max_depth", [(100, 6), (20, 4), (5, 3)])
+    def test_forest_credit(self, tmp_path, credit_train, n_trees, max_depth, seed):
+        x, y = credit_train.x, credit_train.y
+        assert_same_saved_bytes(
+            train_forest(x, y, n_trees=n_trees, max_depth=max_depth, seed=seed),
+            forest_reference(x, y, n_trees=n_trees, max_depth=max_depth, seed=seed),
+            tmp_path)
