@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
-import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,8 +32,8 @@ from .actionspace import ActionConfig, ActionConfigError, ActionSpace, build_act
 from .classifiers import (Forest, classification_metrics, load_model, predict,
                           predict_many, save_model, train_forest, train_linear_svm,
                           train_logistic)
-from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, encode,
-                   fit_scaler, load_csv, split, synthetic_credit)
+from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, as_count,
+                   as_real, encode, fit_scaler, load_csv, split, synthetic_credit)
 from .formulations import FORMULATIONS, PreconditionError, build_model, explain
 from .milpcore import ModelError, export_lp
 from .solver import SimplexError, SolverParams
@@ -49,19 +48,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _count(value, what: str, low: int) -> int:
-    """``value`` if it is an int (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str, rule: str, ok) -> float:
-    """``value`` as a float if it is a finite real (not a bool) that ``ok`` accepts."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not ok(value)):
-        raise ConfigError(f"{what} must be {rule}, got {value!r}")
-    return float(value)
+_count = functools.partial(as_count, error=ConfigError)
+_real = functools.partial(as_real, error=ConfigError)
 
 
 def _section(value, what: str) -> dict:

@@ -7,27 +7,24 @@ forest aggregates per-tree leaf probabilities by plain averaging against a
 0.5 threshold.  Trainers are deterministic given their seed, so saving the
 same retrained model twice yields identical bytes.
 
-The SVM and forest trainers are written for few numpy calls per step, and
-compute bit for bit what the plain loops compute: the same floating-point
-operations in the same order.  The SVM step works in buffers made once and
-sums its active rows from rows pre-multiplied by their labels; that is exact
+The SVM trainer is written for few numpy calls per step, and computes bit
+for bit what the plain subgradient loop computes: the same floating-point
+operations in the same order.  Its step works in buffers made once and sums
+its active rows from rows pre-multiplied by their labels; that is exact
 because a label of +-1 only flips signs, and the gathered rows are summed by
 the same BLAS product, in the same order, as ``y[active] @ xs[active]``.  The
-forest scores all sampled features of a node in one 2-D pass, with the same
-Gini expression per cut and the same rule between features.  The bits can
-still differ between BLAS kernels, as any BLAS sum can.
+bits can still differ between BLAS kernels, as any BLAS sum can.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import StandardScaler, apply_scaler
+from .data import StandardScaler, apply_scaler, as_count, as_real
 
 
 @dataclass
@@ -172,44 +169,33 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     return LinearModel(kind="svm", weights=w, intercept=float(b), scaler=scaler)
 
 
-def _best_split(xf: np.ndarray, y01: np.ndarray):
-    """Best (weighted_gini, column, threshold) over the columns of ``xf``,
-    or None when no column has two distinct values.
-
-    Each column's best split is its first lowest Gini among the cuts between
-    distinct values; a later column wins only when it is lower by 1e-12.
-    """
-    n = xf.shape[0]
-    order = np.argsort(xf, axis=0, kind="stable")
-    v = np.take_along_axis(xf, order, axis=0)
-    pos = np.cumsum(y01[order], axis=0)
+def _gini_split(values: np.ndarray, y01: np.ndarray):
+    """Best threshold for one feature: (weighted_gini, threshold) or None."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    t = y01[order]
+    n = v.size
+    pos = np.cumsum(t)
     total_pos = pos[-1]
-    pos = pos[:-1]
-    # split after row i (1..n-1), only between distinct values
-    nl = np.arange(1.0, n)[:, None]
+    # split after position i (1..n-1), only between distinct values
+    cut = np.nonzero(v[1:] > v[:-1])[0]
+    if cut.size == 0:
+        return None
+    nl = cut + 1.0
     nr = n - nl
-    pl = pos / nl
-    pr = (total_pos - pos) / nr
+    pl = pos[cut] / nl
+    pr = (total_pos - pos[cut]) / nr
     gini = nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))
-    gini[v[1:] <= v[:-1]] = np.inf
-    cut = np.argmin(gini, axis=0)
-    best = None
-    for col, j in enumerate(cut.tolist()):
-        g = gini[j, col]
-        if g == np.inf:
-            continue
-        g = float(g / n)
-        if best is None or g < best[0] - 1e-12:
-            best = (g, col, float(0.5 * (v[j, col] + v[j + 1, col])))
-    return best
+    j = int(np.argmin(gini))
+    thr = 0.5 * (v[cut[j]] + v[cut[j] + 1])
+    return float(gini[j] / n), float(thr)
 
 
 def _grow_tree(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
     node = len(nodes["feature"])
     for key in nodes:
         nodes[key].append(0)
-    yi = y01[idx]
-    p = float(yi.mean())
+    p = float(y01[idx].mean())
     nodes["prob"][node] = p
     pure = p == 0.0 or p == 1.0
     if depth >= max_depth or pure or idx.size < 2:
@@ -219,14 +205,20 @@ def _grow_tree(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
         return node
     d = x.shape[1]
     feats = np.sort(rng.choice(d, size=n_sub, replace=False))
-    best = _best_split(x[idx[:, None], feats], yi)
+    best = None
+    for f in feats:
+        res = _gini_split(x[idx, f], y01[idx])
+        if res is None:
+            continue
+        g, thr = res
+        if best is None or g < best[0] - 1e-12:
+            best = (g, int(f), thr)
     if best is None:
         nodes["feature"][node] = -1
         nodes["threshold"][node] = 0.0
         nodes["left"][node] = nodes["right"][node] = -1
         return node
-    _, col, thr = best
-    f = int(feats[col])
+    _, f, thr = best
     mask = x[idx, f] <= thr
     nodes["feature"][node] = f
     nodes["threshold"][node] = thr
@@ -319,20 +311,12 @@ def save_model(model, path: str | Path) -> None:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
-def _finite(v) -> bool:
-    """Whether ``v`` is a JSON number (not a bool) that is a finite float."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:         # an integer too large for a float
-        return False
-
-
 def _array(vals, what: str, width: int | None = None) -> np.ndarray:
-    if not isinstance(vals, list) or not vals or not all(_finite(v) for v in vals):
+    if not isinstance(vals, list) or not vals:
         raise ValueError(f"{what} must be a non-empty list of finite numbers")
     if width is not None and len(vals) != width:
         raise ValueError(f"{what} has {len(vals)} entries, expected {width}")
-    return np.array(vals, dtype=float)
+    return np.array([as_real(v, f"every entry of {what}") for v in vals])
 
 
 def _load_tree(t, n_features: int, what: str) -> Tree:
@@ -366,9 +350,7 @@ def load_model(path: str | Path):
         raise ValueError("model file must hold a JSON object")
     kind = doc.get("kind")
     if kind == "forest":
-        n_features = doc.get("n_features")
-        if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
-            raise ValueError("forest model 'n_features' must be an integer >= 1")
+        n_features = as_count(doc.get("n_features"), "forest model 'n_features'", 1)
         trees = doc.get("trees")
         if not isinstance(trees, list) or not trees:
             raise ValueError("forest model 'trees' must be a non-empty list")
@@ -378,9 +360,7 @@ def load_model(path: str | Path):
     if kind not in ("logistic", "svm"):
         raise ValueError(f"model kind must be 'logistic', 'svm' or 'forest', got {kind!r}")
     weights = _array(doc.get("weights"), f"{kind} model 'weights'")
-    intercept = doc.get("intercept")
-    if not _finite(intercept):
-        raise ValueError(f"{kind} model 'intercept' must be a finite number")
+    intercept = as_real(doc.get("intercept"), f"{kind} model 'intercept'")
     scaler = doc.get("scaler")
     if kind == "svm":
         if not isinstance(scaler, dict):
@@ -390,10 +370,10 @@ def load_model(path: str | Path):
         stds = _array(scaler.get("stds"), "svm scaler 'stds'", d)
         cols = scaler.get("scaled_cols")
         if (stds <= 0.0).any() or not isinstance(cols, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < d for c in cols):
+                as_count(c, "every entry of svm scaler 'scaled_cols'", 0) < d for c in cols):
             raise ValueError("svm scaler needs 'stds' > 0 and 'scaled_cols' indexing the weights")
         scaler = StandardScaler.from_dict(scaler)
     elif scaler is not None:
         raise ValueError("logistic model 'scaler' must be null")
-    return LinearModel(kind=kind, weights=weights, intercept=float(intercept),
+    return LinearModel(kind=kind, weights=weights, intercept=intercept,
                        scaler=scaler, converged=bool(doc.get("converged", True)))

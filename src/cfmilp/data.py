@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,27 @@ class SchemaError(ValueError):
 
 class ParseError(ValueError):
     """A CSV cell could not be parsed; message carries the line number."""
+
+
+def as_count(value, what: str, low: int, error: type[ValueError] = ValueError) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``low``, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, what: str, rule: str = "a finite number", ok=lambda v: True,
+            error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float if it is a finite real (not a bool) that ``ok``
+    accepts, else ``error``.  An integer too large for a float is not finite."""
+    try:
+        good = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and ok(value))
+    except OverflowError:
+        good = False
+    if not good:
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

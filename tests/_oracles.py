@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from the definitions with plain
 loops and sorted(), sharing no code with the package, so agreement between
-package and oracle is meaningful.  The reference trainers at the end are the
-exception: they are the plain training loops the package's trainers must
-match bit for bit, and they build the package's model containers so that
+package and oracle is meaningful.  The reference SVM trainer at the end is
+the exception: it is the plain training loop the package's trainer must
+match bit for bit, and it builds the package's model container so that
 ``save_model`` bytes can be compared.
 """
 
@@ -219,74 +219,3 @@ def svm_reference(x, y, scaler, c=1.0, max_iter=3000):
     return LinearModel(kind="svm", weights=w_avg / n_avg, intercept=float(b_avg / n_avg),
                        scaler=scaler)
 
-
-def _gini_split(values, y01):
-    """Best threshold for one feature: (weighted_gini, threshold) or None."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    t = y01[order]
-    n = v.size
-    pos = np.cumsum(t)
-    total_pos = pos[-1]
-    cut = np.nonzero(v[1:] > v[:-1])[0]
-    if cut.size == 0:
-        return None
-    nl = cut + 1.0
-    nr = n - nl
-    pl = pos[cut] / nl
-    pr = (total_pos - pos[cut]) / nr
-    gini = nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))
-    j = int(np.argmin(gini))
-    thr = 0.5 * (v[cut[j]] + v[cut[j] + 1])
-    return float(gini[j] / n), float(thr)
-
-
-def _grow_reference(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
-    node = len(nodes["feature"])
-    for key in nodes:
-        nodes[key].append(0)
-    p = float(y01[idx].mean())
-    nodes["prob"][node] = p
-    if depth >= max_depth or p == 0.0 or p == 1.0 or idx.size < 2:
-        nodes["feature"][node] = -1
-        nodes["left"][node] = nodes["right"][node] = -1
-        return node
-    feats = np.sort(rng.choice(x.shape[1], size=n_sub, replace=False))
-    best = None
-    for f in feats:
-        res = _gini_split(x[idx, f], y01[idx])
-        if res is not None and (best is None or res[0] < best[0] - 1e-12):
-            best = (res[0], int(f), res[1])
-    if best is None:
-        nodes["feature"][node] = -1
-        nodes["left"][node] = nodes["right"][node] = -1
-        return node
-    _, f, thr = best
-    mask = x[idx, f] <= thr
-    nodes["feature"][node] = f
-    nodes["threshold"][node] = thr
-    nodes["left"][node] = _grow_reference(x, y01, idx[mask], depth + 1, max_depth,
-                                          n_sub, rng, nodes)
-    nodes["right"][node] = _grow_reference(x, y01, idx[~mask], depth + 1, max_depth,
-                                           n_sub, rng, nodes)
-    return node
-
-
-def forest_reference(x, y, n_trees=100, max_depth=6, seed=0):
-    """The forest trainer with a separate split search per sampled feature."""
-    from cfmilp.classifiers import Forest, Tree
-
-    x = np.asarray(x, dtype=float)
-    y01 = (np.asarray(y) == 1).astype(float)
-    n, d = x.shape
-    n_sub = int(np.ceil(np.sqrt(d)))
-    rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n_trees):
-        boot = rng.integers(0, n, size=n)
-        nodes = {"feature": [], "threshold": [], "left": [], "right": [], "prob": []}
-        _grow_reference(x[boot], y01[boot], np.arange(n), 0, max_depth, n_sub, rng, nodes)
-        trees.append(Tree(**{key: np.array(vals, dtype=float if key in ("threshold", "prob")
-                                            else int)
-                             for key, vals in nodes.items()}))
-    return Forest(kind="forest", trees=trees, n_features=d)

@@ -423,6 +423,8 @@ BAD_RUN_SETTINGS = [
     ({"formulations": ["fancy"]}, "formulations"),
     ({"formulations": "reduced"}, "formulations"),
     ({"out_dir": 5}, "out_dir"),
+    ({"classifier": {"kind": "svm", "c": 10**400}}, "classifier c"),
+    ({"lam": 10**400}, "lam"),
 ]
 BAD_FOREST_SIZES = [
     ({"n_trees": -1}, "n_trees"),
@@ -490,7 +492,7 @@ BAD_MODEL_DOCS = {
     "weights-shorter-than-scaler": (lambda d: dict(d, weights=d["weights"][:-1]), "entries"),
     "weights-narrower-than-data": (_narrowed, "features"),
     "weight-nan": (lambda d: dict(d, weights=[float("nan")] + d["weights"][1:]), "finite"),
-    "weight-string": (lambda d: dict(d, weights=["1"] + d["weights"][1:]), "numbers"),
+    "weight-string": (lambda d: dict(d, weights=["1"] + d["weights"][1:]), "finite"),
     "intercept-null": (lambda d: dict(d, intercept=None), "intercept"),
     "scaler-std-zero": (lambda d: dict(d, scaler=dict(d["scaler"], stds=[0.0] * len(
         d["weights"]))), "stds"),
@@ -500,6 +502,10 @@ BAD_MODEL_DOCS = {
                                             right=[0]), "out of range"),
     "forest-feature-too-high": (lambda d: _forest(len(d["weights"]), feature=[99], left=[1],
                                                   right=[1]), "out of range"),
+    "weight-too-large-for-a-float": (lambda d: dict(d, weights=[10**400] + d["weights"][1:]),
+                                     "finite"),
+    "scaled-col-not-an-integer": (lambda d: dict(d, scaler=dict(d["scaler"], scaled_cols=[
+        0.5])), "scaled_cols"),
 }
 
 

@@ -10,7 +10,7 @@ from cfmilp.classifiers import (Forest, LinearModel, Tree, classification_metric
 from cfmilp.data import StandardScaler, fit_scaler, split
 
 from _instances import random_tabular
-from _oracles import forest_reference, svm_reference
+from _oracles import svm_reference
 
 
 def separable_cloud(seed=0, n=120, d=4, margin=0.4):
@@ -213,7 +213,7 @@ def credit_train():
 
 
 def mixed_set(j):
-    """The j-th 70-row set of small-mixed's trained SVM and forest instances."""
+    """The j-th 70-row set of small-mixed's trained SVM instances."""
     rng = np.random.default_rng(j)
     enc = random_tabular(rng, int(rng.integers(2, 4)), int(rng.integers(0, 2)), 70, 0.55)
     w_true = rng.normal(0, 1, enc.x.shape[1])
@@ -229,7 +229,7 @@ def assert_same_saved_bytes(model, reference, tmp_path):
 
 
 class TestSameBitsAsReference:
-    """Saved models equal the plain loops' byte for byte.  Both sides are
+    """Saved SVMs equal the plain loop's byte for byte.  Both sides are
     trained in the same process rather than compared with stored digests,
     since another BLAS kernel may round its sums differently."""
 
@@ -246,19 +246,3 @@ class TestSameBitsAsReference:
         scaler = numeric_scaler(enc)
         assert_same_saved_bytes(train_linear_svm(enc.x, enc.y, scaler),
                                 svm_reference(enc.x, enc.y, scaler), tmp_path)
-
-    @pytest.mark.parametrize("j", range(4))
-    def test_forest_mixed(self, tmp_path, j):
-        enc = mixed_set(j)
-        assert_same_saved_bytes(train_forest(enc.x, enc.y, n_trees=5, max_depth=3, seed=j),
-                                forest_reference(enc.x, enc.y, n_trees=5, max_depth=3, seed=j),
-                                tmp_path)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("n_trees, max_depth", [(100, 6), (20, 4), (5, 3)])
-    def test_forest_credit(self, tmp_path, credit_train, n_trees, max_depth, seed):
-        x, y = credit_train.x, credit_train.y
-        assert_same_saved_bytes(
-            train_forest(x, y, n_trees=n_trees, max_depth=max_depth, seed=seed),
-            forest_reference(x, y, n_trees=n_trees, max_depth=max_depth, seed=seed),
-            tmp_path)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmilp.data import (DatasetSchema, FeatureSpec, ParseError, RawDataset, SchemaError,
-                         StandardScaler, apply_scaler, build_encoding, decode_row, encode,
+                         StandardScaler, apply_scaler, as_count, as_real, build_encoding,
+                         decode_row, encode,
                          fit_scaler, load_csv, split, synthetic_credit,
                          synthetic_credit_schema, write_csv)
 
@@ -221,3 +222,22 @@ class TestSynthetic:
         back = load_csv(p, raw.schema)
         assert np.allclose(encode(back).x, encode(raw).x)
         assert back.labels == raw.labels
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("value", [True, 1.0, "3", None, 0, -2])
+    def test_count_rejects(self, value):
+        with pytest.raises(SchemaError, match="n must be an integer >= 1"):
+            as_count(value, "n", 1, SchemaError)
+
+    def test_count_accepts(self):
+        assert as_count(np.int64(3), "n", 1) == 3 and type(as_count(3, "n", 1)) is int
+
+    @pytest.mark.parametrize("value", [True, "1", None, math.nan, math.inf, 10**400, -1.0])
+    def test_real_rejects(self, value):
+        # an integer too large for a float used to raise OverflowError
+        with pytest.raises(ValueError, match="c must be a finite number >= 0"):
+            as_real(value, "c", "a finite number >= 0", lambda v: v >= 0)
+
+    def test_real_accepts(self):
+        assert as_real(2, "c") == 2.0 and type(as_real(2, "c")) is float
