@@ -60,6 +60,14 @@ class Forest:
     n_features: int
 
 
+def _signed_labels(y) -> np.ndarray:
+    """``y`` as floats; raises ValueError unless every label is -1 or +1."""
+    y = np.asarray(y, dtype=float)
+    if not (np.abs(y) == 1.0).all():
+        raise ValueError("labels must be -1 or +1")
+    return y
+
+
 def _logistic_objective(w, b, xs, y, c, inv_s2):
     z = y * (xs @ w + b)
     # log(1 + exp(-z)) computed stably
@@ -74,10 +82,11 @@ def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0,
     Internally the columns are standardized so the descent is well
     conditioned; the returned weights are mapped back to the raw feature
     space, and only those raw-space weights are penalized.  Deterministic:
-    zero start, backtracking line search, no randomness anywhere.
+    zero start, backtracking line search, no randomness anywhere.  Labels
+    must be -1 or +1.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _signed_labels(y)
     n, d = x.shape
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -125,9 +134,7 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     Labels must be -1 or +1.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.abs(y) == 1.0).all():
-        raise ValueError("SVM labels must be -1 or +1")
+    y = _signed_labels(y)
     xs = apply_scaler(scaler, x)
     n, d = xs.shape
     lam = 1.0 / (c * n)

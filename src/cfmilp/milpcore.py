@@ -294,7 +294,7 @@ def evaluate(model: MilpModel, values, tol: float = 1e-6) -> EvalResult:
 @dataclass
 class MilpSolution:
     status: str                   # optimal | feasible-time-limit | infeasible |
-                                  # unbounded | infeasible-unproven
+                                  # infeasible-unproven
     nodes: int
     lp_iterations: int
     wall_time: float

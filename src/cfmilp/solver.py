@@ -2,23 +2,25 @@
 
 The LP core works on the bounded-variable standard form (min c'x,
 Ax {<=,=,>=} b, l <= x <= u): variable bounds are handled implicitly through
-nonbasic at-lower/at-upper flags instead of explicit rows.  Free or
-upper-bounded-only variables are transformed away up front (shift, mirror,
-or split), so every column has a lower bound of 0.  Every row then gets a
-column of its own, a slack (+1 in a "<=" row, -1 in a ">=" row) or, in an
-"=" row, an artificial boxed at [0, 0]; these row columns are the start
-basis.  Rows are not flipped, so the rhs may have either sign.
+nonbasic at-lower/at-upper flags instead of explicit rows.  Every variable
+must be boxed, with finite bounds; ``solve_lp`` and ``solve_milp`` raise
+``ModelError`` on any other, before any LP work.  A variable's column is the
+variable less its lower bound, so every column has a lower bound of 0.
+Every row then gets a column of its own, a slack (+1 in a "<=" row, -1 in a
+">=" row) or, in an "=" row, an artificial boxed at [0, 0]; these row
+columns are the start basis.  Rows are not flipped, so the rhs may have
+either sign.
 
 The tableau keeps only B^-1 N: a dense (#rows) x (#columns - #rows) array
 with one slot per nonbasic column, built by a refactorization from any
 basis.  The slack basis needs none: its B is the diagonal of the slacks'
 signs, so the start state is written directly, with the operations a
 refactorization would run in the same order, and is the same bit for bit:
-the layout's rows come straight from the model's column-sorted matrix (no
-sort unless a variable is split), the tableau is the structural columns
-divided by the signs, the basic values are the rhs divided by them, the
-reduced costs are the costs, and the row weights add up 64-column blocks
-as a refactorization does.  A solve's set-up took 0.7 ms against 4.1 ms
+the layout's rows come straight from the model's column-sorted matrix
+without a sort, the tableau is the structural columns divided by the signs,
+the basic values are the rhs divided by them, the reduced costs are the
+costs, and the row weights add up 64-column blocks as a refactorization
+does.  A solve's set-up took 0.7 ms against 4.1 ms
 that way on the 509-row original encoding at N=20, and 4.7 against 30.2
 ms on the 2,669-row one at N=50 (medians of 41 interleaved calls, 2-core
 x86 host).  The basic columns are identity columns and are never stored;
@@ -34,16 +36,11 @@ largest infeasibility scaled by the squared norm of its tableau row (the
 row's basic 1 included); the entering column comes from a two-pass Harris
 ratio test.  An LP solved from scratch -- ``solve_lp``, and the root of
 branch and bound -- starts from the slack basis, whose reduced costs are the
-costs: each column with a finite range goes to the bound its cost favours,
-which leaves the basis dual feasible unless a column unbounded above has a
-negative reduced cost.  Only then does a dual phase 1 run, with the same
-dual simplex on a subproblem (Koberstein and Suhl, "Progress in the dual
-simplex method for large scale LP problems: practical dual phase 1
-algorithms", Comput. Optim. Appl. 37, 2007): it either ends with a dual
-feasible basis or shows that the LP is unbounded or infeasible.  No counterfactual model needs it, since all
-their variables are boxed.  Artificials that leave the basis stay in the
-tableau as zero-range columns and never enter again; a redundant equality
-row keeps its artificial basic at zero.
+costs: each structural column goes to the bound its cost favours, and
+since every one is boxed, that leaves the basis dual feasible without a
+dual phase 1.  Artificials that leave the basis stay in the tableau as
+zero-range columns and never enter again; a redundant equality row keeps
+its artificial basic at zero.
 
 Branch and bound solves every node after the root on the same live tableau.
 Each open node records its parent and the one binary it fixes, and starts
@@ -143,7 +140,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .milpcore import MilpModel, MilpSolution, ModelArrays, Rows, evaluate
+from .milpcore import MilpModel, MilpSolution, ModelArrays, ModelError, Rows, evaluate
 
 
 def _scipy_linalg_extension(name: str):
@@ -226,7 +223,7 @@ class SolverParams:
 
 @dataclass
 class LpResult:
-    status: str                      # optimal | infeasible | unbounded | cutoff
+    status: str                      # optimal | infeasible | cutoff
     iterations: int
     x: np.ndarray | None = None
     objective: float | None = None
@@ -287,65 +284,35 @@ class _Factor:
 
 @dataclass
 class _Layout:
-    """Model variables and rows as nonnegative tableau columns.
+    """Model variables and rows as tableau columns with a lower bound of 0.
 
-    x = base + sign * column, except a split (free) variable, which is
-    column - second column.  Structural columns precede one column per row:
-    a slack (+1 in a "<=" row, -1 in a ">=" row) or, in an "=" row, an
+    x = lb + column.  Structural columns precede one column per row: a
+    slack (+1 in a "<=" row, -1 in a ">=" row) or, in an "=" row, an
     artificial boxed at [0, 0].  These row columns are the start basis of
     every LP solved from scratch.
     """
 
-    col_of: np.ndarray               # (n,) column of each variable
-    col_neg: np.ndarray              # (n,) second column of a split variable, else -1
-    base: np.ndarray
-    sign: np.ndarray
-    rows: Rows                       # (m, n_cols)
+    lb: np.ndarray                   # (n,) variable lower bounds
+    rows: Rows                       # (m, n + m)
     rhs: np.ndarray                  # (m,) any sign
-    ubt: np.ndarray                  # (n_cols,) column upper bounds, inf allowed
-    cost: np.ndarray                 # (n_cols,)
+    ubt: np.ndarray                  # (n + m,) column upper bounds, inf on slacks
+    cost: np.ndarray                 # (n + m,)
 
     def point(self, xt: np.ndarray) -> np.ndarray:
-        x = self.base + self.sign * xt[self.col_of]
-        split = self.col_neg >= 0
-        if split.any():
-            x[split] = xt[self.col_of[split]] - xt[self.col_neg[split]]
-        return x
+        return self.lb + xt[:self.lb.size]
 
 
 def _layout(std: ModelArrays, lb: np.ndarray, ub: np.ndarray) -> _Layout:
-    fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
-    split = ~fin_lb & ~fin_ub
-    width = 1 + split.astype(int)
-    col_of = np.cumsum(width) - width
-    col_neg = np.where(split, col_of + 1, -1)
-    n_t = int(width.sum())
-    base = np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0))
-    sign = np.where(fin_lb | ~fin_ub, 1.0, -1.0)
-
-    m = std.rhs.size
-    n_cols = n_t + m
+    m, n = std.rhs.size, lb.size
     a = std.a
-    sr = np.nonzero(split[a.col])[0]
-    r = np.concatenate([a.row, a.row[sr], np.arange(m)])
-    cols = np.concatenate([col_of[a.col], col_neg[a.col[sr]], n_t + np.arange(m)])
-    data = np.concatenate([sign[a.col] * a.val, -a.val[sr],
-                           np.where(std.cmp == ">=", -1.0, 1.0)])
-    if sr.size:
-        # a split variable's second column sits between its first and the next
-        order = np.argsort(cols, kind="stable")
-        r, cols, data = r[order], cols[order], data[order]
-    # a is sorted by column, then row, and col_of increases, so these are too
-    rows = Rows.canonical(r, cols, data, (m, n_cols))
-
-    ubt = np.full(n_cols, np.inf)
-    ubt[col_of[fin_lb]] = (ub - lb)[fin_lb]
-    ubt[n_t:][std.cmp == "="] = 0.0
-    cost = np.zeros(n_cols)
-    cost[col_of] = sign * std.c
-    cost[col_neg[split]] = -std.c[split]
-    return _Layout(col_of=col_of, col_neg=col_neg, base=base, sign=sign, rows=rows,
-                   rhs=std.rhs - a.matvec(base), ubt=ubt, cost=cost)
+    # a is sorted by column, then row, and the row columns follow it
+    rows = Rows.canonical(np.concatenate([a.row, np.arange(m)]),
+                          np.concatenate([a.col, n + np.arange(m)]),
+                          np.concatenate([a.val, np.where(std.cmp == ">=", -1.0, 1.0)]),
+                          (m, n + m))
+    ubt = np.concatenate([ub - lb, np.where(std.cmp == "=", 0.0, np.inf)])
+    cost = np.concatenate([std.c, np.zeros(m)])
+    return _Layout(lb=lb, rows=rows, rhs=std.rhs - a.matvec(lb), ubt=ubt, cost=cost)
 
 
 _EPS_RC = 1e-9          # reduced cost of the wrong sign tolerated by dual feasibility
@@ -436,15 +403,16 @@ class _Tableau:
 
     def place(self, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """Give the columns ``cols`` the bounds ``lo`` and ``hi``; put each
-        nonbasic one among them at the finite bound its reduced cost favours
-        (the lower one on a tie), and move the basic values with it."""
+        nonbasic one among them at the bound its reduced cost favours (the
+        lower one on a tie), and move the basic values with it.  Every nonbasic
+        column placed is boxed: the slacks are basic when ``root`` places them."""
         slots = self.slot[cols]
         before = np.where(self.at_upper[cols], self.ubt[cols], self.lo[cols])
         self.lo[cols], self.ubt[cols] = lo, hi
         nonbasic = slots >= 0
         cols, slots, before = cols[nonbasic], slots[nonbasic], before[nonbasic]
         lo, hi = self.lo[cols], self.ubt[cols]
-        up = (self.z[slots] < 0.0) & (hi > lo) & np.isfinite(hi)
+        up = (self.z[slots] < 0.0) & (hi > lo)
         self.at_upper[cols] = up
         delta = np.where(up, hi, lo) - before
         moved = delta != 0.0
@@ -654,38 +622,6 @@ class _Tableau:
             self.refactor()
             refactored = True
 
-    def _rebase(self, ubt: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> None:
-        """Swap in new upper bounds, rhs and costs, and place every column."""
-        self.set_rhs(rhs)
-        self.cost = cost
-        self.refactor()
-        self.place(np.arange(ubt.size), self.lo.copy(), ubt)
-
-    def phase1(self, deadline: float | None = None) -> str | None:
-        """Make a placed basis dual feasible, or return the LP's status.
-
-        Once every column with a finite range sits at the bound its reduced
-        cost favours, only a column unbounded above can be dual infeasible.
-        The subproblem boxes those columns in [0, 1], fixes the others at 0
-        and zeroes the rhs.  Its optimum is the sum of the reduced costs
-        left at 1, so an optimum of 0 ends with a dual feasible basis for
-        the LP.  A negative optimum is a ray along which the LP's objective
-        falls: the LP is unbounded if it is feasible at all, which a dual
-        solve under zero costs decides.  Returns None when the basis is
-        dual feasible, else "unbounded" or "infeasible".
-        """
-        if not (np.isinf(self.ubt[self.nb]) & (self.z < -_EPS_RC)).any():
-            return None
-        ubt, rhs, cost = self.ubt.copy(), self.rhs, self.cost
-        self._rebase(np.where(np.isfinite(ubt), 0.0, 1.0), np.zeros(rhs.size), cost)
-        if self.solve(deadline)[0] != "optimal":
-            raise SimplexError("dual phase 1 lost its zero point")
-        if float(cost @ self.values()) >= -_EPS_RC:
-            self._rebase(ubt, rhs, cost)
-            return None
-        self._rebase(ubt, rhs, np.zeros(cost.size))
-        return "unbounded" if self.solve(deadline)[0] == "optimal" else "infeasible"
-
 
 class _Warm:
     """The live tableau of one LP, or of one branch-and-bound search.
@@ -699,11 +635,10 @@ class _Warm:
     def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
         self.std = std
         self.lay = lay = _layout(std, lb, ub)
-        n_cols = lay.rows.shape[1]
         self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt)
-        self.bin_cols = lay.col_of[std.binary]
+        self.bin_cols = np.nonzero(std.binary)[0]
         # model objective = tableau objective + offset
-        self.offset = float(std.c @ lay.point(np.zeros(n_cols))) + std.const
+        self.offset = float(std.c @ lb) + std.const
         self.start = None                       # (basis, at_upper) the root's dual starts from
         self.owner = None                       # node whose optimal state is live, with open children
         self.entered = set()                    # nodes one of whose two children was entered
@@ -712,16 +647,10 @@ class _Warm:
         self.held = 0                           # bytes of the buffers in saved and free
 
     def root(self, deadline: float | None = None, cutoff: float = np.inf) -> LpResult:
-        """The LP under the bounds given: place every column, run the dual
-        phase 1 if a column needs it, then ``solve`` with no fixes."""
+        """The LP under the bounds given: place every column, which makes the
+        slack basis dual feasible, then ``solve`` with no fixes."""
         tab = self.tab
         tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
-        try:
-            out = tab.phase1(deadline)
-        except _Restart:
-            raise SimplexError("dual phase 1 failed its checks") from None
-        if out is not None:
-            return LpResult(out, tab.iterations)
         self.start = tab.basis.copy(), tab.at_upper.copy()
         res = self.solve({}, deadline, cutoff)
         res.iterations = tab.iterations
@@ -762,16 +691,14 @@ class _Warm:
         """Give the binaries the bounds of the node ``fixes`` describes, and
         place the nonbasic ones whose bounds differ from the live ones."""
         tab = self.tab
-        if changed is not None:
-            col = self.lay.col_of[changed]
-            if tab.slot[col] < 0:
-                # fractional in its parent's optimum, so basic: no other
-                # bound differs, and the dual moves this one into its range
-                tab.lo[col], tab.ubt[col] = fixes[changed]
-                return
+        if changed is not None and tab.slot[changed] < 0:
+            # fractional in its parent's optimum, so basic: no other bound
+            # differs, and the dual moves this one into its range
+            tab.lo[changed], tab.ubt[changed] = fixes[changed]
+            return
         lo, hi = np.zeros(tab.ubt.size), self.lay.ubt.copy()
         if fixes:
-            cols = self.lay.col_of[list(fixes)]
+            cols = list(fixes)
             lo[cols], hi[cols] = np.array(list(fixes.values()), dtype=float).T
         cols = self.bin_cols[((lo != tab.lo) | (hi != tab.ubt))[self.bin_cols]]
         tab.place(cols, lo[cols], hi[cols])
@@ -837,6 +764,24 @@ def _copy(src: list, dst: list) -> list:
     return dst
 
 
+def _boxed_bounds(model: MilpModel, overrides: dict | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The variable bounds after ``overrides``; raises ModelError on any
+    that is not finite."""
+    std = model.arrays
+    lb, ub = std.lb, std.ub
+    if overrides:
+        lb, ub = lb.copy(), ub.copy()
+        for vid, (lo, hi) in overrides.items():
+            lb[vid], ub[vid] = lo, hi
+    bad = np.nonzero(~(np.isfinite(lb) & np.isfinite(ub)))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ModelError(f"variable {model.variables[i].name!r} has bounds [{lb[i]}, {ub[i]}]; "
+                         "the solver needs every variable boxed")
+    return lb, ub
+
+
 @_one_blas_thread()
 def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     """Solve the LP relaxation (binaries become [0,1] continuous).
@@ -844,11 +789,8 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     ``overrides`` maps variable id to an (lb, ub) pair replacing the
     declared bounds, which is how branch-and-bound fixes binaries.
     """
-    std = model.arrays
-    lb, ub = std.lb.copy(), std.ub.copy()
-    for vid, (lo, hi) in (overrides or {}).items():
-        lb[vid], ub[vid] = lo, hi
-    return _Warm(std, lb, ub).root()
+    lb, ub = _boxed_bounds(model, overrides)
+    return _Warm(model.arrays, lb, ub).root()
 
 
 @_one_blas_thread()
@@ -867,6 +809,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     t_start = time.perf_counter()
     deadline = t_start + params.time_limit_s
     std = model.arrays
+    lb, ub = _boxed_bounds(model)
     bin_ids = np.nonzero(std.binary)[0]
     prio = np.array([(branch_priority or {}).get(v, 0) for v in bin_ids.tolist()], dtype=float)
 
@@ -887,7 +830,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     warm = None                               # live tableau, from the root on
     timed_out = False
     hit_node_limit = False
-    root_unbounded = False
     best_bound = -np.inf
 
     while heap:
@@ -914,7 +856,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
 
         try:
             if warm is None:
-                warm = _Warm(std, std.lb, std.ub)
+                warm = _Warm(std, lb, ub)
                 res = warm.root(deadline, cut)
             else:
                 res = warm.solve(fixes, deadline, cut, vid if warm.enter(parent) else None)
@@ -927,9 +869,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         lp_iters += res.iterations
         if res.status in ("infeasible", "cutoff"):
             continue
-        if res.status == "unbounded":
-            root_unbounded = True
-            break
         bound = res.objective
         if bound >= cut:
             continue
@@ -962,8 +901,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             heapq.heappush(heap, (bound, next_id, {**fixes, j: (b, b)}, node_id, j))
 
     work = dict(nodes=nodes, lp_iterations=lp_iters, wall_time=time.perf_counter() - t_start)
-    if root_unbounded:
-        return MilpSolution("unbounded", **work)
     if incumbent is None:
         stopped = (timed_out or hit_node_limit) and heap
         return MilpSolution("infeasible-unproven" if stopped else "infeasible", **work)

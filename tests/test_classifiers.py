@@ -90,12 +90,15 @@ class TestTrainSvm:
 
     @pytest.mark.parametrize("labels", [(0, 1), (1, 2), (-1, 0.5)])
     def test_rejects_labels_other_than_plus_minus_one(self, labels):
-        # with 0/1 labels every 0-row is active but adds nothing to the step
+        # with 0/1 labels every 0-row adds nothing to the SVM's step or to
+        # the logistic gradient, so either would learn from one class only
         x, y = separable_cloud(seed=6)
         y = np.where(y == 1, labels[1], labels[0])
         scaler = fit_scaler(x, list(range(x.shape[1])))
         with pytest.raises(ValueError, match="-1 or \\+1"):
             train_linear_svm(x, y, scaler)
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            train_logistic(x, y)
 
 
 class TestTree:

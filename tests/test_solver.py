@@ -19,7 +19,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cfmilp import solver
 from cfmilp.formulations import explain
-from cfmilp.milpcore import MilpModel, Rows, evaluate
+from cfmilp.milpcore import MilpModel, ModelError, Rows, evaluate
 from cfmilp.solver import SolverParams, solve_lp, solve_milp
 
 from _instances import credit_instance
@@ -53,7 +53,7 @@ def test_lp_basic_cover():
 
 
 def test_lp_two_rows_interior_vertex():
-    m = build([-1.0, -1.0], [(0, INF), (0, INF)],
+    m = build([-1.0, -1.0], [(0, 10), (0, 10)],
               [([1.0, 2.0], "<=", 3.0), ([3.0, 1.0], "<=", 4.0)])
     res = solve_lp(m)
     assert res.status == "optimal"
@@ -61,34 +61,11 @@ def test_lp_two_rows_interior_vertex():
     assert res.x == pytest.approx([1.0, 1.0])
 
 
-def test_lp_unbounded():
-    m = build([-1.0, -1.0], [(0, INF), (0, INF)], [([1.0, -1.0], "<=", 1.0)])
-    assert solve_lp(m).status == "unbounded"
-    m2 = build([-1.0], [(0, INF)])
-    assert solve_lp(m2).status == "unbounded"
-
-
 def test_lp_infeasible():
     m = build([1.0], [(0, 1)], [([1.0], ">=", 2.0)])
     assert solve_lp(m).status == "infeasible"
-    m2 = build([1.0], [(0, INF)], [([1.0], "<=", -1.0)])
+    m2 = build([1.0], [(0, 10)], [([1.0], "<=", -1.0)])
     assert solve_lp(m2).status == "infeasible"
-
-
-def test_lp_mirrored_variable():
-    # only an upper bound: solved through the internal mirroring transform
-    m = build([-1.0], [(-INF, 4.0)], [([1.0], ">=", -100.0)])
-    res = solve_lp(m)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-4.0)
-    assert res.x[0] == pytest.approx(4.0)
-
-
-def test_lp_free_variable_split():
-    m = build([1.0], [(-INF, INF)], [([1.0], ">=", -7.0)])
-    res = solve_lp(m)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-7.0)
 
 
 def test_lp_bound_flip_vertex():
@@ -151,23 +128,19 @@ def _scipy_lp(c, bounds, rows):
                    bounds=bounds, method="highs")
 
 
-def _random_lp(rng, free_bounds):
+def _random_lp(rng):
     n = int(rng.integers(2, 8))
     c = rng.normal(size=n).round(3)
     bounds = []
     for _ in range(n):
         lo = round(float(rng.uniform(-4, 1)), 3)
         hi = lo + round(float(rng.uniform(0.5, 6)), 3)
-        if free_bounds and rng.random() < 0.25:
-            lo = -INF
-        if free_bounds and rng.random() < 0.25:
-            hi = INF
         bounds.append((lo, hi))
     rows = []
     for _ in range(int(rng.integers(1, 7))):
         coeffs = rng.normal(size=n).round(3)
         coeffs[rng.random(n) < 0.3] = 0.0
-        cmp = ("<=", ">=", "=")[int(rng.integers(0, 3 if not free_bounds else 2))]
+        cmp = ("<=", ">=", "=")[int(rng.integers(0, 3))]
         rows.append((list(coeffs), cmp, round(float(rng.normal()), 3)))
     return list(c), bounds, rows
 
@@ -176,7 +149,7 @@ def test_lp_sweep_box_vs_scipy():
     rng = np.random.default_rng(7)
     n_optimal = 0
     for _ in range(60):
-        c, bounds, rows = _random_lp(rng, free_bounds=False)
+        c, bounds, rows = _random_lp(rng)
         res = solve_lp(build(c, bounds, rows))
         ref = _scipy_lp(c, bounds, rows)
         if ref.status == 0:
@@ -190,29 +163,13 @@ def test_lp_sweep_box_vs_scipy():
     assert n_optimal >= 20            # the sweep must actually exercise optima
 
 
-def test_lp_sweep_unbounded_directions_vs_scipy():
-    rng = np.random.default_rng(11)
-    seen = set()
-    for _ in range(40):
-        c, bounds, rows = _random_lp(rng, free_bounds=True)
-        res = solve_lp(build(c, bounds, rows))
-        ref = _scipy_lp(c, bounds, rows)
-        status_map = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-        assert ref.status in status_map
-        assert res.status == status_map[ref.status]
-        if res.status == "optimal":
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-        seen.add(res.status)
-    assert "optimal" in seen and "unbounded" in seen
-
-
-# -- dual phase 1: columns unbounded above with negative reduced costs -----------------
+# -- degenerate and infeasible boxed LPs --------------------------------------------------
 
 def test_lp_beale_cycling_example():
-    # x0 and x2 have negative costs and no upper bound, so the slack
-    # basis is not dual feasible and the dual phase 1 runs first
+    # x0 and x2 have negative costs, so the slack basis puts them at their
+    # upper bounds of 10, where the third row fails and the dual pivots
     c = [-0.75, 20.0, -0.5, 6.0]
-    bounds = [(0, INF)] * 4
+    bounds = [(0, 10)] * 4
     rows = [([0.25, -8.0, -1.0, 9.0], "<=", 0.0), ([0.5, -12.0, -0.5, 3.0], "<=", 0.0),
             ([0.0, 0.0, 1.0, 0.0], "<=", 1.0)]
     ref = _scipy_lp(c, bounds, rows)
@@ -224,37 +181,30 @@ def test_lp_beale_cycling_example():
 
 
 @pytest.mark.parametrize("c,rows", [
+    # the column starts at its upper bound, on the wrong side of its row
     pytest.param([-1.0], [([1.0], "<=", -1.0)], id="one-column"),
-    # the cost falls along x0, which no row holds, while x1 cannot meet its row
+    # x0, which no row holds, starts at its upper bound, while x1 cannot
+    # meet its row
     pytest.param([-1.0, 0.0], [([0.0, 1.0], "<=", -1.0)], id="ray-beside-an-infeasible-row"),
 ])
 def test_lp_primal_and_dual_infeasible(c, rows):
-    bounds = [(0, INF)] * len(c)
+    bounds = [(0, 10)] * len(c)
     assert _scipy_lp(c, bounds, rows).status == 2
     assert solve_lp(build(c, bounds, rows)).status == "infeasible"
-
-
-def test_lp_unbounded_beside_redundant_equalities():
-    c = [-1.0, 1.0, 1.0]
-    bounds = [(0, INF)] * 3
-    rows = [([1.0, 1.0, 0.0], ">=", 1.0),
-            ([0.0, 1.0, 1.0], "=", 1.0), ([0.0, 2.0, 2.0], "=", 2.0)]
-    assert _scipy_lp(c, bounds, rows).status == 3
-    assert solve_lp(build(c, bounds, rows)).status == "unbounded"
 
 
 @pytest.mark.parametrize("k", [6, 10, 15])
 def test_lp_degenerate_assignment(k):
     # a vertex has k ones among its 2k basic values, so every vertex is
     # degenerate; costs drawn from five integers tie many of them, and the
-    # negative ones send the columns, unbounded above, through the dual phase 1
+    # negative ones start their columns at the upper bound of 1 the rows imply
     rng = np.random.default_rng(k)
     c = list(rng.integers(-2, 3, size=k * k).astype(float))
     rows = []
     for i in range(k):
         for picked in (np.arange(k * k) // k == i, np.arange(k * k) % k == i):
             rows.append((list(picked.astype(float)), "=", 1.0))
-    bounds = [(0, INF)] * (k * k)
+    bounds = [(0, 1)] * (k * k)
     ref = _scipy_lp(c, bounds, rows)
     m = build(c, bounds, rows)
     res = solve_lp(m)
@@ -266,7 +216,7 @@ def test_lp_degenerate_assignment(k):
 def test_lp_solution_vector_feasible():
     rng = np.random.default_rng(23)
     for _ in range(30):
-        c, bounds, rows = _random_lp(rng, free_bounds=False)
+        c, bounds, rows = _random_lp(rng)
         m = build(c, bounds, rows)
         res = solve_lp(m)
         if res.status != "optimal":
@@ -304,13 +254,6 @@ def test_milp_integer_infeasible():
     res = solve_milp(m)
     assert res.status == "infeasible"
     assert res.values is None
-
-
-def test_milp_unbounded_root():
-    m = build([-1.0, 0.0], [(0, INF), (0, 1)], binaries={1})
-    res = solve_milp(m)
-    assert res.status == "unbounded"
-    assert res.nodes == 1
 
 
 def test_milp_node_limit_statuses():
@@ -358,7 +301,7 @@ def test_milp_branch_priority_still_optimal():
 
 def test_milp_deterministic():
     rng = np.random.default_rng(3)
-    c, bounds, rows = _random_lp(rng, free_bounds=False)
+    c, bounds, rows = _random_lp(rng)
     m = build(c, bounds, rows, binaries=set(range(len(c) // 2)))
     a = solve_milp(m)
     b = solve_milp(m)
@@ -370,7 +313,7 @@ def test_milp_deterministic():
 
 
 def test_milp_pure_continuous_model():
-    m = build([-1.0, -1.0], [(0, INF), (0, INF)],
+    m = build([-1.0, -1.0], [(0, 10), (0, 10)],
               [([1.0, 2.0], "<=", 3.0), ([3.0, 1.0], "<=", 4.0)])
     res = solve_milp(m)
     assert res.status == "optimal"
@@ -690,11 +633,11 @@ def _start_models(family):
         return [credit_instance("svm", 20, formulation=f)["model"] for f in ("original", "reduced")]
     if family == "forest":
         return [credit_instance("forest", 20)["model"]]
-    rng = np.random.default_rng(7 if family == "boxed random LPs" else 11)
-    return [build(*_random_lp(rng, free_bounds=family == "free random LPs")) for _ in range(40)]
+    rng = np.random.default_rng(7)
+    return [build(*_random_lp(rng)) for _ in range(40)]
 
 
-@pytest.mark.parametrize("family", ["credit svm", "forest", "boxed random LPs", "free random LPs"])
+@pytest.mark.parametrize("family", ["credit svm", "forest", "boxed random LPs"])
 def test_slack_start_equals_a_refactor_bit_for_bit(family):
     # the slack basis is written without a factorization; a refactor of that
     # basis must give every state array bit for bit, signed zeros included,
@@ -850,7 +793,8 @@ _KINDS = ("svm", "logistic", "forest")
     # ActionConfig's default grid of 10, where the row blocks are at their largest
     *(pytest.param(kind, form, n, {"grid_size": 10}, id=f"{form}-{n}-grid10-{kind}")
       for form, n in (("original", 20), ("reduced", 50)) for kind in _KINDS),
-    pytest.param("svm", "reduced", 200, {"grid_size": 10}, id="reduced-200-grid10-svm"),
+    *(pytest.param(kind, "reduced", 200, {"grid_size": 10}, id=f"reduced-200-grid10-{kind}")
+      for kind in _KINDS),
     # 20 trees of depth 4: about 1,160 rows, most of them equalities, and
     # degenerate root LPs
     *(pytest.param("forest", "reduced", 20, {"n_trees": 20, "max_depth": 4, "rank": rank},
@@ -926,6 +870,41 @@ def test_blas_threads_restored_after_simplex_error(blas_threads, monkeypatch):
     assert blas_threads() == 2
     with pytest.raises(solver.SimplexError):
         solve_lp(_knapsack())
+    assert blas_threads() == 2
+
+
+def _unboxed(case):
+    """A model with an infinite bound, and the overrides that give it one."""
+    if case == "free":
+        return build([1.0], [(-INF, INF)], [([1.0], ">=", -7.0)]), None
+    if case == "lb -inf":
+        return build([-1.0], [(-INF, 4.0)], [([1.0], ">=", -100.0)]), None
+    if case == "ub +inf":
+        return build([-1.0, 0.0], [(0, INF), (0, 1)], binaries={1}), None
+    return _knapsack(), {0: (0.0, INF)}
+
+
+@pytest.mark.parametrize("case", ["free", "lb -inf", "ub +inf", "override"])
+def test_infinite_bounds_raise_before_any_lp_work(case, blas_threads, monkeypatch):
+    model, overrides = _unboxed(case)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP work began")
+
+    monkeypatch.setattr(solver, "_Warm", no_lp)
+    with pytest.raises(ModelError, match="boxed"):
+        solve_lp(model, overrides=overrides)
+    assert blas_threads() == 2
+    if overrides is not None:
+        return
+    with pytest.raises(ModelError, match="boxed"):
+        solve_milp(model)
+    assert blas_threads() == 2
+    # neither the node limit nor a feasible hint ends the search before the check
+    hint = np.zeros(model.n_vars)
+    assert evaluate(model, hint).feasible
+    with pytest.raises(ModelError, match="boxed"):
+        solve_milp(model, SolverParams(node_limit=0), incumbent_hint=hint)
     assert blas_threads() == 2
 
 
