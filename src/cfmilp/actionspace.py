@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EncodedDataset
+from .data import EncodedDataset, as_count
 from .stats import DeltaMetric, LofContext
 
 DIRECTIONS = ("free", "increase", "decrease")
@@ -47,16 +47,23 @@ class ActionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActionConfig":
-        rules = {
-            name: FeatureRule(
-                mutable=bool(r.get("mutable", True)),
-                direction=str(r.get("direction", "free")),
-            )
-            for name, r in d.get("features", {}).items()
-        }
+        """The config's ``actions`` object; ActionConfigError on a value of
+        the wrong type rather than a coerced one."""
+        features = d.get("features", {})
+        if not (isinstance(features, dict) and all(isinstance(r, dict) for r in features.values())):
+            raise ActionConfigError(
+                f"actions features must be an object of per-feature objects, got {features!r}")
+        rules = {}
+        for name, r in features.items():
+            mutable = r.get("mutable", True)
+            if not isinstance(mutable, bool):
+                raise ActionConfigError(
+                    f"actions features {name!r} mutable must be true or false, got {mutable!r}")
+            rules[name] = FeatureRule(mutable=mutable, direction=str(r.get("direction", "free")))
         return cls(
-            grid_size=int(d.get("grid_size", 10)),
-            max_changes=int(d.get("max_changes", 4)),
+            grid_size=as_count(d.get("grid_size", 10), "actions grid_size", 2, ActionConfigError),
+            max_changes=as_count(d.get("max_changes", 4), "actions max_changes", 0,
+                                 ActionConfigError),
             rules=rules,
         )
 

@@ -90,7 +90,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         kw = dict(d)
         if "actions" in kw:
-            kw["actions"] = ActionConfig.from_dict(kw["actions"])
+            kw["actions"] = ActionConfig.from_dict(_section(kw["actions"], "actions"))
         dataset = _section(kw["dataset"], "dataset")
         for key, low in (("n_rows", 1), ("seed", 0)):
             if key in dataset:
@@ -98,6 +98,8 @@ class RunConfig:
         classifier = _section(kw.get("classifier", {}), "classifier")
         if "c" in classifier:
             _real(classifier["c"], "classifier c", "a finite number > 0", lambda v: v > 0)
+        if "seed" in classifier:
+            _count(classifier["seed"], "classifier seed", 0)
         if "lam" in kw:
             kw["lam"] = _real(kw["lam"], "lam", "a finite number >= 0", lambda v: v >= 0)
         if "split_ratio" in kw:

@@ -188,9 +188,10 @@ def milp_enumerate(model, solve_lp, max_binaries=18):
 
 # -- reference trainers ------------------------------------------------------
 
-def svm_reference(x, y, scaler, c=1.0, max_iter=3000):
+def svm_reference(x, y, scaler, c=1.0, max_iter=3000, active_sets=None):
     """The linear SVM's subgradient loop written plainly: boolean gathers
-    and a new array for every intermediate."""
+    and a new array for every intermediate.  Each step's active set is added
+    to ``active_sets`` (as bytes) when a set is given."""
     from cfmilp.classifiers import LinearModel
     from cfmilp.data import apply_scaler
 
@@ -207,6 +208,8 @@ def svm_reference(x, y, scaler, c=1.0, max_iter=3000):
     for t in range(max_iter):
         margin = y * (xs @ w + b)
         active = margin < 1.0
+        if active_sets is not None:
+            active_sets.add(active.tobytes())
         gw = lam * w - (y[active] @ xs[active]) / n
         gb = -float(y[active].sum()) / n
         step = 1.0 / (lam * (t + 1))

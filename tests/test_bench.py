@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfmilp.actionspace import ActionConfigError
 from cfmilp.bench import (
     RECORD_HEADER,
     BenchRecord,
@@ -425,6 +426,23 @@ BAD_RUN_SETTINGS = [
     ({"out_dir": 5}, "out_dir"),
     ({"classifier": {"kind": "svm", "c": 10**400}}, "classifier c"),
     ({"lam": 10**400}, "lam"),
+    ({"classifier": {"kind": "forest", "seed": "x"}}, "classifier seed"),
+    ({"classifier": {"kind": "forest", "seed": 1.5}}, "classifier seed"),
+    ({"classifier": {"kind": "forest", "seed": True}}, "classifier seed"),
+    ({"classifier": {"kind": "forest", "seed": -1}}, "classifier seed"),
+    ({"actions": None}, "actions"),
+]
+# each used to end in an AttributeError, be coerced without a word, or be
+# refused only once an action space was built
+BAD_ACTION_RULES = [
+    ({"features": ["age"]}, "actions features"),
+    ({"features": None}, "actions features"),
+    ({"features": {"age": "immutable"}}, "actions features"),
+    ({"features": {"age": {"mutable": "false"}}}, "mutable"),
+    ({"grid_size": 3.7}, "grid_size"),
+    ({"grid_size": 1}, "grid_size"),
+    ({"max_changes": True}, "max_changes"),
+    ({"max_changes": -1}, "max_changes"),
 ]
 BAD_FOREST_SIZES = [
     ({"n_trees": -1}, "n_trees"),
@@ -441,6 +459,20 @@ def test_config_rejects_bad_values(tmp_path, over, key):
         RunConfig.from_dict(config_dict(tmp_path, **over))
 
 
+@pytest.mark.parametrize("rules, key", BAD_ACTION_RULES)
+def test_config_rejects_bad_action_rules(tmp_path, rules, key):
+    with pytest.raises(ActionConfigError, match=key):
+        RunConfig.from_dict(config_dict(tmp_path, actions={"grid_size": 3, "max_changes": 3,
+                                                           **rules}))
+
+
+def test_config_keeps_good_action_rules(tmp_path):
+    cfg = RunConfig.from_dict(config_dict(tmp_path, actions={
+        "grid_size": 4, "max_changes": 0, "features": {"age": {"mutable": False}}}))
+    assert cfg.actions.grid_size == 4 and cfg.actions.max_changes == 0
+    assert cfg.actions.rules["age"].mutable is False
+
+
 @pytest.mark.parametrize("over, key", BAD_FOREST_SIZES)
 def test_train_classifier_rejects_bad_forest_sizes(over, key):
     # an empty forest used to train and give "optimal" explanations
@@ -451,7 +483,9 @@ def test_train_classifier_rejects_bad_forest_sizes(over, key):
 
 @pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + [
     ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, **bad}}, key)
-    for bad, key in BAD_FOREST_SIZES] + BAD_RUN_SETTINGS)
+    for bad, key in BAD_FOREST_SIZES] + BAD_RUN_SETTINGS + [
+    ({"actions": {"grid_size": 3, "max_changes": 3, **rules}}, key)
+    for rules, key in BAD_ACTION_RULES])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
     cfg_path = write_config(tmp_path, **over)
     assert main(["explain", "--config", cfg_path, "--index", "0"]) == 2
