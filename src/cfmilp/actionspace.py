@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EncodedDataset, as_count
+from .data import ANY, BOOLEAN, OBJECT, ConfigError, EncodedDataset, as_count, read_keys
 from .stats import DeltaMetric, LofContext
 
 DIRECTIONS = ("free", "increase", "decrease")
 
-
-class ActionConfigError(ValueError):
-    pass
+ActionConfigError = ConfigError   # the name this module's callers know
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class FeatureRule:
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
-            raise ActionConfigError(f"unknown direction {self.direction!r}")
+            raise ConfigError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -45,27 +43,25 @@ class ActionConfig:
     max_changes: int = 4
     rules: dict = field(default_factory=dict)   # feature name -> FeatureRule
 
+    def __post_init__(self):
+        as_count(self.grid_size, "actions grid_size", 2, ConfigError)
+        as_count(self.max_changes, "actions max_changes", 0, ConfigError)
+
     @classmethod
-    def from_dict(cls, d: dict) -> "ActionConfig":
-        """The config's ``actions`` object; ActionConfigError on a value of
-        the wrong type rather than a coerced one."""
-        features = d.get("features", {})
-        if not (isinstance(features, dict) and all(isinstance(r, dict) for r in features.values())):
-            raise ActionConfigError(
-                f"actions features must be an object of per-feature objects, got {features!r}")
-        rules = {}
-        for name, r in features.items():
-            mutable = r.get("mutable", True)
-            if not isinstance(mutable, bool):
-                raise ActionConfigError(
-                    f"actions features {name!r} mutable must be true or false, got {mutable!r}")
-            rules[name] = FeatureRule(mutable=mutable, direction=str(r.get("direction", "free")))
-        return cls(
-            grid_size=as_count(d.get("grid_size", 10), "actions grid_size", 2, ActionConfigError),
-            max_changes=as_count(d.get("max_changes", 4), "actions max_changes", 0,
-                                 ActionConfigError),
-            rules=rules,
-        )
+    def from_dict(cls, d, what: str = "actions", error=ConfigError) -> "ActionConfig":
+        """The config's ``actions`` object, with a FeatureRule for each entry
+        of its ``features`` object."""
+        kw = read_keys(d, what, ACTION_KEYS, error)
+        rules = {name: FeatureRule(**read_keys(r, f"{what} features {name!r}", RULE_KEYS, error))
+                 for name, r in kw["features"].items()}
+        return cls(kw["grid_size"], kw["max_changes"], rules)
+
+
+RULE_KEYS = {"mutable": (BOOLEAN, FeatureRule.mutable),
+             "direction": (ANY, FeatureRule.direction)}
+ACTION_KEYS = {"grid_size": (ANY, ActionConfig.grid_size),
+               "max_changes": (ANY, ActionConfig.max_changes),
+               "features": (OBJECT, {})}
 
 
 @dataclass(frozen=True)
@@ -131,15 +127,11 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
     Numeric grids take ``grid_size`` evenly spaced quantiles of the training
     column, so candidates always stay inside the observed value range.
     """
-    if config.grid_size < 2:
-        raise ActionConfigError("grid_size must be at least 2")
-    if config.max_changes < 0:
-        raise ActionConfigError("max_changes must be non-negative")
     schema = dataset.schema
     enc = dataset.encoding
     for name in config.rules:
         if name not in schema.feature_names:
-            raise ActionConfigError(f"rule for unknown feature {name!r}")
+            raise ConfigError(f"rule for unknown feature {name!r}")
     dims = []
     for f, (a, b) in zip(schema.features, enc.spans):
         rule = config.rules.get(f.name, FeatureRule())
@@ -175,7 +167,7 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
         else:
             offs = _numeric_candidates(dataset.x[:, a], x_d, config.grid_size, rule.direction)
         if not offs:
-            raise ActionConfigError(f"feature {f.name!r}: empty candidate set")
+            raise ConfigError(f"feature {f.name!r}: empty candidate set")
         dims.append(ActionDimension(
             feature=f.name, kind=f.kind, columns=(a,),
             labels=tuple(offs), deltas=tuple((o,) for o in offs),

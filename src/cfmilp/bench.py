@@ -18,22 +18,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .actionspace import ActionConfig, ActionConfigError, ActionSpace, build_action_space
+from .actionspace import ActionConfig, ActionSpace, build_action_space
 from .classifiers import (Forest, classification_metrics, load_model, predict,
                           predict_many, save_model, train_forest, train_linear_svm,
                           train_logistic)
-from .data import (DatasetSchema, EncodedDataset, ParseError, SchemaError, as_count,
-                   as_real, encode, fit_scaler, load_csv, split, synthetic_credit)
+from .data import (ANY, BOOLEAN, OBJECT, REQUIRED, STRING, ConfigError, DatasetSchema,
+                   EncodedDataset, ParseError, SchemaError, as_count, checked, count, encode,
+                   fit_scaler, list_of, load_csv, read_keys, real, split, synthetic_credit)
 from .formulations import FORMULATIONS, PreconditionError, build_model, explain
 from .milpcore import ModelError, export_lp
 from .solver import SimplexError, SolverParams
@@ -44,94 +44,77 @@ RECORD_HEADER = ["instance", "formulation", "N", "status", "objective", "md",
                  "lof10", "nearest_rows", "total_rows", "nodes", "time_s"]
 
 
-class ConfigError(ValueError):
-    pass
-
-
-_count = functools.partial(as_count, error=ConfigError)
-_real = functools.partial(as_real, error=ConfigError)
-
-
-def _section(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {value!r}")
-    return value
-
-
 def _default_time_limit(n: int) -> float:
     return 1200.0 if n <= 50 else 3600.0
 
 
+def _n(value, what: str, error) -> int:
+    # an integer string such as "20" is read as its integer
+    return as_count(int(value) if isinstance(value, str) and value.isdecimal() else value,
+                    what, 2, error)
+
+
+_POSITIVE = real("a finite number > 0", lambda v: v > 0)
+
+
+def _time_limits(value, what: str, error) -> dict:
+    return {str(_n(n, f"{what} key {n!r}", error)): _POSITIVE(v, f"{what}[{n!r}]", error)
+            for n, v in OBJECT(value, what, error).items()}
+
+
+def _by_kind(tables: dict, default=None):
+    """The check of a section whose ``kind`` (``default`` when left out)
+    picks its key table from ``tables``."""
+    is_kind = checked(f"one of {list(tables)}", lambda k: isinstance(k, str) and k in tables)
+
+    def check(doc, what: str, error) -> dict:
+        kind = is_kind(OBJECT(doc, what, error).get("kind", default), f"{what} kind", error)
+        return read_keys(doc, what, {"kind": (ANY, kind), **tables[kind]}, error)
+    return check
+
+
+# the key table of each kind of dataset and classifier
+DATASET_KEYS = {"synthetic": {"n_rows": (count(1), 800), "seed": (count(0), 11)},
+                "csv": {"path": (STRING, REQUIRED), "schema": (STRING, REQUIRED)}}
+_LINEAR = {"c": (_POSITIVE, 1.0), "seed": (count(0), 0)}
+CLASSIFIER_KEYS = {"logistic": _LINEAR, "svm": _LINEAR, "forest": {
+    "n_trees": (count(1), 100), "max_depth": (count(1), 6), "seed": (count(0), 0)}}
+_read_dataset = _by_kind(DATASET_KEYS)
+_read_classifier = _by_kind(CLASSIFIER_KEYS, "logistic")
+
+
+def _key(check, **default):
+    """A RunConfig field whose config key ``check`` reads."""
+    return field(metadata={"check": check}, **default)
+
+
 @dataclass
 class RunConfig:
-    dataset: dict
-    classifier: dict = field(default_factory=lambda: {"kind": "logistic"})
-    split_ratio: float = 0.75
-    split_seed: int = 1
-    lam: float = 0.01
-    n_values: tuple = (20, 50, 100, 200)
-    n_reference: int = 20
-    formulations: tuple = FORMULATIONS
-    actions: ActionConfig = field(default_factory=ActionConfig)
-    n_explained: int = 10
-    reference_seed: int = 5
-    time_limits: dict = field(default_factory=dict)   # str(N) -> seconds
-    lof_eval_k: int = 10
-    svg_plot: bool = True
-    out_dir: str = "results"
+    dataset: dict = _key(_read_dataset)
+    classifier: dict = _key(_read_classifier, default_factory=dict)
+    split_ratio: float = _key(real("a number strictly between 0 and 1", lambda v: 0 < v < 1),
+                              default=0.75)
+    split_seed: int = _key(count(0), default=1)
+    lam: float = _key(real("a finite number >= 0", lambda v: v >= 0), default=0.01)
+    n_values: tuple = _key(list_of(_n), default=(20, 50, 100, 200))
+    n_reference: int = _key(count(2), default=20)
+    formulations: tuple = _key(list_of(checked(f"one of {list(FORMULATIONS)}",
+                                               lambda v: v in FORMULATIONS)),
+                               default=FORMULATIONS)
+    actions: ActionConfig = _key(ActionConfig.from_dict, default_factory=ActionConfig)
+    n_explained: int = _key(count(1), default=10)
+    reference_seed: int = _key(count(0), default=5)
+    time_limits: dict = _key(_time_limits, default_factory=dict)   # str(N) -> seconds
+    lof_eval_k: int = _key(count(1), default=10)
+    svg_plot: bool = _key(BOOLEAN, default=True)
+    out_dir: str = _key(STRING, default="results")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        if "dataset" not in d:
-            raise ConfigError("config needs a 'dataset' section")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kw = dict(d)
-        if "actions" in kw:
-            kw["actions"] = ActionConfig.from_dict(_section(kw["actions"], "actions"))
-        dataset = _section(kw["dataset"], "dataset")
-        for key, low in (("n_rows", 1), ("seed", 0)):
-            if key in dataset:
-                _count(dataset[key], f"dataset {key}", low)
-        classifier = _section(kw.get("classifier", {}), "classifier")
-        if "c" in classifier:
-            _real(classifier["c"], "classifier c", "a finite number > 0", lambda v: v > 0)
-        if "seed" in classifier:
-            _count(classifier["seed"], "classifier seed", 0)
-        if "lam" in kw:
-            kw["lam"] = _real(kw["lam"], "lam", "a finite number >= 0", lambda v: v >= 0)
-        if "split_ratio" in kw:
-            kw["split_ratio"] = _real(kw["split_ratio"], "split_ratio",
-                                      "a number strictly between 0 and 1", lambda v: 0 < v < 1)
-        if "time_limits" in kw:
-            kw["time_limits"] = {
-                n: _real(v, f"time_limits[{n!r}]", "a finite number > 0", lambda v: v > 0)
-                for n, v in _section(kw["time_limits"], "time_limits").items()}
-        for key, low in (("n_explained", 1), ("lof_eval_k", 1), ("split_seed", 0),
-                         ("reference_seed", 0)):
-            if key in kw:
-                kw[key] = _count(kw[key], key, low)
-        if not isinstance(kw.get("out_dir", ""), str):
-            raise ConfigError(f"out_dir must be a string, got {kw['out_dir']!r}")
-        if "n_reference" in kw:
-            kw["n_reference"] = _count(kw["n_reference"], "n_reference", 2)
-        if "n_values" in kw:
-            if not isinstance(kw["n_values"], (list, tuple)):
-                raise ConfigError(f"n_values must be a list, got {kw['n_values']!r}")
-            # an integer string such as "20" is read as its integer
-            kw["n_values"] = tuple(
-                _count(int(v) if isinstance(v, str) and v.isdigit() else v,
-                       "every n_values entry", 2)
-                for v in kw["n_values"])
-        if "formulations" in kw:
-            forms = kw["formulations"]
-            if not isinstance(forms, list) or not all(f in FORMULATIONS for f in forms):
-                raise ConfigError(f"formulations must be a list of names from {list(FORMULATIONS)}, "
-                                  f"got {forms!r}")
-            kw["formulations"] = tuple(forms)
-        return cls(**kw)
+    def from_dict(cls, d) -> "RunConfig":
+        """A config document, each key read by its field's check."""
+        return cls(**read_keys(d, "config", {
+            f.name: (f.metadata["check"], f.default if f.default_factory is MISSING
+                     else f.default_factory()) for f in fields(cls)}, ConfigError, top=True))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -162,33 +145,22 @@ class Prepared:
 
 
 def load_dataset(cfg: dict) -> EncodedDataset:
-    kind = cfg.get("kind")
-    if kind == "synthetic":
-        raw = synthetic_credit(int(cfg.get("n_rows", 800)), int(cfg.get("seed", 11)))
-    elif kind == "csv":
-        schema = DatasetSchema.from_json(cfg["schema"])
-        raw = load_csv(cfg["path"], schema)
-    else:
-        raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
-    return encode(raw)
+    cfg = _read_dataset(cfg, "dataset", ConfigError)
+    if cfg["kind"] == "synthetic":
+        return encode(synthetic_credit(cfg["n_rows"], cfg["seed"]))
+    return encode(load_csv(cfg["path"], DatasetSchema.from_json(cfg["schema"])))
 
 
 def train_classifier(cfg: dict, train: EncodedDataset):
-    kind = cfg.get("kind", "logistic")
-    seed = int(cfg.get("seed", 0))
-    if kind == "logistic":
-        return train_logistic(train.x, train.y, c=float(cfg.get("c", 1.0)))
-    if kind == "svm":
-        numeric = [train.encoding.spans[i][0]
-                   for i, f in enumerate(train.schema.features) if f.kind == "numeric"]
-        scaler = fit_scaler(train.x, numeric)
-        return train_linear_svm(train.x, train.y, scaler, c=float(cfg.get("c", 1.0)))
-    if kind == "forest":
-        return train_forest(train.x, train.y,
-                            n_trees=_count(cfg.get("n_trees", 100), "n_trees", 1),
-                            max_depth=_count(cfg.get("max_depth", 6), "max_depth", 1),
-                            seed=seed)
-    raise ConfigError(f"unknown classifier kind {kind!r}")
+    cfg = _read_classifier(cfg, "classifier", ConfigError)
+    if cfg["kind"] == "forest":
+        return train_forest(train.x, train.y, n_trees=cfg["n_trees"],
+                            max_depth=cfg["max_depth"], seed=cfg["seed"])
+    if cfg["kind"] == "logistic":
+        return train_logistic(train.x, train.y, c=cfg["c"])
+    numeric = [train.encoding.spans[i][0]
+               for i, f in enumerate(train.schema.features) if f.kind == "numeric"]
+    return train_linear_svm(train.x, train.y, fit_scaler(train.x, numeric), c=cfg["c"])
 
 
 def prepare(config: RunConfig, model_path: str | None = None) -> Prepared:
@@ -548,7 +520,7 @@ def main(argv=None) -> int:
             print(text)
         return 0
 
-    except (ConfigError, SchemaError, ParseError, ActionConfigError, ModelError,
+    except (ConfigError, SchemaError, ParseError, ModelError,
             PreconditionError, FileNotFoundError, json.JSONDecodeError, ValueError,
             SimplexError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,69 @@ def as_real(value, what: str, rule: str = "a finite number", ok=lambda v: True,
     return float(value)
 
 
+class ConfigError(ValueError):
+    """A run config has an unknown key or a value of the wrong kind."""
+
+
+# Each section of a config or schema has a key table of key -> (check, default).
+# A check is called as check(value, what, error), ``what`` naming the key, and
+# returns the value to keep or raises ``error``.
+REQUIRED = MISSING   # the default of a key that must be given, as for a dataclass field
+
+
+def checked(rule: str, ok):
+    """The check of a value that ``ok`` accepts; ``rule`` says which in words."""
+    def check(value, what, error):
+        if not ok(value):
+            raise error(f"{what} must be {rule}, got {value!r}")
+        return value
+    return check
+
+
+OBJECT = checked("an object", lambda v: isinstance(v, dict))
+BOOLEAN = checked("true or false", lambda v: isinstance(v, bool))
+STRING = checked("a string", lambda v: isinstance(v, str))
+ANY = checked("anything", lambda v: True)   # for a value its constructor checks
+
+
+def count(low: int):
+    """The check of an integer >= ``low``."""
+    return lambda value, what, error: as_count(value, what, low, error)
+
+
+def real(rule: str, ok):
+    """The check of a finite real that ``ok`` accepts."""
+    return lambda value, what, error: as_real(value, what, rule, ok, error)
+
+
+def list_of(item):
+    """The check of a list whose every entry passes ``item``; gives a tuple."""
+    is_list = checked("a list", lambda v: isinstance(v, (list, tuple)))
+    return lambda value, what, error: tuple(
+        item(v, f"{what}[{i}]", error) for i, v in enumerate(is_list(value, what, error)))
+
+
+def read_keys(doc, what: str, keys: dict, error: type[ValueError], top: bool = False) -> dict:
+    """The object ``doc``, named ``what``, read through ``keys``.
+
+    An unknown key is refused.  A given value is replaced by what its check
+    returns for it under the name ``f"{what} {key}"``, or ``key`` alone in a
+    ``top`` level document; a missing key takes its default, and is refused
+    when that is REQUIRED."""
+    unknown = [key for key in OBJECT(doc, what, error) if key not in keys]
+    if unknown:
+        raise error(f"unknown {what} keys: {unknown}")
+    out = {}
+    for key, (check, default) in keys.items():
+        if key in doc:
+            out[key] = check(doc[key], key if top else f"{what} {key}", error)
+        elif default is REQUIRED:
+            raise error(f"{what} needs {key!r}")
+        else:
+            out[key] = default
+    return out
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """One input column: its name, kind and (for categoricals) category labels."""
@@ -67,6 +130,10 @@ class FeatureSpec:
                 raise SchemaError(f"feature {self.name!r}: duplicate categories")
         elif self.categories:
             raise SchemaError(f"feature {self.name!r}: categories only valid for categoricals")
+
+
+FEATURE_KEYS = {"name": (STRING, REQUIRED), "kind": (ANY, REQUIRED),
+                "categories": (list_of(STRING), FeatureSpec.categories)}
 
 
 @dataclass(frozen=True)
@@ -92,20 +159,9 @@ class DatasetSchema:
         return tuple(f.name for f in self.features)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSchema":
-        try:
-            feats = tuple(
-                FeatureSpec(f["name"], f["kind"], tuple(f.get("categories", ())))
-                for f in d["features"]
-            )
-            return cls(
-                features=feats,
-                target=d["target"],
-                positive_label=str(d["positive_label"]),
-                missing_values=tuple(d.get("missing_values", [""])),
-            )
-        except KeyError as e:
-            raise SchemaError(f"schema missing key: {e}") from e
+    def from_dict(cls, d) -> "DatasetSchema":
+        """A schema document; SchemaError names a missing, unknown or mistyped key."""
+        return cls(**read_keys(d, "schema", SCHEMA_KEYS, SchemaError))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetSchema":
@@ -122,6 +178,13 @@ class DatasetSchema:
             "positive_label": self.positive_label,
             "missing_values": list(self.missing_values),
         }
+
+
+SCHEMA_KEYS = {
+    "features": (list_of(lambda doc, what, error: FeatureSpec(**read_keys(
+        doc, what, FEATURE_KEYS, error))), REQUIRED),
+    "target": (STRING, REQUIRED), "positive_label": (STRING, REQUIRED),
+    "missing_values": (list_of(STRING), DatasetSchema.missing_values)}
 
 
 @dataclass

@@ -3,14 +3,18 @@
 import csv
 import io
 import json
+import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfmilp.actionspace import ActionConfigError
+from cfmilp.actionspace import ACTION_KEYS, RULE_KEYS, ActionConfigError
 from cfmilp.bench import (
+    CLASSIFIER_KEYS,
+    DATASET_KEYS,
     RECORD_HEADER,
     BenchRecord,
     ConfigError,
@@ -27,7 +31,7 @@ from cfmilp.bench import (
     write_summary_csv,
 )
 from cfmilp.classifiers import Forest, LinearModel, predict
-from cfmilp.data import EncodedDataset
+from cfmilp.data import FEATURE_KEYS, SCHEMA_KEYS, EncodedDataset
 
 from _instances import random_instance
 
@@ -451,9 +455,21 @@ BAD_FOREST_SIZES = [
     ({"max_depth": 0}, "max_depth"),
     ({"max_depth": 2.5}, "max_depth"),
 ]
+# each used to be ignored, or to end in a traceback once the data was loaded
+BAD_SECTION_KEYS = [
+    ({"dataset": {"kind": "csv", "schema": "schema.json"}}, "path"),
+    ({"dataset": {"kind": "csv", "path": "rows.csv"}}, "schema"),
+    ({"dataset": {"kind": "csv", "path": 7, "schema": "schema.json"}}, "path"),
+    ({"time_limits": {"abc": 5}}, "time_limits"),
+    ({"time_limits": {"1": 5}}, "time_limits"),
+    ({"svg_plot": "no"}, "svg_plot"),
+    ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, "c": 1.0}},
+     "classifier keys"),
+    ({"classifier": {"kind": "mlp"}}, "classifier kind"),
+]
 
 
-@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + BAD_RUN_SETTINGS)
+@pytest.mark.parametrize("over, key", BAD_CONFIG_VALUES + BAD_RUN_SETTINGS + BAD_SECTION_KEYS)
 def test_config_rejects_bad_values(tmp_path, over, key):
     with pytest.raises(ConfigError, match=key):
         RunConfig.from_dict(config_dict(tmp_path, **over))
@@ -485,13 +501,98 @@ def test_train_classifier_rejects_bad_forest_sizes(over, key):
     ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, **bad}}, key)
     for bad, key in BAD_FOREST_SIZES] + BAD_RUN_SETTINGS + [
     ({"actions": {"grid_size": 3, "max_changes": 3, **rules}}, key)
-    for rules, key in BAD_ACTION_RULES])
+    for rules, key in BAD_ACTION_RULES] + BAD_SECTION_KEYS)
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
     cfg_path = write_config(tmp_path, **over)
     assert main(["explain", "--config", cfg_path, "--index", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [5, None, "dataset"], ids=["number", "null", "string"])
+def test_cli_config_that_is_not_an_object(tmp_path, capsys, doc):
+    # 5 and null ended in a TypeError; "dataset" was read as its letters
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config must be an object")
+    assert "Traceback" not in err
+
+
+def _key_tables():
+    """(section, key table) for every section and every kind of one."""
+    yield "config", {f.name: None for f in fields(RunConfig)}
+    for kind, keys in DATASET_KEYS.items():
+        yield f"dataset-{kind}", keys
+    for kind, keys in CLASSIFIER_KEYS.items():
+        yield f"classifier-{kind}", keys
+    yield "actions", ACTION_KEYS
+    yield "rule", RULE_KEYS
+    yield "schema", SCHEMA_KEYS
+    yield "schema-feature", FEATURE_KEYS
+
+
+# each key of each table, spelt with its last letter doubled
+MISSPELT_KEYS = [(section, key, key + key[-1]) for section, keys in _key_tables() for key in keys]
+
+
+@pytest.mark.parametrize("section, key, misspelt", MISSPELT_KEYS,
+                         ids=[f"{section}-{misspelt}" for section, _, misspelt in MISSPELT_KEYS])
+def test_cli_refuses_a_misspelt_key_in_every_section(tmp_path, capsys, section, key, misspelt):
+    # below the top level a misspelt key used to be ignored, dropping the
+    # setting it meant to make
+    schema = {"target": "y", "positive_label": "g",
+              "features": [{"name": "a", "kind": "numeric"}]}
+    (tmp_path / "rows.csv").write_text("a,y\n1,g\n2,b\n3,g\n4,b\n", encoding="utf-8")
+    cfg = config_dict(tmp_path, actions={"grid_size": 3, "max_changes": 3,
+                                         "features": {"age": {"mutable": True}}})
+    what, _, kind = section.partition("-")
+    if kind == "csv" or what == "schema":
+        cfg["dataset"] = {"kind": "csv", "path": str(tmp_path / "rows.csv"),
+                          "schema": str(tmp_path / "schema.json")}
+    if what == "classifier":
+        cfg["classifier"] = {"kind": kind}
+    doc = {"config": cfg, "dataset": cfg["dataset"], "classifier": cfg["classifier"],
+           "actions": cfg["actions"], "rule": cfg["actions"]["features"]["age"],
+           "schema": schema if kind != "feature" else schema["features"][0]}[what]
+    doc[misspelt] = doc.pop(key, 1)
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["explain", "--config", str(path), "--index", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and repr(misspelt) in err
+    assert "Traceback" not in err
+
+
+def test_cli_misspelt_mutable_does_not_move_a_frozen_feature(tmp_path, capsys):
+    # "mutabel" was ignored, so the frozen duration_months moved by -32
+    def explain_with(rule_key):
+        features = {name: {"mutable": False} for name in (
+            "checking_status", "credit_history", "purpose", "credit_amount", "savings",
+            "employment_years", "installment_rate", "housing", "existing_credits",
+            "foreign_worker")}
+        features["duration_months"] = {rule_key: False}
+        path = write_config(tmp_path, actions={"grid_size": 4, "max_changes": 2,
+                                               "features": features})
+        code = main(["explain", "--config", path, "--index", "4"])
+        return code, capsys.readouterr()
+
+    code, out = explain_with("mutable")
+    assert code == 3 and json.loads(out.out)["status"] == "no-recourse"
+    code, out = explain_with("mutabel")
+    assert code == 2 and out.out == ""
+    assert "unknown actions features 'duration_months' keys: ['mutabel']" in out.err
+
+
+def test_readme_configs_load():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        RunConfig.from_dict(json.loads(block))
 
 
 @pytest.fixture(scope="module")

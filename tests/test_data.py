@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,36 @@ class TestSchema:
         d = TINY.to_dict()
         back = DatasetSchema.from_dict(json.loads(json.dumps(d)))
         assert back == TINY
+
+    @pytest.mark.parametrize("name", ["german_credit", "heloc"])
+    def test_shipped_schemas_load(self, name):
+        path = Path(__file__).resolve().parent.parent / "schemas" / f"{name}.json"
+        schema = DatasetSchema.from_json(path)
+        assert schema.features and schema.target
+
+    # each of these ended in a TypeError, or had its misspelt key ignored
+    BAD_DOCS = {
+        "features-a-number": ({"features": 5}, "schema features must be a list"),
+        "feature-a-string": ({"features": ["a"]}, r"schema features\[0\] must be an object"),
+        "categories-a-number": ({"features": [{"name": "c", "kind": "categorical",
+                                               "categories": 5}]}, "categories must be a list"),
+        "missing-values-a-number": ({"missing_values": 5}, "missing_values must be a list"),
+        "target-misspelt": ({"targt": "ok"}, r"unknown schema keys: \['targt'\]"),
+        "kind-misspelt": ({"features": [{"name": "a", "kidn": "numeric"}]}, "kidn"),
+        "target-null": ({"target": None}, "target must be a string"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_DOCS))
+    def test_bad_documents(self, case):
+        over, message = self.BAD_DOCS[case]
+        with pytest.raises(SchemaError, match=message):
+            DatasetSchema.from_dict(dict(TINY.to_dict(), **over))
+
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(SchemaError, match="schema must be an object"):
+            DatasetSchema.from_dict([TINY.to_dict()])
+        with pytest.raises(SchemaError, match="schema needs 'target'"):
+            DatasetSchema.from_dict({k: v for k, v in TINY.to_dict().items() if k != "target"})
 
 
 class TestLoadCsv(object):
