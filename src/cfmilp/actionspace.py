@@ -2,15 +2,23 @@
 
 Every original feature gets exactly one action dimension, immutable ones
 included (their only candidate is the zero action), so the action dimensions
-partition the encoded columns.  Numeric candidates come from training-column
-quantiles, binary ones from {0,1}, and a categorical dimension's candidates
-are the feature's categories; picking a category moves the whole one-hot
-group with -1/+1 displacements.
+partition the encoded columns, in column order.  Numeric candidates come
+from training-column quantiles, binary ones from {0,1}, and a categorical
+dimension's candidates are the feature's categories; picking a category
+moves the whole one-hot group with -1/+1 displacements.
 
-The constants needed by both nearest-neighbor encodings live here:
+Each dimension holds its columns as an int array and its candidates'
+displacements as one (I_d, width) float array; a categorical's rows are
+identity rows minus the current category's.  Every builder reads these
+arrays, which are read-only, instead of re-expanding the grid.
+
+The constants needed by both nearest-neighbor encodings live here.  ``table``
+stacks every candidate's distance to every reference point, candidates in
+the order of the action indicators (dimension by dimension) and one column
+per reference point; ``c[d]`` is the view of dimension d's rows, so
 c[d][i, n] is the metric distance contribution of dimension d to reference
-point n under candidate i, c_ref[n] the worst case over the whole grid, and
-big_m its maximum over n.
+point n under candidate i.  c_ref[n] is the worst case over the whole grid,
+and big_m its maximum over n.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ANY, BOOLEAN, OBJECT, ConfigError, EncodedDataset, as_count, read_keys
-from .stats import DeltaMetric, LofContext
+from .stats import DeltaMetric, LofContext, read_only
 
 DIRECTIONS = ("free", "increase", "decrease")
 
@@ -64,7 +72,7 @@ ACTION_KEYS = {"grid_size": (ANY, ActionConfig.grid_size),
                "features": (OBJECT, {})}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionDimension:
     """One controllable feature: candidate labels and their column displacements.
 
@@ -76,9 +84,9 @@ class ActionDimension:
 
     feature: str
     kind: str
-    columns: tuple[int, ...]
+    columns: np.ndarray            # int (width,)
     labels: tuple
-    deltas: tuple[tuple[float, ...], ...]
+    deltas: np.ndarray             # float (I_d, width)
     zero_index: int
     mutable: bool = True
     direction: str = "free"
@@ -98,17 +106,14 @@ class ActionSpace:
         """Full encoded displacement for candidate indices ``choice`` (one per dim)."""
         a = np.zeros(self.n_encoded)
         for dim, i in zip(self.dims, choice):
-            for col, dv in zip(dim.columns, dim.deltas[i]):
-                a[col] += dv
+            a[dim.columns] += dim.deltas[i]
         return a
 
     def n_changes(self, choice) -> int:
         return sum(1 for dim, i in zip(self.dims, choice) if i != dim.zero_index)
 
 
-def _numeric_candidates(col_values: np.ndarray, x_d: float, grid_size: int,
-                        direction: str) -> list[float]:
-    qs = np.quantile(col_values, np.linspace(0.0, 1.0, grid_size))
+def _numeric_candidates(qs: np.ndarray, x_d: float, direction: str) -> list[float]:
     offs = sorted(set(float(q) - x_d for q in qs))
     if direction == "increase":
         offs = [o for o in offs if o > 0.0]
@@ -125,33 +130,32 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
     """Action space for one rejected instance against the training data.
 
     Numeric grids take ``grid_size`` evenly spaced quantiles of the training
-    column, so candidates always stay inside the observed value range.
+    column, so candidates always stay inside the observed value range; one
+    ``np.quantile`` call gives them for every mutable numeric column.
     """
     schema = dataset.schema
     enc = dataset.encoding
     for name in config.rules:
         if name not in schema.feature_names:
             raise ConfigError(f"rule for unknown feature {name!r}")
+    numeric = [a for f, (a, _) in zip(schema.features, enc.spans)
+               if f.kind == "numeric" and config.rules.get(f.name, FeatureRule()).mutable]
+    grids = dict(zip(numeric, np.quantile(dataset.x[:, numeric], np.linspace(
+        0.0, 1.0, config.grid_size), axis=0).T))
     dims = []
     for f, (a, b) in zip(schema.features, enc.spans):
         rule = config.rules.get(f.name, FeatureRule())
+        columns = read_only(np.arange(a, b))
         if f.kind == "categorical":
             cur = int(np.argmax(x_enc[a:b]))
-            if rule.mutable:
-                cats = list(range(len(f.categories)))
+            if rule.mutable:     # category j moves the group by e_j - e_cur
+                eye = np.eye(b - a)
+                labels, deltas, zero = f.categories, eye - eye[cur], cur
             else:
-                cats = [cur]
-            labels = tuple(f.categories[j] for j in cats)
-            deltas = []
-            for j in cats:
-                dv = [0.0] * (b - a)
-                if j != cur:
-                    dv[cur] = -1.0
-                    dv[j] = 1.0
-                deltas.append(tuple(dv))
+                labels, deltas, zero = (f.categories[cur],), np.zeros((1, b - a)), 0
             dims.append(ActionDimension(
-                feature=f.name, kind=f.kind, columns=tuple(range(a, b)),
-                labels=labels, deltas=tuple(deltas), zero_index=cats.index(cur),
+                feature=f.name, kind=f.kind, columns=columns, labels=tuple(labels),
+                deltas=read_only(deltas), zero_index=zero,
                 mutable=rule.mutable, direction=rule.direction,
             ))
             continue
@@ -165,12 +169,10 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
             elif rule.direction == "decrease":
                 offs = sorted({o for o in offs if o < 0.0} | {0.0})
         else:
-            offs = _numeric_candidates(dataset.x[:, a], x_d, config.grid_size, rule.direction)
-        if not offs:
-            raise ConfigError(f"feature {f.name!r}: empty candidate set")
+            offs = _numeric_candidates(grids[a], x_d, rule.direction)
         dims.append(ActionDimension(
-            feature=f.name, kind=f.kind, columns=(a,),
-            labels=tuple(offs), deltas=tuple((o,) for o in offs),
+            feature=f.name, kind=f.kind, columns=columns,
+            labels=tuple(offs), deltas=read_only(np.array(offs)[:, None]),
             zero_index=offs.index(0.0),
             mutable=rule.mutable, direction=rule.direction,
         ))
@@ -182,7 +184,8 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
 class MilpConstants:
     """Distance constants shared by both nearest-neighbor encodings."""
 
-    c: tuple                     # per dim: array (I_d, N) of distance contributions
+    table: np.ndarray            # (candidates in pi order, N) distance contributions
+    c: tuple                     # per dim: its (I_d, N) rows of ``table``
     c_ref: np.ndarray            # per reference point: worst-case distance over the grid
     big_m: float
 
@@ -200,15 +203,13 @@ def precompute_constants(space: ActionSpace, x_enc: np.ndarray,
     distance from the moved instance to reference point n exactly.
     """
     refs = lof_ctx.x
-    n_refs = refs.shape[0]
     tables = []
     for dim in space.dims:
-        cols = np.array(dim.columns, dtype=int)
-        vals = np.array([[x_enc[c] + dv for c, dv in zip(dim.columns, d)] for d in dim.deltas])
-        ref_cols = refs[:, cols]
-        scales = metric.scales[cols]
+        vals = x_enc[dim.columns] + dim.deltas
         # (I_d, N): sum_c |candidate value - ref value| / scale_c
-        diff = np.abs(vals[:, None, :] - ref_cols[None, :, :])
-        tables.append(np.sum(diff / scales[None, None, :], axis=2))
-    c_ref = np.sum([t.max(axis=0) for t in tables], axis=0)
-    return MilpConstants(c=tuple(tables), c_ref=c_ref, big_m=float(c_ref.max()))
+        diff = np.abs(vals[:, None, :] - refs[:, dim.columns][None, :, :])
+        tables.append(np.sum(diff / metric.scales[dim.columns][None, None, :], axis=2))
+    table = read_only(np.vstack(tables))
+    c = tuple(np.split(table, np.cumsum([len(t) for t in tables])[:-1]))
+    c_ref = read_only(np.sum([rows.max(axis=0) for rows in c], axis=0))
+    return MilpConstants(table=table, c=c, c_ref=c_ref, big_m=float(c_ref.max()))

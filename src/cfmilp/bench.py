@@ -96,10 +96,10 @@ class RunConfig:
                               default=0.75)
     split_seed: int = _key(count(0), default=1)
     lam: float = _key(real("a finite number >= 0", lambda v: v >= 0), default=0.01)
-    n_values: tuple = _key(list_of(_n), default=(20, 50, 100, 200))
+    n_values: tuple = _key(list_of(_n, nonempty=True), default=(20, 50, 100, 200))
     n_reference: int = _key(count(2), default=20)
     formulations: tuple = _key(list_of(checked(f"one of {list(FORMULATIONS)}",
-                                               lambda v: v in FORMULATIONS)),
+                                               lambda v: v in FORMULATIONS), nonempty=True),
                                default=FORMULATIONS)
     actions: ActionConfig = _key(ActionConfig.from_dict, default_factory=ActionConfig)
     n_explained: int = _key(count(1), default=10)

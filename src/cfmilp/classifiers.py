@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import StandardScaler, apply_scaler, as_count, as_real
+from .data import ANY, BOOLEAN, StandardScaler, apply_scaler, as_count, as_real, read_keys
 
 
 @dataclass
@@ -364,6 +364,12 @@ def _load_tree(t, n_features: int, what: str) -> Tree:
     return Tree(feature=feature, threshold=threshold, left=left, right=right, prob=prob)
 
 
+# the keys save_model writes, by kind; all but "converged" are checked where read
+_FOREST_KEYS = {"kind": (ANY, None), "n_features": (ANY, None), "trees": (ANY, None)}
+_LINEAR_KEYS = {"kind": (ANY, None), "weights": (ANY, None), "intercept": (ANY, None),
+                "scaler": (ANY, None), "converged": (BOOLEAN, True)}
+
+
 def load_model(path: str | Path):
     """Read a model written by save_model; ValueError on any other document."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -372,6 +378,7 @@ def load_model(path: str | Path):
         raise ValueError("model file must hold a JSON object")
     kind = doc.get("kind")
     if kind == "forest":
+        doc = read_keys(doc, "forest model", _FOREST_KEYS, ValueError)
         n_features = as_count(doc.get("n_features"), "forest model 'n_features'", 1)
         trees = doc.get("trees")
         if not isinstance(trees, list) or not trees:
@@ -381,6 +388,7 @@ def load_model(path: str | Path):
                              for i, t in enumerate(trees)])
     if kind not in ("logistic", "svm"):
         raise ValueError(f"model kind must be 'logistic', 'svm' or 'forest', got {kind!r}")
+    doc = read_keys(doc, f"{kind} model", _LINEAR_KEYS, ValueError)
     weights = _array(doc.get("weights"), f"{kind} model 'weights'")
     intercept = as_real(doc.get("intercept"), f"{kind} model 'intercept'")
     scaler = doc.get("scaler")
@@ -398,4 +406,4 @@ def load_model(path: str | Path):
     elif scaler is not None:
         raise ValueError("logistic model 'scaler' must be null")
     return LinearModel(kind=kind, weights=weights, intercept=intercept,
-                       scaler=scaler, converged=bool(doc.get("converged", True)))
+                       scaler=scaler, converged=doc["converged"])

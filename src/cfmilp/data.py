@@ -84,9 +84,10 @@ def real(rule: str, ok):
     return lambda value, what, error: as_real(value, what, rule, ok, error)
 
 
-def list_of(item):
-    """The check of a list whose every entry passes ``item``; gives a tuple."""
-    is_list = checked("a list", lambda v: isinstance(v, (list, tuple)))
+def list_of(item, nonempty: bool = False):
+    """The check of a list (non-empty if ``nonempty``) of entries passing ``item``, as a tuple."""
+    is_list = checked("a non-empty list" if nonempty else "a list",
+                      lambda v: isinstance(v, (list, tuple)) and (len(v) > 0 or not nonempty))
     return lambda value, what, error: tuple(
         item(v, f"{what}[{i}]", error) for i, v in enumerate(is_list(value, what, error)))
 

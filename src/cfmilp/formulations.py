@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actionspace import ActionSpace, MilpConstants, precompute_constants
-from .classifiers import Forest, predict
-from .data import StandardScaler, apply_scaler
+from .classifiers import Forest, decision_value, predict
 from .milpcore import MilpModel
 from .solver import INT_TOL, SolverParams, solve_milp
 from .stats import LofContext, MahalanobisContext, q1_surrogate
@@ -86,8 +85,7 @@ def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConst
 
     pi = [model.add_variables([f"pi_d{d}_i{i}" for i in range(dim.n_candidates)],
                               0.0, 1.0, binary=True) for d, dim in enumerate(space.dims)]
-    w_cols = [u[:, list(dim.columns)] @ np.array(dim.deltas, dtype=float).T    # (n_enc, I_d)
-              for dim in space.dims]
+    w_cols = [u[:, dim.columns] @ dim.deltas.T for dim in space.dims]    # (n_enc, I_d)
     delta = model.add_variables([f"delta_c{r}" for r in range(n_enc)], 0.0,
                                 sum(np.abs(w).max(axis=1) for w in w_cols))
     mu = model.add_variables([f"mu_n{n}" for n in range(n_refs)], 0.0, 1.0, binary=True)
@@ -116,7 +114,7 @@ def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConst
                    (each_ref, mu, lof_ctx.d1), (each_ref, rho, -1.0))
 
     model.add_rows([f"reach_link_n{n}" for n in range(n_refs)], "<=", constants.c_ref,
-                   _dense(np.vstack(constants.c).T, pi_ids),     # row n: c[d][:, n] by d
+                   _dense(constants.table.T, pi_ids),     # row n: c[d][:, n] by d
                    (each_ref, mu, constants.c_ref), (each_ref, rho, -1.0))
 
     # at most max_changes non-zero actions; categorical groups stay consistent
@@ -133,7 +131,7 @@ def add_nearest_original(model: MilpModel, handles: FormulationHandles,
                          constants: MilpConstants) -> None:
     """Quadratic encoding: a dominance row for every ordered reference pair."""
     n_refs = constants.n_refs
-    table = np.vstack(constants.c).T              # row n: distance terms to ref n
+    table = constants.table.T                     # row n: distance terms to ref n
     diff = (table[:, None, :] - table[None, :, :]).reshape(n_refs * n_refs, -1)
     cref = np.repeat(constants.c_ref, n_refs)
     model.add_rows([f"nn_o_{n}_{m}" for n in range(n_refs) for m in range(n_refs)],
@@ -149,7 +147,7 @@ def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
     n_refs = constants.n_refs
     big_m = constants.big_m
     t_id = model.add_continuous("t_reach", 0.0, big_m)
-    table = np.vstack(constants.c).T              # row n: distance terms to ref n
+    table = constants.table.T                     # row n: distance terms to ref n
     lo = 2 * np.arange(n_refs)
     model.add_rows([f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")],
                    "<=", np.tile([big_m, 0.0], n_refs),
@@ -161,33 +159,21 @@ def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
     handles.tag = "reduced"
 
 
-def _action_coeffs(space: ActionSpace, col_weight: np.ndarray) -> np.ndarray:
-    """sum_c col_weight[c] * delta_c per action candidate, in pi order, its
-    column terms added left to right."""
-    return np.concatenate([
-        np.cumsum(np.array(dim.deltas, dtype=float) * col_weight[list(dim.columns)],
-                  axis=1)[:, -1]
-        for dim in space.dims])
+def add_validity_linear(model: MilpModel, handles: FormulationHandles, classifier) -> None:
+    """Decision value of the moved instance must be >= 0 (strict boundary kept).
 
-
-def add_validity_linear(model: MilpModel, handles: FormulationHandles,
-                        weights: np.ndarray, intercept: float) -> None:
-    """Decision value of the moved instance must be >= 0 (strict boundary kept)."""
-    w = np.asarray(weights, float)
-    const = float(w @ handles.x_enc + intercept)
-    model.add_rows(["validity"], ">=", -const,
-                   (0, handles.pi_ids, _action_coeffs(handles.space, w)))
-    handles.counts["validity"] = 1
-
-
-def add_validity_scaled_svm(model: MilpModel, handles: FormulationHandles,
-                            weights: np.ndarray, intercept: float,
-                            scaler: StandardScaler) -> None:
-    """Validity in scaled space: a raw offset a_d enters as a_d / sigma_d."""
-    w = np.asarray(weights, float)
-    const = float(w @ apply_scaler(scaler, handles.x_enc) + intercept)
-    model.add_rows(["validity"], ">=", -const,
-                   (0, handles.pi_ids, _action_coeffs(handles.space, w / scaler.stds)))
+    The row's constant is the decision value at the instance; each candidate's
+    coefficient is sum_c slope[c] * delta_c, its column terms added left to
+    right.  An SVM scores scaled inputs, so a raw offset a_d enters as
+    a_d / sigma_d.
+    """
+    slope = np.asarray(classifier.weights, float)
+    if classifier.kind == "svm":
+        slope = slope / classifier.scaler.stds
+    coeffs = np.concatenate([np.cumsum(dim.deltas * slope[dim.columns], axis=1)[:, -1]
+                             for dim in handles.space.dims])
+    model.add_rows(["validity"], ">=", -decision_value(classifier, handles.x_enc),
+                   (0, handles.pi_ids, coeffs))
     handles.counts["validity"] = 1
 
 
@@ -216,20 +202,18 @@ def add_validity_forest(model: MilpModel, handles: FormulationHandles,
     chosen candidate keeps the moved value inside the path's interval; a leaf
     no candidate can reach gets a [0,0] indicator and stays well-formed.
     """
-    space = handles.space
-    col_dim = {c: d for d, dim in enumerate(space.dims) for c in dim.columns}
-    # candidate value per (dim, i, col) for interval tests
-    value = [{(i, c): float(handles.x_enc[c] + dv) for i in range(dim.n_candidates)
-              for c, dv in zip(dim.columns, dim.deltas[i])} for dim in space.dims]
+    dims = handles.space.dims
+    # per encoded column: its dimension, and its moved value under each candidate of it
+    col_dim = [d for d, dim in enumerate(dims) for _ in dim.columns]
+    value = [moved.tolist() for dim in dims for moved in (handles.x_enc[dim.columns] + dim.deltas).T]
 
     rows = []                # (name, cmp, rhs, ids, coefficients): one block for the forest
     probs = []
     for t_idx, tree in enumerate(forest.trees):
         leaves = _tree_leaves(tree)
         # per leaf, per dimension its path constrains: the candidates it lets through
-        sets = [{d: [i for i in range(space.dims[d].n_candidates)
-                     if all(lo < value[d][(i, col)] <= hi
-                            for col, lo, hi in conds if col_dim[col] == d)]
+        sets = [{d: [i for i in range(dims[d].n_candidates)
+                     if all(lo < value[col][i] <= hi for col, lo, hi in conds if col_dim[col] == d)]
                  for d in dict.fromkeys(col_dim[col] for col, _, _ in conds)}
                 for _, conds, _ in leaves]
         live = np.array([all(by_dim.values()) for by_dim in sets])
@@ -266,11 +250,8 @@ def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
         add_nearest_reduced(model, handles, constants)
     if isinstance(classifier, Forest):
         add_validity_forest(model, handles, classifier)
-    elif classifier.kind == "svm":
-        add_validity_scaled_svm(model, handles, classifier.weights,
-                                classifier.intercept, classifier.scaler)
     else:
-        add_validity_linear(model, handles, classifier.weights, classifier.intercept)
+        add_validity_linear(model, handles, classifier)
     return model, handles, constants
 
 
@@ -292,17 +273,17 @@ def _single_change_hint(model, handles, classifier, lof_ctx, lam):
 
     best = None
     for d, dim in enumerate(space.dims):
+        moved = np.tile(x_enc, (dim.n_candidates, 1))    # row i: x moved by candidate i
+        moved[:, dim.columns] += dim.deltas
         for i in range(dim.n_candidates):
             if i == dim.zero_index:
                 continue
-            cf = x_enc.copy()
-            for c, dv in zip(dim.columns, dim.deltas[i]):
-                cf[c] += dv
+            cf = moved[i]
             if predict(classifier, cf) != 1:
                 continue
             md = float(np.abs(handles.w_cols[d][:, i]).sum())
             dists = delta0 - constants.c[d][dim.zero_index, :] + constants.c[d][i, :]
-            n_star = int(np.lexsort((np.arange(n_refs), dists))[0])
+            n_star = int(np.argmin(dists))
             reach = max(float(lof_ctx.d1[n_star]), float(dists[n_star]))
             obj = md + lam * float(lof_ctx.lrd1[n_star]) * reach
             if best is None or obj < best[0] - 1e-15:

@@ -407,9 +407,13 @@ class _Tableau:
         lower one on a tie), and move the basic values with it.  Every nonbasic
         column placed is boxed: the slacks are basic when ``root`` places them."""
         slots = self.slot[cols]
+        nonbasic = slots >= 0
+        if not np.count_nonzero(nonbasic):
+            # all basic, as a node's fractional binary is: the dual moves them into range
+            self.lo[cols], self.ubt[cols] = lo, hi
+            return
         before = np.where(self.at_upper[cols], self.ubt[cols], self.lo[cols])
         self.lo[cols], self.ubt[cols] = lo, hi
-        nonbasic = slots >= 0
         cols, slots, before = cols[nonbasic], slots[nonbasic], before[nonbasic]
         lo, hi = self.lo[cols], self.ubt[cols]
         up = (self.z[slots] < 0.0) & (hi > lo)
@@ -688,13 +692,11 @@ class _Warm:
                         float(self.std.c @ x) + self.std.const)
 
     def _place(self, fixes: dict, changed: int | None = None) -> None:
-        """Give the binaries the bounds of the node ``fixes`` describes, and
-        place the nonbasic ones whose bounds differ from the live ones."""
+        """Give the binaries the bounds of the node ``fixes`` describes, and place
+        those whose bounds differ from the live ones: ``changed`` alone if given."""
         tab = self.tab
-        if changed is not None and tab.slot[changed] < 0:
-            # fractional in its parent's optimum, so basic: no other bound
-            # differs, and the dual moves this one into its range
-            tab.lo[changed], tab.ubt[changed] = fixes[changed]
+        if changed is not None:
+            tab.place(np.array([changed]), *fixes[changed])
             return
         lo, hi = np.zeros(tab.ubt.size), self.lay.ubt.copy()
         if fixes:

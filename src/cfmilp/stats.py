@@ -7,9 +7,11 @@ its inverse and an upper-triangular factor U with U'U = inv(Sigma), used both
 for the exact distance and for the linearized objective.
 
 LOF follows the classic definition with k nearest neighbors under the L1
-metric, ties broken by instance index.  The cost model only ever needs the
-k = 1 tables (d_1 and lrd_1 per reference point); larger k is supported for
-evaluation.
+metric.  Wherever a nearest point is picked, ties go to the lowest index
+(``argmin``, or a stable ``argsort``).  The LOF context keeps its reference
+set's (N, N) distance matrix, no larger than the solver's tableau at that N,
+and reads from it both the k = 1 tables of the cost model and the larger-k
+tables of evaluation.
 """
 
 from __future__ import annotations
@@ -98,6 +100,12 @@ def md_l1(ctx: MahalanobisContext, x: np.ndarray, x2: np.ndarray) -> float:
     return float(np.abs(ctx.chol_u @ diff).sum())
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writable: a table built once and read by many."""
+    a.flags.writeable = False
+    return a
+
+
 def knn(metric: DeltaMetric, query: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k nearest rows of ``x`` to ``query`` under the metric.
 
@@ -109,23 +117,24 @@ def knn(metric: DeltaMetric, query: np.ndarray, x: np.ndarray, k: int) -> tuple[
     keep = np.nonzero(d > 0.0)[0]
     if k < 1 or k > keep.size:
         raise ValueError(f"k={k} out of range (have {keep.size} distinct points)")
-    order = keep[np.lexsort((keep, d[keep]))]
-    idx = order[:k]
+    idx = keep[np.argsort(d[keep], kind="stable")[:k]]
     return idx, d[idx]
 
 
 @dataclass
 class LofContext:
-    """Reference set with precomputed k=1 LOF tables.
+    """Reference set with its distance matrix and precomputed k=1 LOF tables.
 
-    d1[n] is the distance from reference point n to its nearest other
-    reference point, nn1[n] that neighbor's index, and lrd1[n] the local
-    reachability density 1 / max(d1[n], d1[nn1[n]]).  Tables for larger k
+    dist[n, m] is the distance between reference points n and m, d1[n] the
+    distance from n to its nearest other reference point, nn1[n] that
+    neighbor's index, and lrd1[n] the local reachability density
+    1 / max(d1[n], d1[nn1[n]]).  All four are read-only.  Tables for larger k
     are built lazily for evaluation.
     """
 
     x: np.ndarray
     metric: DeltaMetric
+    dist: np.ndarray
     d1: np.ndarray
     nn1: np.ndarray
     lrd1: np.ndarray
@@ -174,39 +183,34 @@ def build_lof_context(x: np.ndarray, metric: DeltaMetric) -> LofContext:
     n = x.shape[0]
     if n < 2:
         raise ValueError("reference set needs at least 2 points")
-    d1 = np.empty(n)
-    nn1 = np.empty(n, dtype=int)
+    dist = np.empty((n, n))
     for i in range(n):
-        d = metric.delta_rows(x[i], x)
-        d[i] = np.inf
-        if np.min(d) == 0.0:
-            raise ValueError("reference set contains duplicate rows")
-        j = int(np.lexsort((np.arange(n), d))[0])
-        nn1[i] = j
-        d1[i] = d[j]
+        dist[i] = metric.delta_rows(x[i], x)
+    np.fill_diagonal(dist, np.inf)
+    nn1 = dist.argmin(axis=1)
+    d1 = dist[np.arange(n), nn1]
+    np.fill_diagonal(dist, 0.0)
+    if not d1.all():
+        raise ValueError("reference set contains duplicate rows")
     # rd_1(x_i, nn) = max(d1_i, d1_nn); lrd is its inverse
     lrd1 = 1.0 / np.maximum(d1, d1[nn1])
-    return LofContext(x=x, metric=metric, d1=d1, nn1=nn1, lrd1=lrd1)
+    return LofContext(x=x, metric=metric, dist=read_only(dist), d1=read_only(d1),
+                      nn1=read_only(nn1), lrd1=read_only(lrd1))
 
 
-def _member_tables(ctx: LofContext, k: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(d_k, lrd_k, neighbor lists) over the reference set for a given k."""
+def _member_tables(ctx: LofContext, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_k, lrd_k, neighbors) over the reference set for a given k; row n
+    of the (N, k) neighbors holds n's k nearest other points, nearest first."""
     if k in ctx._k_tables:
         return ctx._k_tables[k]
     n = len(ctx)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for {n} reference points")
-    neigh: list[np.ndarray] = []
-    dk = np.empty(n)
-    for i in range(n):
-        idx, dist = knn(ctx.metric, ctx.x[i], ctx.x, k)
-        neigh.append(idx)
-        dk[i] = dist[-1]
-    lrdk = np.empty(n)
-    for i in range(n):
-        dists = ctx.metric.delta_rows(ctx.x[i], ctx.x[neigh[i]])
-        rd = np.maximum(dists, dk[neigh[i]])
-        lrdk[i] = k / float(rd.sum())
+    # every row sorts itself first: its only zero distance is on the diagonal
+    neigh = np.argsort(ctx.dist, axis=1, kind="stable")[:, 1:k + 1]
+    dists = np.take_along_axis(ctx.dist, neigh, axis=1)
+    dk = dists[:, -1]
+    lrdk = k / np.maximum(dists, dk[neigh]).sum(axis=1)
     ctx._k_tables[k] = (dk, lrdk, neigh)
     return ctx._k_tables[k]
 
@@ -232,7 +236,7 @@ def lof(ctx: LofContext, query: np.ndarray, k: int) -> float:
 def nearest_ref(ctx: LofContext, point: np.ndarray) -> tuple[int, float]:
     """Nearest reference point to ``point`` (ties by index), zero distance allowed."""
     d = ctx.metric.delta_rows(point, ctx.x)
-    j = int(np.lexsort((np.arange(len(ctx)), d))[0])
+    j = int(np.argmin(d))
     return j, float(d[j])
 
 

@@ -42,7 +42,7 @@ class TestNumericDims:
         # grid 3 quantiles of [0,10,20,30] are 0/15/30; own value drops out
         assert amount.labels == (0.0, 15.0, 30.0)
         assert amount.zero_index == 0
-        assert amount.deltas == ((0.0,), (15.0,), (30.0,))
+        assert np.array_equal(amount.deltas, [[0.0], [15.0], [30.0]])
 
     def test_direction_increase(self):
         enc = default_enc()
@@ -151,6 +151,21 @@ class TestConstants:
             assert (consts.c[d] >= 0.0).all()
         assert np.allclose(consts.c_ref, np.sum([t.max(axis=0) for t in consts.c], axis=0))
         assert consts.big_m == pytest.approx(consts.c_ref.max())
+
+    def test_tables_are_read_only(self):
+        # every builder reads these arrays in place, so none may be written
+        inst = random_instance(3)
+        space, x, ctx, metric = inst["space"], inst["x"], inst["lof_ctx"], inst["metric"]
+        consts = precompute_constants(space, x, ctx, metric)
+        tables = [consts.table, *consts.c, consts.c_ref, ctx.dist, ctx.d1, ctx.nn1, ctx.lrd1]
+        for dim in space.dims:
+            tables += [dim.columns, dim.deltas]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+        # c[d] are the dimension's rows of the stacked table, in pi order
+        assert all(np.shares_memory(rows, consts.table) for rows in consts.c)
+        assert np.array_equal(np.vstack(consts.c), consts.table)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))

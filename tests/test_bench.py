@@ -466,6 +466,8 @@ BAD_SECTION_KEYS = [
     ({"classifier": {"kind": "forest", "n_trees": 3, "max_depth": 2, "c": 1.0}},
      "classifier keys"),
     ({"classifier": {"kind": "mlp"}}, "classifier kind"),
+    ({"n_values": []}, "n_values"),
+    ({"formulations": []}, "formulations"),
 ]
 
 
@@ -641,6 +643,8 @@ BAD_MODEL_DOCS = {
                                      "finite"),
     "scaled-col-not-an-integer": (lambda d: dict(d, scaler=dict(d["scaler"], scaled_cols=[
         0.5])), "scaled_cols"),
+    "converged-string": (lambda d: dict(d, converged="no"), "converged"),
+    "unknown-key": (lambda d: dict(d, extra_key=1), "extra_key"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfmilp.bench import brute_force_oracle
-from cfmilp.classifiers import LinearModel, decision_value, predict
+from cfmilp.classifiers import Forest, LinearModel, decision_value, predict
 from cfmilp.formulations import (
     PreconditionError,
     build_model,
@@ -90,20 +90,78 @@ def _reference_rows(model, handles, constants, inst):
         else:
             put(f"nn_r_lo_{n}", {**dist, mu: big_m, t_id: -1.0}, "<=", big_m)
             put(f"nn_r_hi_{n}", {**{v: -cf for v, cf in dist.items()}, t_id: 1.0}, "<=", 0.0)
-    w, dims = inst["classifier"].weights, inst["space"].dims
-    put("validity", {v: float(sum(w[col] * dv for col, dv in zip(dims[d].columns,
-                                                                 dims[d].deltas[i])))
+    clf, dims, x = inst["classifier"], inst["space"].dims, inst["x"]
+    if isinstance(clf, Forest):
+        _reference_forest_rows(put, model, handles, inst)
+        return rows
+    w, slope = clf.weights, clf.weights
+    if clf.kind == "svm":
+        # the SVM scores scaled inputs: a raw offset enters over its column's std
+        stds = np.asarray(clf.scaler.stds)
+        x, slope = (x - np.asarray(clf.scaler.means)) / stds, w / stds
+    put("validity", {v: float(sum(slope[col] * dv for col, dv in zip(dims[d].columns,
+                                                                     dims[d].deltas[i])))
                      for d, i, v in each_pi},
-        ">=", -float(w @ inst["x"] + inst["classifier"].intercept))
+        ">=", -float(w @ x + clf.intercept))
     return rows
+
+
+def _reference_forest_rows(put, model, handles, inst):
+    """A forest's path_*, pick_leaf_* and validity rows, one leaf at a time:
+    a leaf's path row for dimension d lets through each candidate of d whose
+    moved values stay inside every interval the path puts on d's columns."""
+    forest, space, x = inst["classifier"], inst["space"], inst["x"]
+    dim_of = {int(col): d for d, dim in enumerate(space.dims) for col in dim.columns}
+    probs = {}
+    for t, tree in enumerate(forest.trees):
+        above = {}                      # child node -> (split node, went left)
+        for node in np.nonzero(tree.feature >= 0)[0]:
+            above[int(tree.left[node])] = (node, True)
+            above[int(tree.right[node])] = (node, False)
+        for l_ord, (leaf, phi) in enumerate(zip(handles.leaf_nodes[t], handles.phi[t])):
+            conds, node = [], leaf
+            while node in above:
+                node, left = above[node]
+                thr = float(tree.threshold[node])
+                conds.insert(0, (int(tree.feature[node]), -np.inf, thr) if left
+                             else (int(tree.feature[node]), thr, np.inf))
+            through = {}
+            for d in dict.fromkeys(dim_of[col] for col, _, _ in conds):
+                choice = [dim.zero_index for dim in space.dims]
+                through[d] = []
+                for i in range(space.dims[d].n_candidates):
+                    choice[d] = i
+                    moved = x + space.displacement(choice)
+                    if all(lo < moved[col] <= hi for col, lo, hi in conds if dim_of[col] == d):
+                        through[d].append(i)
+            live = all(through.values())
+            assert model.variables[phi].ub == float(live)
+            if live:
+                for d, ok in through.items():
+                    put(f"path_t{t}_l{l_ord}_d{d}",
+                        {**{handles.pi[d][i]: 1.0 for i in ok}, phi: -1.0}, ">=", 0.0)
+            probs[phi] = float(tree.prob[leaf])
+        put(f"pick_leaf_t{t}", {phi: 1.0 for phi in handles.phi[t]}, "=", 1.0)
+    put("validity", probs, ">=", 0.5 * len(forest.trees))
+
+
+def _row_instances():
+    """Random linear instances, then trained SVMs and forests."""
+    yield from ((f"seed {seed}", random_instance(seed)) for seed in range(6))
+    for kind in ("svm", "forest"):
+        for seed in range(4):
+            inst = classifier_instance(seed, kind)
+            if inst is not None:
+                yield f"{kind} seed {seed}", inst
 
 
 @pytest.mark.parametrize("formulation", ["original", "reduced"])
 def test_row_blocks_match_row_by_row_reference(formulation):
     # row order and every coefficient are the solver's input: the blocks must
     # give what a row-by-row build gives, bit for bit
-    for seed in range(6):
-        inst = random_instance(seed)
+    kinds = set()
+    for label, inst in _row_instances():
+        kinds.add(inst["classifier"].kind)
         model, handles, constants = build_model(
             inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
             inst["space"], inst["lam"], formulation)
@@ -112,15 +170,18 @@ def test_row_blocks_match_row_by_row_reference(formulation):
                    if formulation == "original" else
                    [f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")])
         records = {con.name: con for con in model.constraints}
+        reference = _reference_rows(model, handles, constants, inst)
         assert list(records) == (
             [f"pick_d{d}" for d in range(n_dims)]
             + [f"env_{side}_c{r}" for r in range(n_enc) for side in ("pos", "neg")]
             + ["pick_nn"] + [f"reach_floor_n{n}" for n in range(n_refs)]
             + [f"reach_link_n{n}" for n in range(n_refs)] + ["max_changes"]
-            + nearest + ["validity"])
-        for name, want in _reference_rows(model, handles, constants, inst).items():
+            + nearest + [name for name in reference
+                         if name.startswith(("path_", "pick_leaf_", "validity"))]), label
+        for name, want in reference.items():
             con = records[name]
-            assert (con.coeffs, con.cmp, con.rhs) == want, f"seed {seed} {name}"
+            assert (con.coeffs, con.cmp, con.rhs) == want, f"{label} {name}"
+    assert kinds == {"logistic", "svm", "forest"}
 
 
 # -- assignment-level encoding semantics ----------------------------------------

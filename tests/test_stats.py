@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmilp.stats import (DeltaMetric, build_lof_context, build_mahalanobis, knn, lof,
-                          md_l1, md_l2, mahalanobis_distance, nearest_ref, q1_surrogate,
-                          reachability, sample_reference_set)
+from cfmilp.stats import (DeltaMetric, _member_tables, build_lof_context, build_mahalanobis,
+                          knn, lof, md_l1, md_l2, mahalanobis_distance, nearest_ref,
+                          q1_surrogate, reachability, sample_reference_set)
 
 from _oracles import lof_bruteforce, q1_bruteforce
 
@@ -152,6 +152,20 @@ class TestLofTables:
         # query at 0.25 is closer to member 0 than member 0's own d1
         assert reachability(ctx, np.array([0.25]), 0) == pytest.approx(1.0)
         assert reachability(ctx, np.array([3.5]), 2) == pytest.approx(1.5)
+
+    def test_member_tables_break_ties_by_index(self):
+        # on a lattice most neighbors tie; every member's k nearest other
+        # points are taken by (distance, index)
+        metric = DeltaMetric(scales=np.array([1.0, 1.0]))
+        x = np.array([[i % 7, i // 7] for i in range(49)], dtype=float)
+        ctx = build_lof_context(x, metric)
+        for k in (1, 4, 8, 12):
+            dk, _, neigh = _member_tables(ctx, k)
+            for n in range(len(x)):
+                want = sorted((m for m in range(len(x)) if m != n),
+                              key=lambda m: (metric.delta(x[n], x[m]), m))[:k]
+                assert list(neigh[n]) == want
+                assert dk[n] == metric.delta(x[n], x[want[-1]])
 
     def test_nearest_ref_allows_coincident(self):
         ctx = line_ctx()
