@@ -312,17 +312,6 @@ def encode(raw: RawDataset) -> EncodedDataset:
     return EncodedDataset(x=x, y=y, encoding=enc, schema=schema)
 
 
-def decode_row(schema: DatasetSchema, encoding: EncodingMap, row: np.ndarray) -> list:
-    """Inverse of encode for one row; categorical groups decode by argmax."""
-    out = []
-    for f, (a, b) in zip(schema.features, encoding.spans):
-        if f.kind == "categorical":
-            out.append(f.categories[int(np.argmax(row[a:b]))])
-        else:
-            out.append(float(row[a]))
-    return out
-
-
 @dataclass(frozen=True)
 class StandardScaler:
     """Per-column affine scaler; identity outside ``scaled_cols``.
@@ -491,18 +480,3 @@ def synthetic_credit(n_rows: int, seed: int) -> RawDataset:
     ]
     labels = ["good" if g else "bad" for g in good]
     return RawDataset(schema=schema, rows=rows, labels=labels, n_dropped=0)
-
-
-def write_csv(raw: RawDataset, path: str | Path) -> None:
-    """Write a raw dataset back to CSV (feature columns then target)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(raw.schema.feature_names) + [raw.schema.target])
-        for row, lab in zip(raw.rows, raw.labels):
-            out = []
-            for spec, v in zip(raw.schema.features, row):
-                if spec.kind == "categorical":
-                    out.append(v)
-                else:
-                    out.append(repr(float(v)) if v != int(v) else str(int(v)))
-            w.writerow(out + [lab])

@@ -360,8 +360,7 @@ def decode_action(handles: FormulationHandles, values: np.ndarray):
 
 def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
             lof_ctx: LofContext, space: ActionSpace, lam: float,
-            formulation: str = "reduced", params: SolverParams | None = None,
-            use_hint: bool = True) -> Explanation:
+            formulation: str = "reduced", params: SolverParams | None = None) -> Explanation:
     """Solve for the cheapest plausible action that flips the classifier.
 
     Raises PreconditionError when the instance is already accepted.  An
@@ -373,7 +372,7 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
         raise PreconditionError("instance is already classified positive")
     model, handles, constants = build_model(
         x_enc, classifier, mahal_ctx, lof_ctx, space, lam, formulation)
-    hint = _single_change_hint(model, handles, classifier, lof_ctx, lam) if use_hint else None
+    hint = _single_change_hint(model, handles, classifier, lof_ctx, lam)
     # action-choice binaries decide everything downstream, so branch there first
     priority = {vid: 1 for ids in handles.pi for vid in ids}
     sol = solve_milp(model, params=params, incumbent_hint=hint,

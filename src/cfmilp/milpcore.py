@@ -108,13 +108,6 @@ class Constraint:
     rhs: float
 
 
-def _coeff_arrays(coeffs):
-    """(vids, values) of a {vid: coef} map or a sequence of (vid, coef) pairs."""
-    items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-    pairs = np.array(list(items), dtype=float).reshape(-1, 2)
-    return pairs[:, 0].astype(np.intp), pairs[:, 1]
-
-
 class MilpModel:
     """Minimization model over binary and bounded continuous variables."""
 
@@ -167,9 +160,6 @@ class MilpModel:
         self._append(lb=lb, ub=ub, binary=np.full(k, binary, dtype=bool))
         return range(start, start + k)
 
-    def add_binary(self, name: str) -> int:
-        return self.add_variables([name], 0.0, 1.0, binary=True)[0]
-
     def add_continuous(self, name: str, lb: float, ub: float) -> int:
         return self.add_variables([name], lb, ub)[0]
 
@@ -199,14 +189,10 @@ class MilpModel:
         self._row_names += names
         self._append(row=row + start, vid=vid, val=val, cmp=cmp, rhs=rhs)
 
-    def add_constraint(self, coeffs, cmp: str, rhs: float, name: str | None = None) -> int:
-        i = self.n_constraints
-        vid, val = _coeff_arrays(coeffs)
-        self.add_rows([f"c{i}" if name is None else name], cmp, rhs, (0, vid, val))
-        return i
-
-    def set_objective(self, coeffs, constant: float = 0.0) -> None:
-        vid, val = _coeff_arrays(coeffs)
+    def set_objective(self, coeffs: dict, constant: float = 0.0) -> None:
+        """Minimize ``coeffs`` ({vid: coef}) plus ``constant``."""
+        vid = np.fromiter(coeffs, np.intp, len(coeffs))
+        val = np.fromiter(coeffs.values(), float, len(coeffs))
         self._check_vids(vid)
         if not (np.isfinite(val).all() and math.isfinite(constant)):
             raise ModelError("objective coefficients and constant must be finite")

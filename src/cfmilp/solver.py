@@ -218,7 +218,6 @@ class _Restart(Exception):
 @dataclass
 class SolverParams:
     time_limit_s: float = 1200.0
-    node_limit: int | None = None
 
 
 @dataclass
@@ -656,9 +655,7 @@ class _Warm:
         tab = self.tab
         tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
         self.start = tab.basis.copy(), tab.at_upper.copy()
-        res = self.solve({}, deadline, cutoff)
-        res.iterations = tab.iterations
-        return res
+        return self.solve({}, deadline, cutoff)
 
     def solve(self, fixes: dict, deadline: float | None = None,
               cutoff: float = np.inf, changed: int | None = None) -> LpResult:
@@ -825,13 +822,11 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             inc_obj = ev.objective
 
     nodes = 0
-    lp_iters = 0
     next_id = 0
     # (parent bound, id, {vid: (lb, ub)}, parent id, the vid the node fixes)
     heap = [(-np.inf, next_id, {}, None, None)]
     warm = None                               # live tableau, from the root on
-    timed_out = False
-    hit_node_limit = False
+    timed_out = False                         # leaves at least one node open
     best_bound = -np.inf
 
     while heap:
@@ -850,10 +845,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             timed_out = True
             best_bound = bound_est
             break
-        if params.node_limit is not None and nodes >= params.node_limit:
-            hit_node_limit = True
-            best_bound = bound_est
-            break
         node = heapq.heappop(heap)
 
         try:
@@ -868,7 +859,6 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             best_bound = bound_est
             break
         nodes += 1
-        lp_iters += res.iterations
         if res.status in ("infeasible", "cutoff"):
             continue
         bound = res.objective
@@ -902,11 +892,12 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             next_id += 1
             heapq.heappush(heap, (bound, next_id, {**fixes, j: (b, b)}, node_id, j))
 
-    work = dict(nodes=nodes, lp_iterations=lp_iters, wall_time=time.perf_counter() - t_start)
+    # the live tableau counts every pivot, those of an LP cut short included
+    work = dict(nodes=nodes, lp_iterations=0 if warm is None else warm.tab.iterations,
+                wall_time=time.perf_counter() - t_start)
     if incumbent is None:
-        stopped = (timed_out or hit_node_limit) and heap
-        return MilpSolution("infeasible-unproven" if stopped else "infeasible", **work)
-    if heap and (timed_out or hit_node_limit):
+        return MilpSolution("infeasible-unproven" if timed_out else "infeasible", **work)
+    if timed_out:
         gap = (inc_obj - best_bound) / max(1.0, abs(inc_obj)) if np.isfinite(best_bound) else None
         return MilpSolution("feasible-time-limit", **work, values=incumbent, objective=inc_obj,
                             gap=gap)

@@ -88,18 +88,6 @@ def mahalanobis_distance(ctx: MahalanobisContext, x: np.ndarray, x2: np.ndarray)
     return float(np.sqrt(max(diff @ ctx.sigma_inv @ diff, 0.0)))
 
 
-def md_l2(ctx: MahalanobisContext, x: np.ndarray, x2: np.ndarray) -> float:
-    """Same distance through the factor: ||U (x2 - x)||_2."""
-    diff = np.asarray(x2, float) - np.asarray(x, float)
-    return float(np.linalg.norm(ctx.chol_u @ diff, 2))
-
-
-def md_l1(ctx: MahalanobisContext, x: np.ndarray, x2: np.ndarray) -> float:
-    """The L1 surrogate ||U (x2 - x)||_1 used by the linear objective."""
-    diff = np.asarray(x2, float) - np.asarray(x, float)
-    return float(np.abs(ctx.chol_u @ diff).sum())
-
-
 def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, no longer writable: a table built once and read by many."""
     a.flags.writeable = False
@@ -213,15 +201,6 @@ def _member_tables(ctx: LofContext, k: int) -> tuple[np.ndarray, np.ndarray, np.
     lrdk = k / np.maximum(dists, dk[neigh]).sum(axis=1)
     ctx._k_tables[k] = (dk, lrdk, neigh)
     return ctx._k_tables[k]
-
-
-def reachability(ctx: LofContext, point: np.ndarray, n_index: int, k: int = 1) -> float:
-    """Reachability distance of ``point`` from reference point ``n_index``."""
-    d = ctx.metric.delta(point, ctx.x[n_index])
-    if k == 1:
-        return float(max(d, ctx.d1[n_index]))
-    dk, _, _ = _member_tables(ctx, k)
-    return float(max(d, dk[n_index]))
 
 
 def lof(ctx: LofContext, query: np.ndarray, k: int) -> float:

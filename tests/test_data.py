@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from cfmilp.data import (DatasetSchema, FeatureSpec, ParseError, RawDataset, SchemaError,
                          StandardScaler, apply_scaler, as_count, as_real, build_encoding,
-                         decode_row, encode,
-                         fit_scaler, load_csv, split, synthetic_credit,
-                         synthetic_credit_schema, write_csv)
+                         encode, fit_scaler, load_csv, split, synthetic_credit,
+                         synthetic_credit_schema)
 
 TINY = DatasetSchema(
     features=(
@@ -159,11 +158,6 @@ class TestEncode:
         assert np.array_equal(enc.x, expect)
         assert np.array_equal(enc.y, [1, -1, 1])
 
-    def test_decode_roundtrip(self):
-        enc = encode(tiny_raw())
-        for i, row in enumerate(tiny_raw().rows):
-            assert decode_row(TINY, enc.encoding, enc.x[i]) == row
-
 
 class TestScaler:
     def test_population_sigma_frozen(self):
@@ -245,14 +239,6 @@ class TestSynthetic:
         assert raw.schema == synthetic_credit_schema()
         share = sum(1 for v in raw.labels if v == "good") / len(raw.labels)
         assert 0.5 < share < 0.9
-
-    def test_csv_roundtrip(self, tmp_path):
-        raw = synthetic_credit(30, seed=2)
-        p = tmp_path / "synth.csv"
-        write_csv(raw, p)
-        back = load_csv(p, raw.schema)
-        assert np.allclose(encode(back).x, encode(raw).x)
-        assert back.labels == raw.labels
 
 
 class TestValueChecks:

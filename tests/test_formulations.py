@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cfmilp import formulations
 from cfmilp.bench import brute_force_oracle
 from cfmilp.classifiers import Forest, LinearModel, decision_value, predict
 from cfmilp.formulations import (
@@ -421,11 +422,13 @@ def test_zero_change_budget_means_no_recourse():
     assert exp.status == "no-recourse"
 
 
-def test_hint_does_not_change_answer():
+def test_hint_does_not_change_answer(monkeypatch):
     for seed in (3, 10, 21):
         inst = random_instance(seed)
-        with_hint = _explain(inst, "reduced", use_hint=True)
-        without = _explain(inst, "reduced", use_hint=False)
+        with_hint = _explain(inst, "reduced")
+        with monkeypatch.context() as patch:
+            patch.setattr(formulations, "_single_change_hint", lambda *args: None)
+            without = _explain(inst, "reduced")
         assert with_hint.status == without.status
         if with_hint.status == "optimal":
             assert with_hint.objective == pytest.approx(without.objective, abs=1e-9)

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every top-level import of the
-package is used by the module that makes it, and no module imports
+package is used by the module that makes it, every public function, method
+and class of the package is named outside the tests, and no module imports
 scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds about
 5 MiB of resident memory to every process that solves (the reason
 ``milpcore.Rows`` exists); importing scipy.linalg adds about 21 MiB (the
@@ -7,11 +8,14 @@ reason ``solver._scipy_linalg_extension`` loads the BLAS and LAPACK
 wrappers from their files)."""
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cfmilp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cfmilp"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,6 +42,69 @@ def test_no_unused_top_level_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import json\nimport os\nfrom x import (a, b as c)\nos.sep\nc()\n")
     assert _unused_imports(tree) == ["a (line 3)", "json (line 1)"]
+
+
+def _public_defs(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every public function and class at module level, and
+    of every public method of a class there."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                out += [(f.name, f.lineno) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, line) for name, line in out if not name.startswith("_")]
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name read, attribute taken or import alias in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def _unreferenced(tree: ast.Module, callers: set[str], text: str) -> list[str]:
+    """Public definitions of ``tree`` that neither ``callers`` nor, as a whole
+    word, ``text`` names."""
+    return [f"{name} (line {line})" for name, line in _public_defs(tree)
+            if name not in callers and not re.search(rf"\b{name}\b", text)]
+
+
+@functools.cache
+def _outside_tests() -> tuple[set[str], str]:
+    """Names in the package and the benchmark's modules, and the README."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
+    names = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    return names, (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_public_definitions_are_named_outside_tests(path):
+    assert _unreferenced(ast.parse(path.read_text(encoding="utf-8")), *_outside_tests()) == []
+
+
+def test_unused_definition_is_caught():
+    tree = ast.parse("def used(): pass\n"
+                     "def unused(): pass\n"
+                     "def _private(): pass\n"
+                     "class Kept:\n"
+                     "    def method(self): pass\n"
+                     "    def stale(self): pass\n"
+                     "    def _helper(self): pass\n"
+                     "def documented(): pass\n"
+                     "def nested():\n"
+                     "    def inner(): pass\n"
+                     "    return inner\n")
+    callers = _named(ast.parse("from m import used as u, Kept\nKept().method\nnested()\n"))
+    assert _unreferenced(tree, callers, "call documented(), not undocumented()") == [
+        "unused (line 2)", "stale (line 6)"]
 
 
 def _imports_of(tree: ast.Module, package: str) -> list[int]:

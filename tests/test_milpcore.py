@@ -18,12 +18,11 @@ from _oracles import parse_lp
 
 def small_model():
     m = MilpModel("tiny")
-    b0 = m.add_binary("b0")
+    b0, = m.add_variables(["b0"], 0.0, 1.0, binary=True)
     x = m.add_continuous("x", 0.0, 2.5)
     y = m.add_continuous("y", -math.inf, math.inf)
-    m.add_constraint([(b0, 1.0), (x, 2.0)], "<=", 3.0, name="cap")
-    m.add_constraint([(x, -0.5)], ">=", -1.0, name="floor")
-    m.add_constraint([(y, 1.0), (b0, 1.0)], "=", 0.5, name="tie")
+    m.add_rows(["cap", "floor", "tie"], ["<=", ">=", "="], [3.0, -1.0, 0.5],
+               ([0, 0, 1, 2, 2], [b0, x, x, y, b0], [1.0, 2.0, -0.5, 1.0, 1.0]))
     m.set_objective({b0: 1.5, x: 1.0}, constant=0.25)
     return m
 
@@ -32,16 +31,16 @@ def small_model():
 
 def test_variable_ids_sequential():
     m = MilpModel()
-    assert m.add_binary("a") == 0
+    assert m.add_variables(["a"], 0.0, 1.0, binary=True) == range(0, 1)
     assert m.add_continuous("b", 0.0, 1.0) == 1
-    assert m.add_binary("c") == 2
+    assert m.add_variables(["c"], 0.0, 1.0, binary=True) == range(2, 3)
     assert m.n_vars == 3
     assert [v.vid for v in m.variables] == [0, 1, 2]
 
 
 def test_binary_has_unit_bounds():
     m = MilpModel()
-    m.add_binary("flag")
+    m.add_variables(["flag"], 0.0, 1.0, binary=True)
     v = m.variables[0]
     assert v.kind == "binary"
     assert (v.lb, v.ub) == (0.0, 1.0)
@@ -63,12 +62,12 @@ def test_reasonable_names_accepted(ok):
 
 def test_duplicate_names_rejected_across_kinds():
     m = MilpModel()
-    m.add_binary("u")
+    m.add_variables(["u"], 0.0, 1.0, binary=True)
     with pytest.raises(ModelError, match="duplicate"):
         m.add_continuous("u", 0.0, 1.0)
     # constraints share the namespace with variables
     with pytest.raises(ModelError, match="duplicate"):
-        m.add_constraint([(0, 1.0)], "<=", 1.0, name="u")
+        m.add_rows(["u"], "<=", 1.0, (0, 0, 1.0))
 
 
 def test_bounds_validation():
@@ -89,9 +88,9 @@ def test_coefficients_merged_and_zeros_dropped():
     m = MilpModel()
     a = m.add_continuous("a", 0.0, 1.0)
     b = m.add_continuous("b", 0.0, 1.0)
-    m.add_constraint([(a, 1.0), (b, 0.0), (a, 2.0)], "<=", 1.0)
+    m.add_rows(["r0"], "<=", 1.0, (0, [a, b, a], [1.0, 0.0, 2.0]))
     assert m.constraints[0].coeffs == ((a, 3.0),)
-    m.add_constraint([(a, 1.0), (a, -1.0), (b, 2.0)], "<=", 1.0)
+    m.add_rows(["r1"], "<=", 1.0, (0, [a, a, b], [1.0, -1.0, 2.0]))
     assert m.constraints[1].coeffs == ((b, 2.0),)
 
 
@@ -99,27 +98,20 @@ def test_unknown_variable_id_rejected():
     m = MilpModel()
     m.add_continuous("a", 0.0, 1.0)
     with pytest.raises(ModelError, match="unknown"):
-        m.add_constraint([(7, 1.0)], "<=", 1.0)
+        m.add_rows(["r0"], "<=", 1.0, (0, 7, 1.0))
     with pytest.raises(ModelError, match="unknown"):
         m.set_objective({-1: 1.0})
-
-
-def test_dict_coefficients_accepted():
-    m = MilpModel()
-    a = m.add_continuous("a", 0.0, 1.0)
-    m.add_constraint({a: 4.0}, ">=", 2.0)
-    assert m.constraints[0].coeffs == ((a, 4.0),)
 
 
 def test_comparison_and_rhs_validation():
     m = MilpModel()
     a = m.add_continuous("a", 0.0, 1.0)
     with pytest.raises(ModelError, match="comparison"):
-        m.add_constraint([(a, 1.0)], "<", 1.0)
+        m.add_rows(["r0"], "<", 1.0, (0, a, 1.0))
     with pytest.raises(ModelError, match="finite"):
-        m.add_constraint([(a, 1.0)], "<=", math.inf)
+        m.add_rows(["r0"], "<=", math.inf, (0, a, 1.0))
     with pytest.raises(ModelError, match="finite"):
-        m.add_constraint([(a, 1.0)], "<=", math.nan)
+        m.add_rows(["r0"], "<=", math.nan, (0, a, 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -127,23 +119,12 @@ def test_non_finite_coefficients_rejected(bad):
     m = MilpModel()
     a, b = m.add_variables(["a", "b"], 0.0, math.inf)     # infinite bounds stay allowed
     with pytest.raises(ModelError, match="finite"):
-        m.add_constraint([(a, 1.0), (b, bad)], "<=", 1.0)
-    with pytest.raises(ModelError, match="finite"):
         m.add_rows(["r0", "r1"], "<=", 1.0, ([0, 1], [a, b], [1.0, bad]))
     with pytest.raises(ModelError, match="finite"):
         m.set_objective({a: bad})
     with pytest.raises(ModelError, match="finite"):
         m.set_objective({a: 1.0}, constant=bad)
     assert m.n_constraints == 0 and m.objective == {}
-
-
-def test_auto_constraint_names():
-    m = MilpModel()
-    a = m.add_continuous("a", 0.0, 1.0)
-    m.add_constraint([(a, 1.0)], "<=", 1.0)
-    m.add_constraint([(a, 1.0)], ">=", 0.0, name="named")
-    m.add_constraint([(a, 1.0)], "=", 0.5)
-    assert [c.name for c in m.constraints] == ["c0", "named", "c2"]
 
 
 def test_objective_value_includes_constant():
@@ -179,7 +160,7 @@ def test_evaluate_bound_violations():
 
 def test_evaluate_integrality_violation():
     m = MilpModel()
-    m.add_binary("b")
+    m.add_variables(["b"], 0.0, 1.0, binary=True)
     res = evaluate(m, [0.4])
     assert res.worst_violation == pytest.approx(0.4)
     assert not res.feasible
@@ -189,9 +170,7 @@ def test_evaluate_integrality_violation():
 def test_evaluate_row_violations_by_comparison():
     m = MilpModel()
     x = m.add_continuous("x", -10.0, 10.0)
-    m.add_constraint([(x, 1.0)], "<=", 2.0)
-    m.add_constraint([(x, 1.0)], ">=", 4.0)
-    m.add_constraint([(x, 1.0)], "=", 1.0)
+    m.add_rows(["le", "ge", "eq"], ["<=", ">=", "="], [2.0, 4.0, 1.0], ([0, 1, 2], x, 1.0))
     res = evaluate(m, [3.0])
     # violations: 1.0, 1.0 and 2.0; the equality dominates
     assert res.worst_violation == pytest.approx(2.0)
@@ -200,7 +179,7 @@ def test_evaluate_row_violations_by_comparison():
 def test_evaluate_tolerance():
     m = MilpModel()
     x = m.add_continuous("x", 0.0, 1.0)
-    m.add_constraint([(x, 1.0)], "<=", 0.5)
+    m.add_rows(["cap"], "<=", 0.5, (0, x, 1.0))
     vals = [0.5 + 5e-7]
     assert evaluate(m, vals).feasible
     assert not evaluate(m, vals, tol=1e-9).feasible
@@ -229,7 +208,7 @@ def _four_vars():
 def test_row_block_matches_single_rows():
     single, block = _four_vars(), _four_vars()
     for coeffs, cmp, rhs, name in _ROWS:
-        single.add_constraint(coeffs, cmp, rhs, name=name)
+        single.add_rows([name], cmp, rhs, (0, *zip(*coeffs)))
     row, vid, val = map(np.array, zip(*[(i, v, c) for i, (coeffs, *_) in enumerate(_ROWS)
                                          for v, c in coeffs]))
     block.add_rows([r[3] for r in _ROWS], [r[1] for r in _ROWS], [r[2] for r in _ROWS],
@@ -267,11 +246,11 @@ def test_model_arrays_are_shared_and_read_only():
     assert m.arrays is arr
     with pytest.raises(ValueError):
         arr.rhs[0] = 5.0
-    m.add_constraint([(1, 1.0), (0, 2.0), (1, 0.5)], "<=", 2.0)
+    m.add_rows(["late"], "<=", 2.0, (0, [1, 0, 1], [1.0, 2.0, 0.5]))
     assert m.arrays is not arr and m.arrays.rhs.size == 4
     # rows appended after a join read as if the model was built in one go
     fresh = small_model()
-    fresh.add_constraint([(1, 1.0), (0, 2.0), (1, 0.5)], "<=", 2.0)
+    fresh.add_rows(["late"], "<=", 2.0, (0, [1, 0, 1], [1.0, 2.0, 0.5]))
     assert m.constraints == fresh.constraints
     assert export_lp(m) == export_lp(fresh)
 
@@ -328,15 +307,14 @@ def test_export_golden():
 
 def test_export_empty_objective():
     m = MilpModel("blank")
-    m.add_binary("b")
+    m.add_variables(["b"], 0.0, 1.0, binary=True)
     text = export_lp(m)
     assert " obj: 0 b" in text
 
 
 def test_export_wraps_binaries_eight_per_line():
     m = MilpModel()
-    for i in range(10):
-        m.add_binary(f"z{i}")
+    m.add_variables([f"z{i}" for i in range(10)], 0.0, 1.0, binary=True)
     lines = export_lp(m).splitlines()
     start = lines.index("Binaries")
     assert lines[start + 1] == " " + " ".join(f"z{i}" for i in range(8))
@@ -346,10 +324,8 @@ def test_export_wraps_binaries_eight_per_line():
 def test_export_reparse_roundtrip():
     rng = np.random.default_rng(20240817)
     m = MilpModel("round")
-    names = {}
-    for i in range(10):
-        vid = m.add_binary(f"p{i}")
-        names[vid] = f"p{i}"
+    names = {vid: f"p{i}" for i, vid in
+             enumerate(m.add_variables([f"p{i}" for i in range(10)], 0.0, 1.0, binary=True))}
     for i in range(15):
         lo = float(rng.normal()) if rng.random() < 0.8 else -math.inf
         hi = (lo if math.isfinite(lo) else 0.0) + float(rng.uniform(0.1, 5.0))
@@ -357,12 +333,12 @@ def test_export_reparse_roundtrip():
             hi = math.inf
         vid = m.add_continuous(f"q{i}", lo, hi)
         names[vid] = f"q{i}"
-    for _ in range(12):
+    for i in range(12):
         k = int(rng.integers(1, 6))
         vids = rng.choice(m.n_vars, size=k, replace=False)
-        coeffs = [(int(v), float(rng.uniform(-3, 3)) or 1.0) for v in vids]
+        coefs = [float(rng.uniform(-3, 3)) or 1.0 for _ in vids]
         cmp = ("<=", ">=", "=")[int(rng.integers(0, 3))]
-        m.add_constraint(coeffs, cmp, float(rng.normal()))
+        m.add_rows([f"c{i}"], cmp, float(rng.normal()), (0, vids, coefs))
     obj_vids = rng.choice(m.n_vars, size=8, replace=False)
     m.set_objective({int(v): float(rng.uniform(0.5, 2.0)) for v in obj_vids})
 

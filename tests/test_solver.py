@@ -31,13 +31,11 @@ INF = math.inf
 def build(c, bounds, rows=(), binaries=(), constant=0.0):
     """Assemble a model from plain arrays; rows are (coeffs, cmp, rhs)."""
     m = MilpModel()
-    for i, bd in enumerate(bounds):
-        if i in binaries:
-            m.add_binary(f"v{i}")
-        else:
-            m.add_continuous(f"v{i}", bd[0], bd[1])
-    for coeffs, cmp, rhs in rows:
-        m.add_constraint([(j, a) for j, a in enumerate(coeffs) if a != 0.0], cmp, rhs)
+    binary = [i in binaries for i in range(len(bounds))]
+    lb, ub = zip(*[(0.0, 1.0) if b else bd for bd, b in zip(bounds, binary)])
+    m.add_variables([f"v{i}" for i in range(len(bounds))], lb, ub, binary=binary)
+    m.add_rows([f"c{i}" for i in range(len(rows))], [r[1] for r in rows], [r[2] for r in rows],
+               *[(i, np.arange(len(r[0])), r[0]) for i, r in enumerate(rows)])
     m.set_objective({j: a for j, a in enumerate(c) if a != 0.0}, constant=constant)
     return m
 
@@ -254,17 +252,6 @@ def test_milp_integer_infeasible():
     res = solve_milp(m)
     assert res.status == "infeasible"
     assert res.values is None
-
-
-def test_milp_node_limit_statuses():
-    m = build([1.0, 1.0], [(0, 1), (0, 1)], [([1.0, 1.0], ">=", 1.5)],
-              binaries={0, 1})
-    res = solve_milp(m, SolverParams(node_limit=1))
-    assert res.status == "infeasible-unproven"
-    assert res.nodes == 1
-    hinted = solve_milp(m, SolverParams(node_limit=0), incumbent_hint=[1.0, 1.0])
-    assert hinted.status == "feasible-time-limit"
-    assert hinted.objective == pytest.approx(2.0)
 
 
 def test_milp_time_limit_statuses():
@@ -742,6 +729,28 @@ def test_milp_with_redundant_equality_rows():
     assert n_optimal >= 5
 
 
+class _Clock:
+    """A stand-in for the ``time`` module whose clock passes every deadline
+    once it has been read ``reads`` times."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    def perf_counter(self):
+        self.reads -= 1
+        return 0.0 if self.reads >= 0 else 1e9
+
+
+def test_pivots_of_a_timed_out_lp_are_counted(monkeypatch):
+    model = credit_instance("svm", 20)["model"]
+    assert solve_lp(model).iterations > 12
+    # the start and the first node read the clock once each, then every pivot
+    monkeypatch.setattr(solver, "time", _Clock(2 + 12))
+    res = solve_milp(model, SolverParams(time_limit_s=1.0))
+    assert res.status == "infeasible-unproven"
+    assert (res.nodes, res.lp_iterations) == (0, 12)
+
+
 def test_time_limit_holds_inside_a_node_lp():
     # the whole search takes seconds and the root LP alone tens of
     # milliseconds: the limit must cut into the search
@@ -900,11 +909,11 @@ def test_infinite_bounds_raise_before_any_lp_work(case, blas_threads, monkeypatc
     with pytest.raises(ModelError, match="boxed"):
         solve_milp(model)
     assert blas_threads() == 2
-    # neither the node limit nor a feasible hint ends the search before the check
+    # neither the time limit nor a feasible hint ends the search before the check
     hint = np.zeros(model.n_vars)
     assert evaluate(model, hint).feasible
     with pytest.raises(ModelError, match="boxed"):
-        solve_milp(model, SolverParams(node_limit=0), incumbent_hint=hint)
+        solve_milp(model, SolverParams(time_limit_s=0.0), incumbent_hint=hint)
     assert blas_threads() == 2
 
 

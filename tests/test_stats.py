@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmilp.stats import (DeltaMetric, _member_tables, build_lof_context, build_mahalanobis,
-                          knn, lof, md_l1, md_l2, mahalanobis_distance, nearest_ref,
-                          q1_surrogate, reachability, sample_reference_set)
+                          knn, lof, mahalanobis_distance, nearest_ref, q1_surrogate,
+                          sample_reference_set)
 
 from _oracles import lof_bruteforce, q1_bruteforce
 
@@ -56,7 +56,7 @@ class TestMahalanobis:
         assert np.allclose(ctx.chol_u, np.diag([math.sqrt(0.5), math.sqrt(2 / 9)]))
         a = np.array([1.0, 1.0])
         assert mahalanobis_distance(ctx, np.zeros(2), a) == pytest.approx(math.sqrt(13 / 18))
-        assert md_l1(ctx, np.zeros(2), a) == pytest.approx(math.sqrt(0.5) + math.sqrt(2 / 9))
+        assert np.abs(ctx.chol_u @ a).sum() == pytest.approx(math.sqrt(0.5) + math.sqrt(2 / 9))
 
     def test_factor_is_upper_triangular_with_correct_product(self):
         rng = np.random.default_rng(1)
@@ -79,15 +79,17 @@ class TestMahalanobis:
         x = rng.normal(size=(25, 4))
         ctx = build_mahalanobis(x)
         u, v = rng.normal(size=4), rng.normal(size=4)
-        assert md_l2(ctx, u, v) == pytest.approx(mahalanobis_distance(ctx, u, v), abs=1e-12)
+        assert np.linalg.norm(ctx.chol_u @ (v - u)) == pytest.approx(
+            mahalanobis_distance(ctx, u, v), abs=1e-12)
 
     def test_l1_upper_bounds_l2(self):
+        # the linear objective's distance term never undercuts the exact one
         rng = np.random.default_rng(4)
         x = rng.normal(size=(25, 4))
         ctx = build_mahalanobis(x)
         for _ in range(10):
             u, v = rng.normal(size=4), rng.normal(size=4)
-            assert md_l1(ctx, u, v) >= md_l2(ctx, u, v) - 1e-12
+            assert np.abs(ctx.chol_u @ (v - u)).sum() >= mahalanobis_distance(ctx, u, v) - 1e-12
 
     def test_singular_data_still_factorizes(self):
         # one-hot style block: columns sum to 1, covariance is singular
@@ -146,12 +148,6 @@ class TestLofTables:
         metric = DeltaMetric(scales=np.array([1.0]))
         with pytest.raises(ValueError):
             build_lof_context(np.array([[0.0]]), metric)
-
-    def test_reachability_floor(self):
-        ctx = line_ctx()
-        # query at 0.25 is closer to member 0 than member 0's own d1
-        assert reachability(ctx, np.array([0.25]), 0) == pytest.approx(1.0)
-        assert reachability(ctx, np.array([3.5]), 2) == pytest.approx(1.5)
 
     def test_member_tables_break_ties_by_index(self):
         # on a lattice most neighbors tie; every member's k nearest other
