@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ANY, BOOLEAN, OBJECT, ConfigError, EncodedDataset, as_count, read_keys
-from .stats import DeltaMetric, LofContext, read_only
+from .stats import LofContext, read_only
 
 DIRECTIONS = ("free", "increase", "decrease")
-
-ActionConfigError = ConfigError   # the name this module's callers know
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ class MilpConstants:
 
 
 def precompute_constants(space: ActionSpace, x_enc: np.ndarray,
-                         lof_ctx: LofContext, metric: DeltaMetric) -> MilpConstants:
+                         lof_ctx: LofContext) -> MilpConstants:
     """Tabulate per-dimension candidate distances to every reference point.
 
     Because the metric is a sum over encoded columns and the dimensions
@@ -208,7 +206,7 @@ def precompute_constants(space: ActionSpace, x_enc: np.ndarray,
         vals = x_enc[dim.columns] + dim.deltas
         # (I_d, N): sum_c |candidate value - ref value| / scale_c
         diff = np.abs(vals[:, None, :] - refs[:, dim.columns][None, :, :])
-        tables.append(np.sum(diff / metric.scales[dim.columns][None, None, :], axis=2))
+        tables.append(np.sum(diff / lof_ctx.metric.scales[dim.columns][None, None, :], axis=2))
     table = read_only(np.vstack(tables))
     c = tuple(np.split(table, np.cumsum([len(t) for t in tables])[:-1]))
     c_ref = read_only(np.sum([rows.max(axis=0) for rows in c], axis=0))

@@ -40,6 +40,8 @@ from .solver import SimplexError, SolverParams
 from .stats import (DeltaMetric, LofContext, build_lof_context, build_mahalanobis,
                     lof, mahalanobis_distance, q1_surrogate, sample_reference_set)
 
+ORACLE_CAP = 1_000_000          # action combinations brute_force_oracle enumerates
+
 RECORD_HEADER = ["instance", "formulation", "N", "status", "objective", "md",
                  "lof10", "nearest_rows", "total_rows", "nodes", "time_s"]
 
@@ -190,16 +192,15 @@ class OracleResult:
 
 
 def brute_force_oracle(x_enc: np.ndarray, classifier, space: ActionSpace,
-                       mahal_ctx, lof_ctx: LofContext, lam: float,
-                       cap: int = 1_000_000) -> OracleResult | None:
+                       mahal_ctx, lof_ctx: LofContext, lam: float) -> OracleResult | None:
     """Exhaustive search over the action grid; ties keep the first candidate
     in lexicographic candidate-index order.  Returns None when no admissible
-    action is valid."""
+    action is valid.  A grid of more than ``ORACLE_CAP`` actions is refused."""
     total = 1
     for dim in space.dims:
         total *= dim.n_candidates
-    if total > cap:
-        raise ValueError(f"grid has {total} actions, above the cap of {cap}")
+    if total > ORACLE_CAP:
+        raise ValueError(f"grid has {total} actions, above the cap of {ORACLE_CAP}")
     u = mahal_ctx.chol_u
     best = None
     for combo in itertools.product(*(range(d.n_candidates) for d in space.dims)):
@@ -444,6 +445,8 @@ def _instance_setup(config: RunConfig, args):
 
 
 def main(argv=None) -> int:
+    """The ``cfmilp`` console entry point; returns the exit code.  ``argv``
+    defaults to the process's arguments; the tests pass their own."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
@@ -521,7 +524,7 @@ def main(argv=None) -> int:
         return 0
 
     except (ConfigError, SchemaError, ParseError, ModelError,
-            PreconditionError, FileNotFoundError, json.JSONDecodeError, ValueError,
+            PreconditionError, OSError, json.JSONDecodeError, ValueError,
             SimplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ hinge term and label sum depend on ``w`` only through its active set, and
 the sets recur (a 70-row set meets 31-75 distinct ones in 3,000 steps), so
 both are computed the first time a set appears and read back at every later
 step that has it: the same values, so the same bits.  The memo holds at most
-``max_iter`` packed sets of ``n/8`` bytes and one ``(max_iter, d)`` table,
+``SVM_STEPS`` packed sets of ``n/8`` bytes and one ``(SVM_STEPS, d)`` table,
 and is dropped when training returns.
 """
 
@@ -31,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import ANY, BOOLEAN, StandardScaler, apply_scaler, as_count, as_real, read_keys
+
+SVM_STEPS = 3000           # subgradient steps, every one of them taken
 
 
 @dataclass
@@ -81,15 +83,15 @@ def _logistic_objective(w, b, xs, y, c, inv_s2):
     return 0.5 * float(w * inv_s2 @ w) + c * float(loss)
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0,
-                   max_iter: int = 5000, tol: float = 1e-7) -> LinearModel:
+def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> LinearModel:
     """L2-regularized logistic regression by full-batch gradient descent.
 
     Internally the columns are standardized so the descent is well
     conditioned; the returned weights are mapped back to the raw feature
     space, and only those raw-space weights are penalized.  Deterministic:
-    zero start, backtracking line search, no randomness anywhere.  Labels
-    must be -1 or +1.
+    zero start, backtracking line search, no randomness anywhere.  It stops,
+    converged, once no gradient entry exceeds 1e-7 * max(1, c n), or after
+    5,000 steps.  Labels must be -1 or +1.
     """
     x = np.asarray(x, dtype=float)
     y = _signed_labels(y)
@@ -105,13 +107,13 @@ def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0,
     lr = 1.0 / max(1.0, c * n)
     f = _logistic_objective(w, b, xs, y, c, inv_s2)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(5000):
         z = y * (xs @ w + b)
         sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))   # sigma(-z)
         gw = w * inv_s2 - c * (xs.T @ (y * sig))
         gb = -c * float(y @ sig)
         gnorm = max(np.abs(gw).max(), abs(gb))
-        if gnorm <= tol * max(1.0, c * n):
+        if gnorm <= 1e-7 * max(1.0, c * n):
             converged = True
             break
         g2 = float(gw @ gw) + gb * gb
@@ -130,14 +132,14 @@ def train_logistic(x: np.ndarray, y: np.ndarray, c: float = 1.0,
 
 
 def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
-                     c: float = 1.0, max_iter: int = 3000) -> LinearModel:
+                     c: float = 1.0) -> LinearModel:
     """Linear SVM by deterministic full-batch subgradient descent.
 
-    Minimizes 0.5*||w||^2 + c * sum(hinge) on the scaled features using the
-    schedule step_t = 1 / (lam * (t+1)) with lam = 1 / (c*n), averaging the
-    second half of the iterates.  The scaler is stored on the model and is
-    applied inside predict, so callers always pass raw encoded instances.
-    Labels must be -1 or +1.
+    Minimizes 0.5*||w||^2 + c * sum(hinge) on the scaled features in
+    ``SVM_STEPS`` steps of step_t = 1 / (lam * (t+1)) with lam = 1 / (c*n),
+    averaging the second half of the iterates.  The scaler is stored on the
+    model and is applied inside predict, so callers always pass raw encoded
+    instances.  Labels must be -1 or +1.
     """
     x = np.asarray(x, dtype=float)
     y = _signed_labels(y)
@@ -151,15 +153,15 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
     rows = np.empty((n, d))
     hinge = np.empty(d)
     seen = {}                           # packed active set -> its row below
-    hinges = np.empty((max_iter, d))    # hinge term of each distinct set
-    label_sums = np.empty(max_iter)
+    hinges = np.empty((SVM_STEPS, d))   # hinge term of each distinct set
+    label_sums = np.empty(SVM_STEPS)
     gw = np.empty(d)
     w = np.zeros(d)
     b = 0.0
     w_avg = np.zeros(d)
     b_avg = 0.0
     n_avg = 0
-    for t in range(max_iter):
+    for t in range(SVM_STEPS):
         np.matmul(xs, w, out=margin)
         margin += b
         margin *= y
@@ -182,7 +184,7 @@ def train_linear_svm(x: np.ndarray, y: np.ndarray, scaler: StandardScaler,
         gw *= step
         w -= gw
         b = b - step * gb
-        if t >= max_iter // 2:
+        if t >= SVM_STEPS // 2:
             w_avg += w
             b_avg += b
             n_avg += 1

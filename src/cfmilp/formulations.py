@@ -45,7 +45,6 @@ class FormulationHandles:
     rho: range
     delta: range                  # per encoded column
     t_id: int | None
-    tag: str
     counts: dict
     phi: list = field(default_factory=list)     # per tree: list of leaf indicator ids
     leaf_nodes: list = field(default_factory=list)   # per tree: node id of each leaf
@@ -94,7 +93,7 @@ def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConst
     model.set_objective(dict(zip([*delta, *rho],
                                  [1.0] * n_enc + (lam * lof_ctx.lrd1).tolist())))
     handles = FormulationHandles(pi=pi, mu=mu, rho=rho, delta=delta, t_id=None,
-                                 tag="", counts={}, x_enc=np.asarray(x_enc, float),
+                                 counts={}, x_enc=np.asarray(x_enc, float),
                                  space=space, constants=constants, w_cols=w_cols)
     pi_ids = handles.pi_ids
     each_ref = np.arange(n_refs)
@@ -138,7 +137,6 @@ def add_nearest_original(model: MilpModel, handles: FormulationHandles,
                    "<=", cref, _dense(diff, handles.pi_ids),
                    (np.arange(n_refs * n_refs), np.repeat(handles.mu, n_refs), cref))
     handles.counts["nearest"] = n_refs * n_refs
-    handles.tag = "original"
 
 
 def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
@@ -156,7 +154,6 @@ def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
                    (lo, handles.mu, big_m), (lo, t_id, -1.0), (lo + 1, t_id, 1.0))
     handles.counts["nearest"] = 2 * n_refs
     handles.t_id = t_id
-    handles.tag = "reduced"
 
 
 def add_validity_linear(model: MilpModel, handles: FormulationHandles, classifier) -> None:
@@ -241,7 +238,7 @@ def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
     """Assemble the full MILP; returns (model, handles, constants)."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}")
-    constants = precompute_constants(space, x_enc, lof_ctx, lof_ctx.metric)
+    constants = precompute_constants(space, x_enc, lof_ctx)
     model = MilpModel(name=f"counterfactual-{formulation}")
     handles = build_cost_common(model, space, constants, mahal_ctx, lam, lof_ctx, x_enc)
     if formulation == "original":

@@ -78,11 +78,10 @@ class Rows:
 
 @dataclass(frozen=True)
 class ModelArrays:
-    """min c'x + const  s.t.  a x (cmp) rhs,  lb <= x <= ub,  x binary where
+    """min c'x  s.t.  a x (cmp) rhs,  lb <= x <= ub,  x binary where
     ``binary``.  Arrays are read-only: solves share them."""
 
     c: np.ndarray
-    const: float
     a: Rows                          # (m, n)
     cmp: np.ndarray                  # (m,) "<=", ">=" or "="
     rhs: np.ndarray
@@ -114,7 +113,7 @@ class MilpModel:
     def __init__(self, name: str = "model"):
         self.name = name
         self.objective: dict[int, float] = {}     # nonzero coefficients by id, ascending
-        self.objective_constant: float = 0.0
+        self.objective_constant = 0.0         # no constant term; benchmark/checks.py reads it
         self._names: set[str] = set()
         self._var_names: list[str] = []
         self._row_names: list[str] = []
@@ -189,16 +188,15 @@ class MilpModel:
         self._row_names += names
         self._append(row=row + start, vid=vid, val=val, cmp=cmp, rhs=rhs)
 
-    def set_objective(self, coeffs: dict, constant: float = 0.0) -> None:
-        """Minimize ``coeffs`` ({vid: coef}) plus ``constant``."""
+    def set_objective(self, coeffs: dict) -> None:
+        """Minimize ``coeffs`` ({vid: coef})."""
         vid = np.fromiter(coeffs, np.intp, len(coeffs))
         val = np.fromiter(coeffs.values(), float, len(coeffs))
         self._check_vids(vid)
-        if not (np.isfinite(val).all() and math.isfinite(constant)):
-            raise ModelError("objective coefficients and constant must be finite")
+        if not np.isfinite(val).all():
+            raise ModelError("objective coefficients must be finite")
         obj = Rows(np.zeros(vid.size, np.intp), vid, val, (1, self.n_vars))
         self.objective = dict(zip(obj.col.tolist(), obj.val.tolist()))
-        self.objective_constant = float(constant)
         self._arrays = None
 
     # -- inspection ----------------------------------------------------------
@@ -216,7 +214,7 @@ class MilpModel:
             c[list(self.objective)] = list(self.objective.values())
             for x in (c, *p.values()):
                 x.flags.writeable = False
-            self._arrays = ModelArrays(c=c, const=self.objective_constant, a=a, **p)
+            self._arrays = ModelArrays(c=c, a=a, **p)
         return self._arrays
 
     @property
@@ -255,7 +253,7 @@ class MilpModel:
         if isinstance(values, dict):
             values = [values[v] for v in range(self.n_vars)]
         terms = self.arrays.c * np.asarray(values, dtype=float)
-        return float(np.cumsum(np.append(0.0, terms))[-1] + self.objective_constant)
+        return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 @dataclass(frozen=True)
@@ -265,15 +263,16 @@ class EvalResult:
     objective: float
 
 
-def evaluate(model: MilpModel, values, tol: float = 1e-6) -> EvalResult:
-    """Check an assignment against every bound, integrality and constraint."""
+def evaluate(model: MilpModel, values) -> EvalResult:
+    """Check an assignment against every bound, integrality and constraint;
+    it is feasible when no violation exceeds 1e-6."""
     arr = model.arrays
     x = np.asarray(values, dtype=float)
     d = arr.a.matvec(x) - arr.rhs
     rows = np.where(arr.cmp == "<=", d, np.where(arr.cmp == ">=", -d, np.abs(d)))
     worst = float(np.max(np.concatenate([arr.lb - x, x - arr.ub, rows,
                                          np.abs(x - np.round(x))[arr.binary]]), initial=0.0))
-    return EvalResult(feasible=worst <= tol, worst_violation=worst,
+    return EvalResult(feasible=worst <= 1e-6, worst_violation=worst,
                       objective=model.objective_value(x))
 
 
@@ -312,10 +311,7 @@ def export_lp(model: MilpModel) -> str:
     """Serialize to CPLEX LP format; deterministic, 17 significant digits."""
     lines = [f"\\ {model.name}", "Minimize"]
     variables = model.variables
-    obj_expr = _expr(model.objective.items(), variables)
-    if model.objective_constant:
-        obj_expr += f" {_term(model.objective_constant, '', first=False)}".rstrip()
-    lines.append(f" obj: {obj_expr}")
+    lines.append(f" obj: {_expr(model.objective.items(), variables)}")
     lines.append("Subject To")
     for con in model.constraints:
         lines.append(f" {con.name}: {_expr(con.coeffs, variables)} {con.cmp} {_num(con.rhs)}")

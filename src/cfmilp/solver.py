@@ -223,7 +223,6 @@ class SolverParams:
 @dataclass
 class LpResult:
     status: str                      # optimal | infeasible | cutoff
-    iterations: int
     x: np.ndarray | None = None
     objective: float | None = None
 
@@ -641,7 +640,7 @@ class _Warm:
         self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt)
         self.bin_cols = np.nonzero(std.binary)[0]
         # model objective = tableau objective + offset
-        self.offset = float(std.c @ lb) + std.const
+        self.offset = float(std.c @ lb)
         self.start = None                       # (basis, at_upper) the root's dual starts from
         self.owner = None                       # node whose optimal state is live, with open children
         self.entered = set()                    # nodes one of whose two children was entered
@@ -667,7 +666,6 @@ class _Warm:
         meets a singular basis or hits the pivot cap restarts once from the
         basis the root's dual started from."""
         tab = self.tab
-        start = tab.iterations
         tab.cutoff = cutoff - self.offset
         try:
             self._place(fixes, changed)
@@ -683,10 +681,9 @@ class _Warm:
             except _Restart:
                 raise SimplexError("LP failed its checks after a restart") from None
         if out != "optimal":
-            return LpResult(out, tab.iterations - start)
+            return LpResult(out)
         x = self.lay.point(x)
-        return LpResult("optimal", tab.iterations - start, x,
-                        float(self.std.c @ x) + self.std.const)
+        return LpResult("optimal", x, float(self.std.c @ x))
 
     def _place(self, fixes: dict, changed: int | None = None) -> None:
         """Give the binaries the bounds of the node ``fixes`` describes, and place
@@ -786,7 +783,8 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     """Solve the LP relaxation (binaries become [0,1] continuous).
 
     ``overrides`` maps variable id to an (lb, ub) pair replacing the
-    declared bounds, which is how branch-and-bound fixes binaries.
+    declared bounds.  Only the tests pass it: a node's LP solved cold, from
+    the slack basis, is the reference they compare warm node solves with.
     """
     lb, ub = _boxed_bounds(model, overrides)
     return _Warm(model.arrays, lb, ub).root()

@@ -37,9 +37,6 @@ class DeltaMetric:
         scales = np.where(mad > 0.0, mad, np.where(std > 0.0, std, 1.0))
         return cls(scales=scales)
 
-    def delta(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(np.abs(np.asarray(u, float) - np.asarray(v, float)) / self.scales))
-
     def delta_rows(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Distances from ``u`` to every row of ``x``."""
         return np.sum(np.abs(np.asarray(x, float) - np.asarray(u, float)) / self.scales, axis=1)
@@ -53,11 +50,11 @@ class MahalanobisContext:
     eps: float
 
 
-def build_mahalanobis(x: np.ndarray, eps: float | None = None) -> MahalanobisContext:
+def build_mahalanobis(x: np.ndarray) -> MahalanobisContext:
     """Covariance context from a training matrix.
 
-    The covariance gets ``eps`` added to its diagonal before inversion;
-    when eps is None it defaults to 1e-6 * trace(Sigma) / D.
+    The covariance gets ``eps`` = 1e-6 * trace(Sigma) / D (1e-6 when the
+    trace is 0) added to its diagonal before inversion.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -65,9 +62,8 @@ def build_mahalanobis(x: np.ndarray, eps: float | None = None) -> MahalanobisCon
     d = x.shape[1]
     centered = x - x.mean(axis=0)
     sigma = centered.T @ centered / x.shape[0]
-    if eps is None:
-        tr = float(np.trace(sigma))
-        eps = 1e-6 * tr / d if tr > 0.0 else 1e-6
+    tr = float(np.trace(sigma))
+    eps = 1e-6 * tr / d if tr > 0.0 else 1e-6
     sigma_reg = sigma + eps * np.eye(d)
     try:
         sigma_inv = np.linalg.inv(sigma_reg)

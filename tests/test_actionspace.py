@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmilp.actionspace import (ActionConfig, ActionConfigError, FeatureRule,
-                                build_action_space, precompute_constants)
-from cfmilp.data import DatasetSchema, FeatureSpec, RawDataset, encode
+from cfmilp.actionspace import (ActionConfig, FeatureRule, build_action_space,
+                                precompute_constants)
+from cfmilp.data import ConfigError, DatasetSchema, FeatureSpec, RawDataset, encode
 from cfmilp.stats import DeltaMetric, build_lof_context
 
 from _instances import random_instance
@@ -118,11 +118,11 @@ class TestSpaceOps:
 
     def test_config_validation(self):
         enc = default_enc()
-        with pytest.raises(ActionConfigError):
+        with pytest.raises(ConfigError):
             build_action_space(enc.x[0], enc, ActionConfig(grid_size=1, max_changes=2))
-        with pytest.raises(ActionConfigError):
+        with pytest.raises(ConfigError):
             build_action_space(enc.x[0], enc, ActionConfig(grid_size=3, max_changes=-1))
-        with pytest.raises(ActionConfigError):
+        with pytest.raises(ConfigError):
             build_action_space(enc.x[0], enc,
                                ActionConfig(rules={"nope": FeatureRule()}))
 
@@ -135,15 +135,15 @@ class TestSpaceOps:
         assert cfg.rules["amount"].mutable is False
 
     def test_bad_direction(self):
-        with pytest.raises(ActionConfigError):
+        with pytest.raises(ConfigError):
             FeatureRule(direction="sideways")
 
 
 class TestConstants:
     def test_shapes_and_big_m(self):
         inst = random_instance(3)
-        space, x, ctx, metric = inst["space"], inst["x"], inst["lof_ctx"], inst["metric"]
-        consts = precompute_constants(space, x, ctx, metric)
+        space, x, ctx = inst["space"], inst["x"], inst["lof_ctx"]
+        consts = precompute_constants(space, x, ctx)
         n = len(ctx)
         assert len(consts.c) == len(space.dims)
         for d, dim in enumerate(space.dims):
@@ -155,8 +155,8 @@ class TestConstants:
     def test_tables_are_read_only(self):
         # every builder reads these arrays in place, so none may be written
         inst = random_instance(3)
-        space, x, ctx, metric = inst["space"], inst["x"], inst["lof_ctx"], inst["metric"]
-        consts = precompute_constants(space, x, ctx, metric)
+        space, x, ctx = inst["space"], inst["x"], inst["lof_ctx"]
+        consts = precompute_constants(space, x, ctx)
         tables = [consts.table, *consts.c, consts.c_ref, ctx.dist, ctx.d1, ctx.nn1, ctx.lrd1]
         for dim in space.dims:
             tables += [dim.columns, dim.deltas]
@@ -174,7 +174,7 @@ class TestConstants:
         # metric distance from the moved point to every reference row
         inst = random_instance(seed % 50)
         space, x, ctx, metric = inst["space"], inst["x"], inst["lof_ctx"], inst["metric"]
-        consts = precompute_constants(space, x, ctx, metric)
+        consts = precompute_constants(space, x, ctx)
         rng = np.random.default_rng(seed)
         combo = tuple(int(rng.integers(0, d.n_candidates)) for d in space.dims)
         moved = x + space.displacement(combo)

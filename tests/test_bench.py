@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfmilp.actionspace import ACTION_KEYS, RULE_KEYS, ActionConfigError
+from cfmilp import bench
+from cfmilp.actionspace import ACTION_KEYS, RULE_KEYS
 from cfmilp.bench import (
     CLASSIFIER_KEYS,
     DATASET_KEYS,
@@ -265,11 +266,12 @@ def test_svg_plot_structure():
     assert empty.startswith("<svg")
 
 
-def test_oracle_grid_cap():
+def test_oracle_grid_cap(monkeypatch):
     inst = random_instance(3)
-    with pytest.raises(ValueError, match="cap"):
+    monkeypatch.setattr(bench, "ORACLE_CAP", 1)
+    with pytest.raises(ValueError, match="cap of 1"):
         brute_force_oracle(inst["x"], inst["classifier"], inst["space"],
-                           inst["mahal"], inst["lof_ctx"], inst["lam"], cap=1)
+                           inst["mahal"], inst["lof_ctx"], inst["lam"])
 
 
 # -- command line ---------------------------------------------------------------------
@@ -278,6 +280,19 @@ def test_cli_missing_config(tmp_path, capsys):
     assert main(["explain", "--config", str(tmp_path / "nope.json"),
                  "--index", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--config", "{cfg}", "--out", "{dir}"], id="train-out-a-directory"),
+    pytest.param(["bench", "--config", "{cfg}", "--quiet", "--out", "{cfg}/results"],
+                 id="bench-out-under-a-file"),
+    pytest.param(["explain", "--config", "{dir}", "--index", "0"], id="config-a-directory"),
+])
+def test_cli_path_that_cannot_be_read_or_written(tmp_path, capsys, argv):
+    paths = {"cfg": write_config(tmp_path), "dir": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_bad_json(tmp_path, capsys):
@@ -479,7 +494,7 @@ def test_config_rejects_bad_values(tmp_path, over, key):
 
 @pytest.mark.parametrize("rules, key", BAD_ACTION_RULES)
 def test_config_rejects_bad_action_rules(tmp_path, rules, key):
-    with pytest.raises(ActionConfigError, match=key):
+    with pytest.raises(ConfigError, match=key):
         RunConfig.from_dict(config_dict(tmp_path, actions={"grid_size": 3, "max_changes": 3,
                                                            **rules}))
 

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every top-level import of the
 package is used by the module that makes it, every public function, method
-and class of the package is named outside the tests, and no module imports
-scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds about
-5 MiB of resident memory to every process that solves (the reason
+and class of the package is named outside the tests, every defaulted
+parameter of a public function is passed outside the tests, and no module
+imports scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds
+about 5 MiB of resident memory to every process that solves (the reason
 ``milpcore.Rows`` exists); importing scipy.linalg adds about 21 MiB (the
 reason ``solver._scipy_linalg_extension`` loads the BLAS and LAPACK
 wrappers from their files)."""
@@ -105,6 +106,122 @@ def test_unused_definition_is_caught():
     callers = _named(ast.parse("from m import used as u, Kept\nKept().method\nnested()\n"))
     assert _unreferenced(tree, callers, "call documented(), not undocumented()") == [
         "unused (line 2)", "stale (line 6)"]
+
+
+# defaulted parameters that only the tests pass, and why each stays
+TEST_ONLY_PARAMETERS = {
+    ("bench.py", "main", "argv"):
+        "the console entry point reads the process's arguments; the tests pass their own",
+    ("solver.py", "solve_lp", "overrides"):
+        "the cold reference LP that the tests compare warm node LPs against",
+}
+
+
+def _defaulted(tree: ast.Module) -> list[tuple[ast.FunctionDef, list[str], list[str]]]:
+    """(function, positional parameters a call fills, defaulted parameters)
+    of every public function at module level and public method of a class
+    there.  A method's ``self`` or ``cls`` is not filled by a call."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f, True) for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node, False))
+    found = []
+    for func, method in out:
+        if func.name.startswith("_"):
+            continue
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in func.decorator_list)
+        if method and not static:
+            positional = positional[1:]
+        defaults = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        defaults += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if defaults:
+            found.append((func, positional, defaults))
+    return found
+
+
+def _calls(tree: ast.Module) -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """Calls in ``tree`` by the name they call, and the names read there
+    other than as the callee of a call."""
+    calls, callees = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+                callees.add(id(node.func))
+    read = {getattr(n, "id", None) or n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            and id(n) not in callees}
+    return calls, read
+
+
+def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    """Whether ``call`` passes ``param``, by position or by keyword; a
+    starred argument passes every positional parameter, and ``**`` every
+    parameter."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return param in positional
+    return param in positional[:len(call.args)]
+
+
+def _test_only_parameters(tree: ast.Module, calls: dict, read: set) -> list[tuple]:
+    """(function, parameter, line) of each defaulted parameter of ``tree``'s
+    public functions that no call in ``calls`` passes.  A function that
+    ``read`` names without calling it counts as passing all of them."""
+    return [(func.name, param, func.lineno)
+            for func, positional, defaults in _defaulted(tree) if func.name not in read
+            for param in defaults
+            if not any(_passes(call, positional, param) for call in calls.get(func.name, []))]
+
+
+@functools.cache
+def _calls_outside_tests() -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """Calls and names read in the package's and the benchmark's modules."""
+    calls, read = {}, set()
+    for p in [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]:
+        more, names = _calls(ast.parse(p.read_text(encoding="utf-8")))
+        for name, found in more.items():
+            calls.setdefault(name, []).extend(found)
+        read |= names
+    return calls, read
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_defaulted_parameters_have_a_caller_outside_tests(path):
+    found = _test_only_parameters(ast.parse(path.read_text(encoding="utf-8")),
+                                  *_calls_outside_tests())
+    assert [f"{func}({param}=) (line {line})" for func, param, line in found
+            if (path.name, func, param) not in TEST_ONLY_PARAMETERS] == []
+
+
+def test_test_only_parameter_is_caught():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3): pass\n"
+                     "def g(x=1): pass\n"
+                     "def kept(y=1): pass\n"
+                     "def _private(z=1): pass\n"
+                     "class K:\n"
+                     "    def m(self, p=1, q=2): pass\n"
+                     "    @staticmethod\n"
+                     "    def s(p=1, q=2): pass\n"
+                     "    def spread(self, p=1, q=2): pass\n"
+                     "def h(u=1, v=2): pass\n")
+    calls = ast.parse("f(0, 1, c=2)\n"
+                      "obj.g()\n"
+                      "table = {'k': kept}\n"
+                      "K().m(1)\n"
+                      "K.s(1)\n"
+                      "k.spread(**opts)\n"
+                      "h(*args)\n")
+    assert _test_only_parameters(tree, *_calls(calls)) == [
+        ("f", "d", 1), ("g", "x", 2), ("m", "q", 6), ("s", "q", 8)]
 
 
 def _imports_of(tree: ast.Module, package: str) -> list[int]:

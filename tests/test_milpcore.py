@@ -23,7 +23,7 @@ def small_model():
     y = m.add_continuous("y", -math.inf, math.inf)
     m.add_rows(["cap", "floor", "tie"], ["<=", ">=", "="], [3.0, -1.0, 0.5],
                ([0, 0, 1, 2, 2], [b0, x, x, y, b0], [1.0, 2.0, -0.5, 1.0, 1.0]))
-    m.set_objective({b0: 1.5, x: 1.0}, constant=0.25)
+    m.set_objective({b0: 1.5, x: 1.0})
     return m
 
 
@@ -122,15 +122,7 @@ def test_non_finite_coefficients_rejected(bad):
         m.add_rows(["r0", "r1"], "<=", 1.0, ([0, 1], [a, b], [1.0, bad]))
     with pytest.raises(ModelError, match="finite"):
         m.set_objective({a: bad})
-    with pytest.raises(ModelError, match="finite"):
-        m.set_objective({a: 1.0}, constant=bad)
     assert m.n_constraints == 0 and m.objective == {}
-
-
-def test_objective_value_includes_constant():
-    m = small_model()
-    vals = {0: 1.0, 1: 0.5, 2: -0.5}
-    assert m.objective_value(vals) == pytest.approx(1.5 + 0.5 + 0.25)
 
 
 def test_binary_ids_property():
@@ -147,7 +139,7 @@ def test_evaluate_feasible_point():
     res = evaluate(m, np.array([0.0, 1.5, 0.5]))
     assert res.feasible
     assert res.worst_violation == 0.0
-    assert res.objective == pytest.approx(1.5 + 0.25)
+    assert res.objective == pytest.approx(1.5)
 
 
 def test_evaluate_bound_violations():
@@ -182,7 +174,7 @@ def test_evaluate_tolerance():
     m.add_rows(["cap"], "<=", 0.5, (0, x, 1.0))
     vals = [0.5 + 5e-7]
     assert evaluate(m, vals).feasible
-    assert not evaluate(m, vals, tol=1e-9).feasible
+    assert evaluate(m, vals).worst_violation > 1e-9
 
 
 # -- row blocks --------------------------------------------------------------
@@ -291,7 +283,7 @@ def test_export_golden():
     assert text == "\n".join([
         "\\ tiny",
         "Minimize",
-        " obj:  1.5 b0 + 1 x + 0.25",
+        " obj:  1.5 b0 + 1 x",
         "Subject To",
         " cap:  1 b0 + 2 x <= 3",
         " floor: - 0.5 x >= -1",

@@ -9,7 +9,7 @@ from cfmilp.stats import (DeltaMetric, _member_tables, build_lof_context, build_
                           knn, lof, mahalanobis_distance, nearest_ref, q1_surrogate,
                           sample_reference_set)
 
-from _oracles import lof_bruteforce, q1_bruteforce
+from _oracles import lof_bruteforce, q1_bruteforce, wdist
 
 
 def line_ctx():
@@ -35,8 +35,8 @@ class TestDeltaMetric:
 
     def test_weighted_l1(self):
         m = DeltaMetric(scales=np.array([2.0, 1.0]))
-        assert m.delta([0.0, 0.0], [2.0, 3.0]) == pytest.approx(4.0)
-        assert m.delta([2.0, 3.0], [0.0, 0.0]) == pytest.approx(4.0)
+        assert m.delta_rows([0.0, 0.0], [[2.0, 3.0]]) == pytest.approx([4.0])
+        assert m.delta_rows([2.0, 3.0], [[0.0, 0.0]]) == pytest.approx([4.0])
 
     def test_delta_rows_matches_delta(self):
         rng = np.random.default_rng(0)
@@ -45,18 +45,23 @@ class TestDeltaMetric:
         u = rng.normal(size=3)
         rows = m.delta_rows(u, x)
         for i in range(6):
-            assert rows[i] == pytest.approx(m.delta(u, x[i]))
+            assert rows[i] == pytest.approx(wdist(u, x[i], m.scales))
 
 
 class TestMahalanobis:
     def test_diagonal_frozen(self):
         x = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 3.0], [0.0, -3.0]])
-        ctx = build_mahalanobis(x, eps=0.0)
-        assert np.allclose(ctx.sigma, np.diag([2.0, 4.5]))
-        assert np.allclose(ctx.chol_u, np.diag([math.sqrt(0.5), math.sqrt(2 / 9)]))
+        ctx = build_mahalanobis(x)
+        # Sigma = diag(2, 4.5), regularized by eps = 1e-6 * trace / D
+        var = np.array([2.0, 4.5]) + 1e-6 * 6.5 / 2
+        assert ctx.eps == pytest.approx(1e-6 * 6.5 / 2)
+        assert np.allclose(ctx.sigma, np.diag(var))
+        assert np.allclose(ctx.chol_u, np.diag(1.0 / np.sqrt(var)))
         a = np.array([1.0, 1.0])
-        assert mahalanobis_distance(ctx, np.zeros(2), a) == pytest.approx(math.sqrt(13 / 18))
-        assert np.abs(ctx.chol_u @ a).sum() == pytest.approx(math.sqrt(0.5) + math.sqrt(2 / 9))
+        assert mahalanobis_distance(ctx, np.zeros(2), a) == pytest.approx(
+            math.sqrt(1 / var[0] + 1 / var[1]))
+        assert np.abs(ctx.chol_u @ a).sum() == pytest.approx(
+            1 / math.sqrt(var[0]) + 1 / math.sqrt(var[1]))
 
     def test_factor_is_upper_triangular_with_correct_product(self):
         rng = np.random.default_rng(1)
@@ -159,9 +164,9 @@ class TestLofTables:
             dk, _, neigh = _member_tables(ctx, k)
             for n in range(len(x)):
                 want = sorted((m for m in range(len(x)) if m != n),
-                              key=lambda m: (metric.delta(x[n], x[m]), m))[:k]
+                              key=lambda m: (wdist(x[n], x[m], metric.scales), m))[:k]
                 assert list(neigh[n]) == want
-                assert dk[n] == metric.delta(x[n], x[want[-1]])
+                assert dk[n] == wdist(x[n], x[want[-1]], metric.scales)
 
     def test_nearest_ref_allows_coincident(self):
         ctx = line_ctx()
