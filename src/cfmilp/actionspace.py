@@ -86,8 +86,6 @@ class ActionDimension:
     labels: tuple
     deltas: np.ndarray             # float (I_d, width)
     zero_index: int
-    mutable: bool = True
-    direction: str = "free"
 
     @property
     def n_candidates(self) -> int:
@@ -153,9 +151,7 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
                 labels, deltas, zero = (f.categories[cur],), np.zeros((1, b - a)), 0
             dims.append(ActionDimension(
                 feature=f.name, kind=f.kind, columns=columns, labels=tuple(labels),
-                deltas=read_only(deltas), zero_index=zero,
-                mutable=rule.mutable, direction=rule.direction,
-            ))
+                deltas=read_only(deltas), zero_index=zero))
             continue
         x_d = float(x_enc[a])
         if not rule.mutable:
@@ -171,9 +167,7 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
         dims.append(ActionDimension(
             feature=f.name, kind=f.kind, columns=columns,
             labels=tuple(offs), deltas=read_only(np.array(offs)[:, None]),
-            zero_index=offs.index(0.0),
-            mutable=rule.mutable, direction=rule.direction,
-        ))
+            zero_index=offs.index(0.0)))
     return ActionSpace(dims=tuple(dims), max_changes=config.max_changes,
                        n_encoded=enc.width)
 

@@ -307,12 +307,15 @@ def write_records_csv(records: list[BenchRecord], path: str | Path) -> None:
 
 
 def summarize(records: list[BenchRecord]) -> list[dict]:
-    """Per (formulation, N) means over rows solved to optimality."""
+    """Per (formulation, N) means over rows solved to optimality.  An
+    ``error`` record has no build time or row count, so the build mean and
+    the row count come from the other records."""
     keys = sorted({(r.formulation, r.n) for r in records})
     out = []
     for form, n in keys:
         rows = [r for r in records if r.formulation == form and r.n == n]
         opt = [r for r in rows if r.status == "optimal"]
+        built = [r for r in rows if r.status != "error"]
         mean = lambda xs: float(np.mean(xs)) if xs else None
         med = lambda xs: float(np.median(xs)) if xs else None
         out.append({
@@ -326,8 +329,8 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
             "mean_nodes": mean([r.nodes for r in opt]),
             "median_time_s": med([r.time_s for r in opt]),
             "mean_time_s": mean([r.time_s for r in opt]),
-            "mean_build_s": mean([r.build_s for r in rows]),
-            "nearest_rows": rows[0].nearest_rows if rows else 0,
+            "mean_build_s": mean([r.build_s for r in built]),
+            "nearest_rows": built[0].nearest_rows if built else 0,
         })
     return out
 
@@ -514,14 +517,11 @@ def main(argv=None) -> int:
                        formulation=args.formulation,
                        params=SolverParams(time_limit_s=config.time_limit(n)))
         text = json.dumps(expl.to_json_dict(), indent=2)
-        if expl.status == "no-recourse":
-            print(text)
-            return 3
         if args.out:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         else:
             print(text)
-        return 0
+        return 3 if expl.status == "no-recourse" else 0
 
     except (ConfigError, SchemaError, ParseError, ModelError,
             PreconditionError, OSError, json.JSONDecodeError, ValueError,

@@ -63,7 +63,6 @@ class Tree:
 
 @dataclass
 class Forest:
-    kind: str
     trees: list[Tree]
     n_features: int
 
@@ -271,7 +270,7 @@ def train_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100,
             right=np.array(nodes["right"], dtype=int),
             prob=np.array(nodes["prob"], dtype=float),
         ))
-    return Forest(kind="forest", trees=trees, n_features=d)
+    return Forest(trees=trees, n_features=d)
 
 
 def decision_value(model, x: np.ndarray) -> float:
@@ -345,7 +344,9 @@ def _array(vals, what: str, width: int | None = None) -> np.ndarray:
 
 def _load_tree(t, n_features: int, what: str) -> Tree:
     """A tree as save_model writes it: equal-length arrays in preorder, so
-    every split's children come after it and a lookup always ends."""
+    every split's children come after it and a lookup always ends, and no
+    node is the child of two split slots, so a walk over every path visits
+    each node once."""
     if not isinstance(t, dict):
         raise ValueError(f"{what} must be an object")
     prob = _array(t.get("prob"), f"{what} 'prob'")
@@ -363,6 +364,9 @@ def _load_tree(t, n_features: int, what: str) -> Tree:
             or not ((node < left[split]) & (left[split] < m)
                     & (node < right[split]) & (right[split] < m)).all()):
         raise ValueError(f"{what}: a feature, child index or probability is out of range")
+    children = np.concatenate([left[split], right[split]])
+    if np.unique(children).size < children.size:
+        raise ValueError(f"{what}: a node is the child of more than one split")
     return Tree(feature=feature, threshold=threshold, left=left, right=right, prob=prob)
 
 
@@ -385,7 +389,7 @@ def load_model(path: str | Path):
         trees = doc.get("trees")
         if not isinstance(trees, list) or not trees:
             raise ValueError("forest model 'trees' must be a non-empty list")
-        return Forest(kind="forest", n_features=n_features,
+        return Forest(n_features=n_features,
                       trees=[_load_tree(t, n_features, f"forest model tree {i}")
                              for i, t in enumerate(trees)])
     if kind not in ("logistic", "svm"):

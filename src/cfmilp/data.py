@@ -169,17 +169,6 @@ class DatasetSchema:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "features": [
-                {"name": f.name, "kind": f.kind, **({"categories": list(f.categories)} if f.categories else {})}
-                for f in self.features
-            ],
-            "target": self.target,
-            "positive_label": self.positive_label,
-            "missing_values": list(self.missing_values),
-        }
-
 
 SCHEMA_KEYS = {
     "features": (list_of(lambda doc, what, error: FeatureSpec(**read_keys(

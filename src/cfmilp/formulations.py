@@ -27,7 +27,7 @@ from .actionspace import ActionSpace, MilpConstants, precompute_constants
 from .classifiers import Forest, decision_value, predict
 from .milpcore import MilpModel
 from .solver import INT_TOL, SolverParams, solve_milp
-from .stats import LofContext, MahalanobisContext, q1_surrogate
+from .stats import LofContext, MahalanobisContext
 
 FORMULATIONS = ("original", "reduced")
 
@@ -56,10 +56,6 @@ class FormulationHandles:
     @property
     def nearest_rows(self) -> int:
         return self.counts.get("nearest", 0)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.counts.values())
 
     @property
     def pi_ids(self) -> np.ndarray:
@@ -313,14 +309,11 @@ class Explanation:
     objective: float | None
     md_term: float | None
     lof_term: float | None
-    q1_value: float | None
-    q1_consistent: bool | None
     n_star: int | None
     valid: bool | None
     nodes: int
     lp_iterations: int
     time_s: float
-    gap: float | None
     counts: dict
     tree_leaves: list | None = None
 
@@ -380,9 +373,8 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
         return Explanation(
             status=status, formulation=formulation, action=None, action_indices=None,
             counterfactual=None, objective=None, md_term=None, lof_term=None,
-            q1_value=None, q1_consistent=None, n_star=None, valid=None,
-            nodes=sol.nodes, lp_iterations=sol.lp_iterations, time_s=sol.wall_time,
-            gap=sol.gap, counts=dict(handles.counts),
+            n_star=None, valid=None, nodes=sol.nodes, lp_iterations=sol.lp_iterations,
+            time_s=sol.wall_time, counts=dict(handles.counts),
         )
 
     values = sol.values
@@ -396,8 +388,6 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
     lof_term = float(sum(lam * float(lof_ctx.lrd1[n]) * values[v]
                          for n, v in enumerate(handles.rho)))
     n_star = int(np.argmax(values[handles.mu]))
-    q1 = q1_surrogate(lof_ctx, cf)
-    q1_ok = abs(lam * q1 - lof_term) <= 1e-6 * max(1.0, abs(lof_term))
     valid = predict(classifier, cf) == 1
 
     tree_leaves = [int(nodes_[int(np.argmax(values[phi_ids]))])
@@ -407,7 +397,6 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
         status=sol.status, formulation=formulation, action=action,
         action_indices=indices, counterfactual=cf,
         objective=float(sol.objective), md_term=md_term, lof_term=lof_term,
-        q1_value=float(q1), q1_consistent=bool(q1_ok), n_star=n_star, valid=valid,
-        nodes=sol.nodes, lp_iterations=sol.lp_iterations, time_s=sol.wall_time,
-        gap=sol.gap, counts=dict(handles.counts), tree_leaves=tree_leaves,
+        n_star=n_star, valid=valid, nodes=sol.nodes, lp_iterations=sol.lp_iterations,
+        time_s=sol.wall_time, counts=dict(handles.counts), tree_leaves=tree_leaves,
     )

@@ -92,7 +92,6 @@ class ModelArrays:
 
 @dataclass(frozen=True)
 class Variable:
-    vid: int
     name: str
     kind: str            # "binary" | "continuous"
     lb: float
@@ -233,8 +232,8 @@ class MilpModel:
     def variables(self) -> list[Variable]:
         arr = self.arrays
         kinds = np.where(arr.binary, "binary", "continuous").tolist()
-        return [Variable(*v) for v in zip(range(self.n_vars), self._var_names, kinds,
-                                          arr.lb.tolist(), arr.ub.tolist())]
+        return [Variable(*v) for v in zip(self._var_names, kinds, arr.lb.tolist(),
+                                          arr.ub.tolist())]
 
     @property
     def constraints(self) -> list[Constraint]:

@@ -2,9 +2,10 @@
 
 The per-dimension metric is a weighted L1 distance whose scales come from the
 median absolute deviation of each training column (population std, then 1.0,
-as fallbacks).  The Mahalanobis context carries the regularized covariance,
-its inverse and an upper-triangular factor U with U'U = inv(Sigma), used both
-for the exact distance and for the linearized objective.
+as fallbacks).  The Mahalanobis context carries the inverse of the
+regularized covariance and an upper-triangular factor U with U'U =
+inv(Sigma), used both for the exact distance and for the linearized
+objective.
 
 LOF follows the classic definition with k nearest neighbors under the L1
 metric.  Wherever a nearest point is picked, ties go to the lowest index
@@ -44,10 +45,8 @@ class DeltaMetric:
 
 @dataclass(frozen=True)
 class MahalanobisContext:
-    sigma: np.ndarray
     sigma_inv: np.ndarray
     chol_u: np.ndarray       # upper triangular, chol_u' @ chol_u == sigma_inv
-    eps: float
 
 
 def build_mahalanobis(x: np.ndarray) -> MahalanobisContext:
@@ -75,7 +74,7 @@ def build_mahalanobis(x: np.ndarray) -> MahalanobisContext:
             f"covariance factorization failed even with eps={eps:g} "
             f"(smallest eigenvalue {smallest:g})"
         ) from None
-    return MahalanobisContext(sigma=sigma_reg, sigma_inv=sigma_inv, chol_u=low.T, eps=float(eps))
+    return MahalanobisContext(sigma_inv=sigma_inv, chol_u=low.T)
 
 
 def mahalanobis_distance(ctx: MahalanobisContext, x: np.ndarray, x2: np.ndarray) -> float:
@@ -110,17 +109,15 @@ class LofContext:
     """Reference set with its distance matrix and precomputed k=1 LOF tables.
 
     dist[n, m] is the distance between reference points n and m, d1[n] the
-    distance from n to its nearest other reference point, nn1[n] that
-    neighbor's index, and lrd1[n] the local reachability density
-    1 / max(d1[n], d1[nn1[n]]).  All four are read-only.  Tables for larger k
-    are built lazily for evaluation.
+    distance from n to its nearest other reference point j, and lrd1[n] the
+    local reachability density 1 / max(d1[n], d1[j]).  All three are
+    read-only.  Tables for larger k are built lazily for evaluation.
     """
 
     x: np.ndarray
     metric: DeltaMetric
     dist: np.ndarray
     d1: np.ndarray
-    nn1: np.ndarray
     lrd1: np.ndarray
     _k_tables: dict = field(default_factory=dict, repr=False)
 
@@ -179,7 +176,7 @@ def build_lof_context(x: np.ndarray, metric: DeltaMetric) -> LofContext:
     # rd_1(x_i, nn) = max(d1_i, d1_nn); lrd is its inverse
     lrd1 = 1.0 / np.maximum(d1, d1[nn1])
     return LofContext(x=x, metric=metric, dist=read_only(dist), d1=read_only(d1),
-                      nn1=read_only(nn1), lrd1=read_only(lrd1))
+                      lrd1=read_only(lrd1))
 
 
 def _member_tables(ctx: LofContext, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -157,7 +157,7 @@ class TestConstants:
         inst = random_instance(3)
         space, x, ctx = inst["space"], inst["x"], inst["lof_ctx"]
         consts = precompute_constants(space, x, ctx)
-        tables = [consts.table, *consts.c, consts.c_ref, ctx.dist, ctx.d1, ctx.nn1, ctx.lrd1]
+        tables = [consts.table, *consts.c, consts.c_ref, ctx.dist, ctx.d1, ctx.lrd1]
         for dim in space.dims:
             tables += [dim.columns, dim.deltas]
         for table in tables:

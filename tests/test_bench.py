@@ -238,6 +238,21 @@ def test_summarize_uses_only_optimal_rows():
     assert orig["mean_objective"] is None
 
 
+def test_summarize_leaves_error_records_out_of_build_and_rows():
+    # an error record carries no row count and no build time
+    failed = BenchRecord(instance=0, formulation="reduced", n=10, status="error",
+                         objective=None, md=None, lof10=None, nearest_rows=0,
+                         total_rows=0, nodes=0, time_s=0.1)
+    solved = BenchRecord(instance=1, formulation="reduced", n=10, status="optimal",
+                         objective=1.0, md=1.0, lof10=1.0, nearest_rows=20,
+                         total_rows=40, nodes=1, time_s=0.2, build_s=0.5)
+    row, = summarize([failed, solved])
+    assert row["n_runs"] == 2 and row["nearest_rows"] == 20
+    assert row["mean_build_s"] == pytest.approx(0.5)
+    only_failed, = summarize([failed])
+    assert only_failed["nearest_rows"] == 0 and only_failed["mean_build_s"] is None
+
+
 def test_summary_csv_blank_for_none(tmp_path):
     records = [BenchRecord(instance=0, formulation="original", n=5,
                            status="no-recourse", objective=None, md=None,
@@ -378,6 +393,17 @@ def test_cli_no_recourse_exit_code(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "no-recourse"
     assert main(["oracle", "--config", cfg_path, "--index", str(idx)]) == 3
+
+
+def test_cli_no_recourse_is_written_to_out(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, name="frozen.json",
+                            actions=dict(SMALL_ACTIONS, max_changes=0))
+    idx = prepare(RunConfig.from_json(cfg_path)).rejected[0]
+    out = tmp_path / "explanation.json"
+    assert main(["explain", "--config", cfg_path, "--index", str(idx),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["status"] == "no-recourse"
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -733,6 +759,13 @@ def test_cli_bench_survives_a_solver_failure(tmp_path, capsys, monkeypatch):
     assert len(failed) == 1
     assert failed[0]["objective"] == "" and failed[0]["nodes"] == "0"
     assert all(r["status"] in ("optimal", "no-recourse") for r in rows if r not in failed)
+    # the failed solve's group still reports its encoding's row count
+    with open(out_dir / "summary.csv", encoding="utf-8") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == 4
+    for row in summary:
+        n = int(row["N"])
+        assert int(row["nearest_rows"]) == (n * n if row["formulation"] == "original" else 2 * n)
 
 
 def test_cli_bench_writes_outputs(tmp_path, capsys):

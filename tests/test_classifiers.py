@@ -116,7 +116,7 @@ class TestTree:
         assert t.leaf_of(np.array([1.5])) == 1  # boundary goes left
 
     def test_stump_forest_decision(self):
-        f = Forest(kind="forest", trees=[self.hand_tree()], n_features=1)
+        f = Forest(trees=[self.hand_tree()], n_features=1)
         assert decision_value(f, np.array([1.0])) == pytest.approx(0.2 - 0.5)
         assert predict(f, np.array([2.0])) == 1
 
@@ -190,6 +190,22 @@ class TestSaveLoad:
         probe = np.random.default_rng(1).normal(size=(30, x.shape[1]))
         for row in probe:
             assert decision_value(f, row) == pytest.approx(decision_value(back, row))
+
+    @pytest.mark.parametrize("left,right", [
+        ([1, 2, 3, -1], [1, 2, 3, -1]),          # each split's children are one node: 8 paths
+        ([1, 2, -1, -1], [2, 3, -1, -1]),        # node 2 is a child of both splits
+        (list(range(1, 61)) + [-1], list(range(1, 61)) + [-1]),     # 2^60 paths
+    ], ids=["left-is-right", "two-parents", "chain-of-60"])
+    def test_shared_child_refused(self, tmp_path, left, right):
+        # a node reached from two split slots multiplies the paths a walk over
+        # every leaf takes; the loader refuses it before any walk
+        m = len(left)
+        tree = {"feature": [0 if c >= 0 else -1 for c in left], "threshold": [0.0] * m,
+                "left": left, "right": right, "prob": [0.5] * m}
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"kind": "forest", "n_features": 1, "trees": [tree]}))
+        with pytest.raises(ValueError, match="child of more than one split"):
+            load_model(p)
 
     def test_canonical_bytes(self, tmp_path):
         x, y = separable_cloud(seed=13)

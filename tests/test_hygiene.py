@@ -1,9 +1,10 @@
 """Source hygiene checks that need no linter: every top-level import of the
 package is used by the module that makes it, every public function, method
 and class of the package is named outside the tests, every defaulted
-parameter of a public function is passed outside the tests, and no module
-imports scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds
-about 5 MiB of resident memory to every process that solves (the reason
+parameter of a public function is passed outside the tests, every public
+dataclass field is read outside the tests, and no module imports
+scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds about
+5 MiB of resident memory to every process that solves (the reason
 ``milpcore.Rows`` exists); importing scipy.linalg adds about 21 MiB (the
 reason ``solver._scipy_linalg_extension`` loads the BLAS and LAPACK
 wrappers from their files)."""
@@ -17,6 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cfmilp"
+# the modules whose use of a name counts: the package's and the benchmark's
+OUTSIDE_TESTS = [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -81,8 +84,8 @@ def _unreferenced(tree: ast.Module, callers: set[str], text: str) -> list[str]:
 @functools.cache
 def _outside_tests() -> tuple[set[str], str]:
     """Names in the package and the benchmark's modules, and the README."""
-    paths = [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
-    names = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    names = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8")))
+                          for p in OUTSIDE_TESTS))
     return names, (ROOT / "README.md").read_text(encoding="utf-8")
 
 
@@ -186,7 +189,7 @@ def _test_only_parameters(tree: ast.Module, calls: dict, read: set) -> list[tupl
 def _calls_outside_tests() -> tuple[dict[str, list[ast.Call]], set[str]]:
     """Calls and names read in the package's and the benchmark's modules."""
     calls, read = {}, set()
-    for p in [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]:
+    for p in OUTSIDE_TESTS:
         more, names = _calls(ast.parse(p.read_text(encoding="utf-8")))
         for name, found in more.items():
             calls.setdefault(name, []).extend(found)
@@ -222,6 +225,97 @@ def test_test_only_parameter_is_caught():
                       "h(*args)\n")
     assert _test_only_parameters(tree, *_calls(calls)) == [
         ("f", "d", 1), ("g", "x", 2), ("m", "q", 6), ("s", "q", 8)]
+
+
+# public dataclass fields that nothing outside the tests reads, and why each stays
+TEST_ONLY_FIELDS = {
+    ("formulations.py", "Explanation", "action_indices"):
+        "the candidate the solver chose in each dimension, which no other output gives back",
+    ("formulations.py", "Explanation", "tree_leaves"):
+        "the leaf the solver chose in each tree, which no other output gives back",
+    ("milpcore.py", "MilpSolution", "gap"):
+        "the optimality gap the search proved, which no other output gives back",
+    ("data.py", "RawDataset", "n_dropped"):
+        "the rows load_csv skipped; benchmark/workloads.py passes it when it builds one",
+}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    """Whether ``decorator`` is ``dataclass``, ``dataclasses.dataclass`` or a
+    call of either."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", None) == "dataclass" or \
+        getattr(decorator, "attr", None) == "dataclass"
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, field, line) of every public field of a public dataclass at
+    module level."""
+    return [(node.name, f.target.id, f.lineno)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any(_is_dataclass(d) for d in node.decorator_list)
+            for f in node.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+            and not f.target.id.startswith("_")]
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    """Every attribute read in ``tree``; an assignment to one is not a read."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_fields(tree: ast.Module, read: set[str]) -> list[tuple[str, str, int]]:
+    """(class, field, line) of each public dataclass field of ``tree`` that
+    no attribute in ``read`` names.  The field's declaration and constructor
+    keywords are not reads.  Reads are matched by name alone, so a read of a
+    name that two classes own counts for both."""
+    return [(cls, name, line) for cls, name, line in _dataclass_fields(tree)
+            if name not in read]
+
+
+@functools.cache
+def _attributes_outside_tests() -> set[str]:
+    """Attributes read in the package's and the benchmark's modules."""
+    return set().union(*(_attributes_read(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in OUTSIDE_TESTS))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_dataclass_fields_are_read_outside_tests(path):
+    """Each public field of a public dataclass is read as an attribute in
+    ``src/`` or ``benchmark/*.py``.  The blind spot: reads match by name
+    alone, so a read of a name that two classes own counts for both."""
+    found = _unread_fields(ast.parse(path.read_text(encoding="utf-8")),
+                           _attributes_outside_tests())
+    assert [f"{cls}.{name} (line {line})" for cls, name, line in found
+            if (path.name, cls, name) not in TEST_ONLY_FIELDS] == []
+
+
+def test_untread_field_is_caught():
+    tree = ast.parse("@dataclass\n"
+                     "class R:\n"
+                     "    used: int\n"
+                     "    only_tested: int\n"
+                     "    set_only: int = 0\n"
+                     "    _private: int = 0\n"
+                     "    def method(self): return self.used\n"
+                     "@dataclasses.dataclass(frozen=True)\n"
+                     "class F:\n"
+                     "    shared: str\n"
+                     "class Plain:\n"
+                     "    unread: int\n"
+                     "@dataclass\n"
+                     "class _Hidden:\n"
+                     "    unread: int\n")
+    outside = _attributes_read(ast.parse("r = R(used=1, only_tested=2, set_only=3)\n"
+                                         "r.set_only = 4\n"
+                                         "print(r.used, other.shared)\n"))
+    tests = _attributes_read(ast.parse("assert r.only_tested == 2\n"))
+    assert _unread_fields(tree, outside) == [("R", "only_tested", 4), ("R", "set_only", 5)]
+    assert _unread_fields(tree, outside | tests) == [("R", "set_only", 5)]
 
 
 def _imports_of(tree: ast.Module, package: str) -> list[int]:

@@ -35,7 +35,7 @@ def test_variable_ids_sequential():
     assert m.add_continuous("b", 0.0, 1.0) == 1
     assert m.add_variables(["c"], 0.0, 1.0, binary=True) == range(2, 3)
     assert m.n_vars == 3
-    assert [v.vid for v in m.variables] == [0, 1, 2]
+    assert [v.name for v in m.variables] == ["a", "b", "c"]     # records in id order
 
 
 def test_binary_has_unit_bounds():
@@ -251,10 +251,10 @@ def _row_walk_violation(model, x):
     """Worst bound, integrality or row violation by a plain walk over the
     Variable and Constraint records."""
     worst = 0.0
-    for v in model.variables:
-        worst = max(worst, v.lb - x[v.vid], x[v.vid] - v.ub)
+    for vid, v in enumerate(model.variables):
+        worst = max(worst, v.lb - x[vid], x[vid] - v.ub)
         if v.kind == "binary":
-            worst = max(worst, abs(x[v.vid] - round(x[v.vid])))
+            worst = max(worst, abs(x[vid] - round(x[vid])))
     for con in model.constraints:
         lhs = sum(c * x[v] for v, c in con.coeffs)
         gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.cmp]

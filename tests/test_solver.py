@@ -404,9 +404,9 @@ def _warm_vs_cold(model, fixings):
 def _lp_violation(model, x, fixes):
     """Worst bound or row violation of an LP point, binaries relaxed."""
     worst = 0.0
-    for v in model.variables:
-        lo, hi = fixes.get(v.vid, (v.lb, v.ub))
-        worst = max(worst, lo - x[v.vid], x[v.vid] - hi)
+    for vid, v in enumerate(model.variables):
+        lo, hi = fixes.get(vid, (v.lb, v.ub))
+        worst = max(worst, lo - x[vid], x[vid] - hi)
     for con in model.constraints:
         lhs = sum(c * x[v] for v, c in con.coeffs)
         gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.cmp]

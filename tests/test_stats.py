@@ -54,8 +54,9 @@ class TestMahalanobis:
         ctx = build_mahalanobis(x)
         # Sigma = diag(2, 4.5), regularized by eps = 1e-6 * trace / D
         var = np.array([2.0, 4.5]) + 1e-6 * 6.5 / 2
-        assert ctx.eps == pytest.approx(1e-6 * 6.5 / 2)
-        assert np.allclose(ctx.sigma, np.diag(var))
+        sigma = np.linalg.inv(ctx.sigma_inv)
+        assert sigma.diagonal() - [2.0, 4.5] == pytest.approx([1e-6 * 6.5 / 2] * 2)
+        assert np.allclose(sigma, np.diag(var))
         assert np.allclose(ctx.chol_u, np.diag(1.0 / np.sqrt(var)))
         a = np.array([1.0, 1.0])
         assert mahalanobis_distance(ctx, np.zeros(2), a) == pytest.approx(
@@ -76,8 +77,10 @@ class TestMahalanobis:
         centered = x - x.mean(axis=0)
         sigma = centered.T @ centered / 30
         ctx = build_mahalanobis(x)
-        assert ctx.eps == pytest.approx(1e-6 * np.trace(sigma) / 4)
-        assert np.allclose(ctx.sigma, sigma + ctx.eps * np.eye(4))
+        eps = 1e-6 * np.trace(sigma) / 4
+        regularized = np.linalg.inv(ctx.sigma_inv)
+        assert (regularized - sigma).diagonal() == pytest.approx([eps] * 4)
+        assert np.allclose(regularized, sigma + eps * np.eye(4))
 
     def test_md_l2_equals_quadratic_form(self):
         rng = np.random.default_rng(3)
@@ -141,7 +144,6 @@ class TestLofTables:
     def test_line_tables_frozen(self):
         ctx = line_ctx()
         assert np.allclose(ctx.d1, [1.0, 1.0, 1.0])
-        assert list(ctx.nn1) == [1, 0, 1]
         assert np.allclose(ctx.lrd1, [1.0, 1.0, 1.0])
 
     def test_duplicate_members_rejected(self):
