@@ -105,9 +105,6 @@ class ActionSpace:
             a[dim.columns] += dim.deltas[i]
         return a
 
-    def n_changes(self, choice) -> int:
-        return sum(1 for dim, i in zip(self.dims, choice) if i != dim.zero_index)
-
 
 def _numeric_candidates(qs: np.ndarray, x_d: float, direction: str) -> list[float]:
     offs = sorted(set(float(q) - x_d for q in qs))

@@ -40,7 +40,8 @@ from .solver import SimplexError, SolverParams
 from .stats import (DeltaMetric, LofContext, build_lof_context, build_mahalanobis,
                     lof, mahalanobis_distance, q1_surrogate, sample_reference_set)
 
-ORACLE_CAP = 1_000_000          # action combinations brute_force_oracle enumerates
+ORACLE_CAP = 1_000_000          # admissible actions brute_force_oracle enumerates
+LOF_EVAL_K = 10                 # the k of the lof10 column, at most N - 1
 
 RECORD_HEADER = ["instance", "formulation", "N", "status", "objective", "md",
                  "lof10", "nearest_rows", "total_rows", "nodes", "time_s"]
@@ -107,7 +108,6 @@ class RunConfig:
     n_explained: int = _key(count(1), default=10)
     reference_seed: int = _key(count(0), default=5)
     time_limits: dict = _key(_time_limits, default_factory=dict)   # str(N) -> seconds
-    lof_eval_k: int = _key(count(1), default=10)
     svg_plot: bool = _key(BOOLEAN, default=True)
     out_dir: str = _key(STRING, default="results")
 
@@ -193,29 +193,35 @@ class OracleResult:
 
 def brute_force_oracle(x_enc: np.ndarray, classifier, space: ActionSpace,
                        mahal_ctx, lof_ctx: LofContext, lam: float) -> OracleResult | None:
-    """Exhaustive search over the action grid; ties keep the first candidate
-    in lexicographic candidate-index order.  Returns None when no admissible
-    action is valid.  A grid of more than ``ORACLE_CAP`` actions is refused."""
-    total = 1
-    for dim in space.dims:
-        total *= dim.n_candidates
+    """Exhaustive search over the admissible actions: every set of at most
+    ``max_changes`` dimensions, and within it every choice of a non-zero
+    candidate per dimension.  Ties keep the first action in lexicographic
+    candidate-index order.  Returns None when no admissible action is valid.
+    More than ``ORACLE_CAP`` admissible actions are refused before any is built."""
+    moves = [[i for i in range(dim.n_candidates) if i != dim.zero_index] for dim in space.dims]
+    by_size = [1]               # admissible actions by the number of dimensions they move
+    for m in moves:
+        by_size = [a + len(m) * b for a, b in zip(by_size + [0], [0] + by_size)]
+    total = sum(by_size[:space.max_changes + 1])
     if total > ORACLE_CAP:
-        raise ValueError(f"grid has {total} actions, above the cap of {ORACLE_CAP}")
+        raise ValueError(f"{total} admissible actions, above the cap of {ORACLE_CAP}")
     u = mahal_ctx.chol_u
     best = None
-    for combo in itertools.product(*(range(d.n_candidates) for d in space.dims)):
-        if space.n_changes(combo) > space.max_changes:
-            continue
-        disp = space.displacement(combo)
-        cf = x_enc + disp
-        if predict(classifier, cf) != 1:
-            continue
-        md = float(np.abs(u @ disp).sum())
-        q1 = q1_surrogate(lof_ctx, cf)
-        obj = md + lam * q1
-        if best is None or obj < best.objective:
-            best = OracleResult(indices=list(combo), objective=obj, md_term=md,
-                                q1=q1, counterfactual=cf)
+    for k in range(min(space.max_changes, len(moves)) + 1):
+        for subset in itertools.combinations(range(len(moves)), k):
+            for picks in itertools.product(*(moves[d] for d in subset)):
+                moved = dict(zip(subset, picks))
+                combo = [moved.get(d, dim.zero_index) for d, dim in enumerate(space.dims)]
+                disp = space.displacement(combo)
+                cf = x_enc + disp
+                if predict(classifier, cf) != 1:
+                    continue
+                md = float(np.abs(u @ disp).sum())
+                q1 = q1_surrogate(lof_ctx, cf)
+                obj = md + lam * q1
+                if best is None or (obj, combo) < (best.objective, best.indices):
+                    best = OracleResult(indices=combo, objective=obj, md_term=md,
+                                        q1=q1, counterfactual=cf)
     return best
 
 
@@ -260,8 +266,7 @@ def _solve_one(prep: Prepared, config: RunConfig, lof_ctx: LofContext,
     total_t = time.perf_counter() - t0
     if expl.counterfactual is not None:
         md = mahalanobis_distance(prep.mahal, x, expl.counterfactual)
-        k = min(config.lof_eval_k, len(lof_ctx) - 1)
-        lof10 = lof(lof_ctx, expl.counterfactual, k)
+        lof10 = lof(lof_ctx, expl.counterfactual, min(LOF_EVAL_K, len(lof_ctx) - 1))
     else:
         md = lof10 = None
     return BenchRecord(

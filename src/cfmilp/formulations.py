@@ -170,58 +170,52 @@ def add_validity_linear(model: MilpModel, handles: FormulationHandles, classifie
     handles.counts["validity"] = 1
 
 
-def _tree_leaves(tree):
-    """Depth-first leaf enumeration: (node_id, [(col, lo, hi), ...], prob)."""
-    out = []
-
-    def walk(node, conds):
-        f = int(tree.feature[node])
-        if f < 0:
-            out.append((node, list(conds), float(tree.prob[node])))
-            return
-        thr = float(tree.threshold[node])
-        walk(int(tree.left[node]), conds + [(f, -np.inf, thr)])
-        walk(int(tree.right[node]), conds + [(f, thr, np.inf)])
-
-    walk(0, [])
-    return out
-
-
 def add_validity_forest(model: MilpModel, handles: FormulationHandles,
                         forest: Forest) -> None:
-    """Leaf-indicator encoding of every tree plus the average-probability row.
-
-    A leaf is selectable only if, for every feature its path constrains, the
-    chosen candidate keeps the moved value inside the path's interval; a leaf
-    no candidate can reach gets a [0,0] indicator and stays well-formed.
-    """
+    """Leaf indicators of every tree, the split rows of Misic (Oper. Res.
+    68(5), 2020) and the average-probability row.  For a split on column f at
+    threshold thr, the leaves under its left child sum to at most the pi of
+    the candidates whose moved value of f is <= thr, and the leaves under its
+    right child to at most the pi of the others; so a side no candidate takes
+    holds every leaf under it at 0, and no leaf needs its own bounds."""
     dims = handles.space.dims
-    # per encoded column: its dimension, and its moved value under each candidate of it
-    col_dim = [d for d, dim in enumerate(dims) for _ in dim.columns]
-    value = [moved.tolist() for dim in dims for moved in (handles.x_enc[dim.columns] + dim.deltas).T]
+    # per encoded column: the pi ids of its dimension and its moved value under each
+    col_pi = [np.asarray(ids) for ids, dim in zip(handles.pi, dims) for _ in dim.columns]
+    moved = [m for dim in dims for m in (handles.x_enc[dim.columns] + dim.deltas).T]
 
     rows = []                # (name, cmp, rhs, ids, coefficients): one block for the forest
     probs = []
     for t_idx, tree in enumerate(forest.trees):
-        leaves = _tree_leaves(tree)
-        # per leaf, per dimension its path constrains: the candidates it lets through
-        sets = [{d: [i for i in range(dims[d].n_candidates)
-                     if all(lo < value[col][i] <= hi for col, lo, hi in conds if col_dim[col] == d)]
-                 for d in dict.fromkeys(col_dim[col] for col, _, _ in conds)}
-                for _, conds, _ in leaves]
-        live = np.array([all(by_dim.values()) for by_dim in sets])
+        # an explicit-stack walk, depth-first and left first: the leaves in order and
+        # each node's first leaf ordinal; a node has one parent, so it comes once
+        order, first, leaves, stack = [], {}, [], [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            first[node] = len(leaves)
+            if tree.feature[node] < 0:
+                leaves.append(node)
+            else:
+                stack += [int(tree.right[node]), int(tree.left[node])]
+        stop = {}                # one past the last leaf ordinal of every node
+        for node in reversed(order):
+            stop[node] = first[node] + 1 if tree.feature[node] < 0 else stop[int(tree.right[node])]
         phi = model.add_variables([f"phi_t{t_idx}_l{l_ord}" for l_ord in range(len(leaves))],
-                                  0.0, live.astype(float), binary=live)
-        for l_ord in np.nonzero(live)[0]:
-            for d, ok in sets[l_ord].items():
-                rows.append((f"path_t{t_idx}_l{l_ord}_d{d}", ">=", 0.0,
-                             [handles.pi[d][i] for i in ok] + [phi[l_ord]], [1.0] * len(ok) + [-1.0]))
+                                  0.0, 1.0, binary=True)
+        for node in (n for n in order if tree.feature[n] >= 0):
+            f = int(tree.feature[node])
+            left = moved[f] <= tree.threshold[node]
+            for side, child, take in (("left", int(tree.left[node]), left),
+                                      ("right", int(tree.right[node]), ~left)):
+                under = phi[first[child]:stop[child]]
+                rows.append((f"split_t{t_idx}_n{node}_{side}", "<=", 0.0,
+                             [*under, *col_pi[f][take]], [1.0] * len(under) + [-1.0] * take.sum()))
         rows.append((f"pick_leaf_t{t_idx}", "=", 1.0, phi, [1.0] * len(phi)))
         handles.phi.append(list(phi))
-        handles.leaf_nodes.append([node for node, _, _ in leaves])
-        probs += [prob for _, _, prob in leaves]
+        handles.leaf_nodes.append(leaves)
+        probs += tree.prob[leaves].tolist()
     n_trees = len(forest.trees)
-    handles.counts.update(leaf_pick=n_trees, leaf_path=len(rows) - n_trees, validity=1)
+    handles.counts.update(leaf_pick=n_trees, leaf_split=len(rows) - n_trees, validity=1)
     rows.append(("validity", ">=", 0.5 * n_trees, [v for ids in handles.phi for v in ids], probs))
     names, cmps, rhs, ids, coefs = zip(*rows)
     model.add_rows(names, cmps, rhs, (np.repeat(np.arange(len(rows)), [len(r) for r in ids]),

@@ -175,6 +175,35 @@ def test_2_oracle_equivalence(sweep):
     assert ok
 
 
+def test_2_oracle_equivalence_on_a_credit_row():
+    # the default credit data's first rejected row under the SVM: 2,211,840
+    # actions in the full product at grid 3, of which 3,763 move at most 3
+    # dimensions; the oracle enumerates only those
+    enc = load_dataset({"kind": "synthetic", "n_rows": 800, "seed": 11})
+    train, test = split(enc, 0.75, 1)
+    numeric = [train.encoding.spans[i][0]
+               for i, f in enumerate(train.schema.features) if f.kind == "numeric"]
+    clf = train_linear_svm(train.x, train.y, fit_scaler(train.x, numeric))
+    metric = DeltaMetric.from_matrix(train.x)
+    mahal = build_mahalanobis(train.x)
+    x = test.x[np.nonzero(predict_many(clf, test.x) == -1)[0][0]]
+    space = build_action_space(x, train, ActionConfig(grid_size=3, max_changes=3))
+    cells = []
+    for n, formulations in ((20, ("original",)), (50, ("reduced", "original"))):
+        ctx = build_lof_context(sample_reference_set(train.x, train.y, n, 5), metric)
+        oracle = brute_force_oracle(x, clf, space, mahal, ctx, 0.01)
+        assert oracle is not None
+        for form in formulations:
+            exp = explain(x, clf, mahal, ctx, space, 0.01, formulation=form,
+                          params=SolverParams(time_limit_s=120.0))
+            assert exp.status == "optimal"
+            assert exp.action_indices == oracle.indices, f"{form} N={n}"
+            assert exp.objective == pytest.approx(oracle.objective, rel=1e-9, abs=1e-9)
+            cells.append(f"{form} N={n}")
+    report(2, "exhaustive-oracle-equivalence-credit", True,
+           f"{', '.join(cells)}: action and objective equal the oracle's")
+
+
 # -- 3: nearest-neighbor row counts ---------------------------------------------------
 
 def test_3_constraint_count_reduction(credit_pipeline):

@@ -111,10 +111,11 @@ class TestSpaceOps:
         space = build_action_space(enc.x[0], enc, ActionConfig(grid_size=3, max_changes=2))
         zero = tuple(d.zero_index for d in space.dims)
         assert np.allclose(space.displacement(zero), 0.0)
-        assert space.n_changes(zero) == 0
         combo = list(zero)
         combo[0] = 1
-        assert space.n_changes(tuple(combo)) == 1
+        moved = space.displacement(combo)
+        assert moved[space.dims[0].columns].any()
+        assert not np.delete(moved, space.dims[0].columns).any()
 
     def test_config_validation(self):
         enc = default_enc()

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import re
 import time
@@ -282,11 +283,18 @@ def test_svg_plot_structure():
 
 
 def test_oracle_grid_cap(monkeypatch):
+    # the cap counts the actions that move at most max_changes dimensions
     inst = random_instance(3)
-    monkeypatch.setattr(bench, "ORACLE_CAP", 1)
-    with pytest.raises(ValueError, match="cap of 1"):
-        brute_force_oracle(inst["x"], inst["classifier"], inst["space"],
-                           inst["mahal"], inst["lof_ctx"], inst["lam"])
+    space = inst["space"]
+    admissible = sum(
+        sum(i != dim.zero_index for dim, i in zip(space.dims, combo)) <= space.max_changes
+        for combo in itertools.product(*(range(dim.n_candidates) for dim in space.dims)))
+    args = (inst["x"], inst["classifier"], space, inst["mahal"], inst["lof_ctx"], inst["lam"])
+    monkeypatch.setattr(bench, "ORACLE_CAP", admissible)
+    brute_force_oracle(*args)
+    monkeypatch.setattr(bench, "ORACLE_CAP", admissible - 1)
+    with pytest.raises(ValueError, match=f"^{admissible} admissible actions, above the cap"):
+        brute_force_oracle(*args)
 
 
 # -- command line ---------------------------------------------------------------------
@@ -461,7 +469,7 @@ BAD_RUN_SETTINGS = [
     ({"split_seed": "x"}, "split_seed"),
     ({"reference_seed": "x"}, "reference_seed"),
     ({"n_explained": "x"}, "n_explained"),
-    ({"lof_eval_k": "x"}, "lof_eval_k"),
+    ({"lof_eval_k": 10}, "lof_eval_k"),     # the lof10 column's k is fixed
     ({"time_limits": {"6": -5}}, "time_limits"),
     ({"time_limits": {"6": 0}}, "time_limits"),
     ({"time_limits": {"6": float("nan")}}, "time_limits"),
@@ -551,6 +559,22 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, over, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "forest"])
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_cli_refuses_an_empty_training_split(tmp_path, capsys, kind, command):
+    # one row at ratio 0.75 leaves no training row: the SVM divided by zero,
+    # the other two wrote NaN into a model file that cannot be loaded back
+    cfg_path = write_config(tmp_path, dataset={"kind": "synthetic", "n_rows": 1, "seed": 11},
+                            classifier={"kind": kind})
+    out = tmp_path / "out.json"
+    args = ["--out", str(out)] + (["--index", "0"] if command == "explain" else [])
+    assert main([command, "--config", cfg_path, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "training split" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [5, None, "dataset"], ids=["number", "null", "string"])
@@ -700,6 +724,28 @@ def test_cli_bad_model_file_exit_code(tmp_path, capsys, svm_model_doc, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["explain", "export-lp"])
+def test_cli_deep_forest_tree_ends_in_a_status(tmp_path, capsys, svm_model_doc, command):
+    # a 1,200-level chain: each split sends its left side to a leaf of
+    # probability 0 and its right side on down; every row goes left at the
+    # root, so every row is rejected.  A recursive leaf walk ran out of stack
+    cfg_path, doc = svm_model_doc
+    depth = 1200
+    m = 2 * depth + 1
+    split = [k % 2 == 0 and k < m - 1 for k in range(m)]
+    tree = {"feature": [1 if s else -1 for s in split], "threshold": [1e9] * m,
+            "left": [k + 1 if s else -1 for k, s in enumerate(split)],
+            "right": [k + 2 if s else -1 for k, s in enumerate(split)],
+            "prob": [0.0] * (m - 1) + [1.0]}
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps({"kind": "forest", "n_features": len(doc["weights"]),
+                                 "trees": [tree]}), encoding="utf-8")
+    code = main([command, "--config", cfg_path, "--index", "0", "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_saved_model_is_explained_as_trained(tmp_path, capsys, svm_model_doc):

@@ -35,27 +35,35 @@ def _explain(inst, formulation, **kw):
 @pytest.mark.parametrize("formulation,nearest", [("original", lambda n: n * n),
                                                  ("reduced", lambda n: 2 * n)])
 def test_constraint_counts_exact(formulation, nearest):
-    inst = random_instance(41)
-    n_refs = inst["n_refs"]
-    n_enc = inst["x"].size
-    n_dims = len(inst["space"].dims)
-    model, handles, _ = build_model(inst["x"], inst["classifier"], inst["mahal"],
-                                    inst["lof_ctx"], inst["space"], inst["lam"],
-                                    formulation)
-    assert handles.counts["nearest"] == nearest(n_refs)
-    assert handles.counts["action_onehot"] == n_dims
-    assert handles.counts["md_envelope"] == 2 * n_enc
-    assert handles.counts["nn_onehot"] == 1
-    assert handles.counts["reach_floor"] == n_refs
-    assert handles.counts["reach_link"] == n_refs
-    assert handles.counts["max_changes"] == 1
-    assert handles.counts["validity"] == 1
-    assert sum(handles.counts.values()) == model.n_constraints
-    assert handles.nearest_rows == handles.counts["nearest"]
-    n_pi = sum(d.n_candidates for d in inst["space"].dims)
-    expect_vars = n_pi + n_enc + 2 * n_refs + (1 if formulation == "reduced" else 0)
-    assert model.n_vars == expect_vars
-    assert (handles.t_id is None) == (formulation == "original")
+    for inst in (random_instance(41), classifier_instance(0, "forest")):
+        n_refs = inst["n_refs"]
+        n_enc = inst["x"].size
+        n_dims = len(inst["space"].dims)
+        model, handles, _ = build_model(inst["x"], inst["classifier"], inst["mahal"],
+                                        inst["lof_ctx"], inst["space"], inst["lam"],
+                                        formulation)
+        assert handles.counts["nearest"] == nearest(n_refs)
+        assert handles.counts["action_onehot"] == n_dims
+        assert handles.counts["md_envelope"] == 2 * n_enc
+        assert handles.counts["nn_onehot"] == 1
+        assert handles.counts["reach_floor"] == n_refs
+        assert handles.counts["reach_link"] == n_refs
+        assert handles.counts["max_changes"] == 1
+        assert handles.counts["validity"] == 1
+        assert sum(handles.counts.values()) == model.n_constraints
+        assert handles.nearest_rows == handles.counts["nearest"]
+        n_pi = sum(d.n_candidates for d in inst["space"].dims)
+        n_leaves = 0
+        if isinstance(inst["classifier"], Forest):
+            trees = inst["classifier"].trees
+            # two rows per split node, one pick row per tree, one leaf indicator per leaf
+            assert handles.counts["leaf_split"] == 2 * sum(int((t.feature >= 0).sum())
+                                                           for t in trees)
+            assert handles.counts["leaf_pick"] == len(trees)
+            n_leaves = sum(int((t.feature < 0).sum()) for t in trees)
+        expect_vars = n_pi + n_enc + 2 * n_refs + (1 if formulation == "reduced" else 0)
+        assert model.n_vars == expect_vars + n_leaves
+        assert (handles.t_id is None) == (formulation == "original")
 
 
 def test_unknown_formulation_rejected():
@@ -109,40 +117,46 @@ def _reference_rows(model, handles, constants, inst):
 
 
 def _reference_forest_rows(put, model, handles, inst):
-    """A forest's path_*, pick_leaf_* and validity rows, one leaf at a time:
-    a leaf's path row for dimension d lets through each candidate of d whose
-    moved values stay inside every interval the path puts on d's columns."""
+    """A forest's split_*, pick_leaf_* and validity rows, one split side at a
+    time: the leaves below the side sum to at most the pi of the candidates of
+    the split column's dimension that send the moved instance that way."""
     forest, space, x = inst["classifier"], inst["space"], inst["x"]
     dim_of = {int(col): d for d, dim in enumerate(space.dims) for col in dim.columns}
     probs = {}
     for t, tree in enumerate(forest.trees):
+        # a trained tree's node ids are in depth-first order, left subtree first
+        leaves = [int(n) for n in np.nonzero(tree.feature < 0)[0]]
+        assert handles.leaf_nodes[t] == leaves
+        phi_of = dict(zip(leaves, handles.phi[t]))
         above = {}                      # child node -> (split node, went left)
         for node in np.nonzero(tree.feature >= 0)[0]:
-            above[int(tree.left[node])] = (node, True)
-            above[int(tree.right[node])] = (node, False)
-        for l_ord, (leaf, phi) in enumerate(zip(handles.leaf_nodes[t], handles.phi[t])):
-            conds, node = [], leaf
-            while node in above:
-                node, left = above[node]
-                thr = float(tree.threshold[node])
-                conds.insert(0, (int(tree.feature[node]), -np.inf, thr) if left
-                             else (int(tree.feature[node]), thr, np.inf))
-            through = {}
-            for d in dict.fromkeys(dim_of[col] for col, _, _ in conds):
+            above[int(tree.left[node])] = (int(node), True)
+            above[int(tree.right[node])] = (int(node), False)
+
+        def path(leaf):
+            """{split node: went left} on the way from the root to ``leaf``."""
+            out = {}
+            while leaf in above:
+                leaf, left = above[leaf]
+                out[leaf] = left
+            return out
+
+        paths = {leaf: path(leaf) for leaf in leaves}
+        for node in np.nonzero(tree.feature >= 0)[0]:
+            col, thr = int(tree.feature[node]), float(tree.threshold[node])
+            d = dim_of[col]
+            for side, left in (("left", True), ("right", False)):
+                row = {phi_of[leaf]: 1.0 for leaf in leaves if paths[leaf].get(node) == left}
                 choice = [dim.zero_index for dim in space.dims]
-                through[d] = []
                 for i in range(space.dims[d].n_candidates):
                     choice[d] = i
-                    moved = x + space.displacement(choice)
-                    if all(lo < moved[col] <= hi for col, lo, hi in conds if dim_of[col] == d):
-                        through[d].append(i)
-            live = all(through.values())
-            assert model.variables[phi].ub == float(live)
-            if live:
-                for d, ok in through.items():
-                    put(f"path_t{t}_l{l_ord}_d{d}",
-                        {**{handles.pi[d][i]: 1.0 for i in ok}, phi: -1.0}, ">=", 0.0)
-            probs[phi] = float(tree.prob[leaf])
+                    if ((x + space.displacement(choice))[col] <= thr) == left:
+                        row[handles.pi[d][i]] = -1.0
+                put(f"split_t{t}_n{node}_{side}", row, "<=", 0.0)
+        for leaf in leaves:
+            var = model.variables[phi_of[leaf]]
+            assert (var.kind, var.lb, var.ub) == ("binary", 0.0, 1.0)
+            probs[phi_of[leaf]] = float(tree.prob[leaf])
         put(f"pick_leaf_t{t}", {phi: 1.0 for phi in handles.phi[t]}, "=", 1.0)
     put("validity", probs, ">=", 0.5 * len(forest.trees))
 
@@ -180,7 +194,7 @@ def test_row_blocks_match_row_by_row_reference(formulation):
             + ["pick_nn"] + [f"reach_floor_n{n}" for n in range(n_refs)]
             + [f"reach_link_n{n}" for n in range(n_refs)] + ["max_changes"]
             + nearest + [name for name in reference
-                         if name.startswith(("path_", "pick_leaf_", "validity"))]), label
+                         if name.startswith(("split_", "pick_leaf_", "validity"))]), label
         for name, want in reference.items():
             con = records[name]
             assert (con.coeffs, con.cmp, con.rhs) == want, f"{label} {name}"
@@ -226,7 +240,8 @@ def test_admissible_assignments_match_nearest_semantics(formulation):
     checked_feasible = 0
     for combo in combos:
         cf = inst["x"] + space.displacement(combo)
-        admissible = (space.n_changes(combo) <= space.max_changes
+        moved = sum(i != dim.zero_index for dim, i in zip(space.dims, combo))
+        admissible = (moved <= space.max_changes
                       and predict(inst["classifier"], cf) == 1)
         for n in range(constants.n_refs):
             vals, dists = _manual_assignment(model, handles, constants, inst, combo, n)
