@@ -79,7 +79,7 @@ def _by_kind(tables: dict, default=None):
 # the key table of each kind of dataset and classifier
 DATASET_KEYS = {"synthetic": {"n_rows": (count(1), 800), "seed": (count(0), 11)},
                 "csv": {"path": (STRING, REQUIRED), "schema": (STRING, REQUIRED)}}
-_LINEAR = {"c": (_POSITIVE, 1.0), "seed": (count(0), 0)}
+_LINEAR = {"c": (_POSITIVE, 1.0)}
 CLASSIFIER_KEYS = {"logistic": _LINEAR, "svm": _LINEAR, "forest": {
     "n_trees": (count(1), 100), "max_depth": (count(1), 6), "seed": (count(0), 0)}}
 _read_dataset = _by_kind(DATASET_KEYS)
@@ -131,7 +131,8 @@ class RunConfig:
         self.reference_seed = seed
         if self.dataset.get("kind") == "synthetic":
             self.dataset["seed"] = seed
-        self.classifier["seed"] = seed
+        if self.classifier.get("kind") == "forest":    # no other trainer draws a number
+            self.classifier["seed"] = seed
 
 
 @dataclass

@@ -351,15 +351,17 @@ def apply_scaler(scaler: StandardScaler, x: np.ndarray) -> np.ndarray:
 
 
 def split(dataset: EncodedDataset, ratio: float, seed: int) -> tuple[EncodedDataset, EncodedDataset]:
-    """Seeded shuffle split; the train side gets floor(ratio * n) >= 1 rows."""
+    """Seeded shuffle split; the train side gets floor(ratio * n) rows, and
+    each side at least one."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("split ratio must lie strictly between 0 and 1")
     n = len(dataset)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(math.floor(ratio * n + 1e-9))  # guard fp like 0.7*10 = 6.999...
-    if n_train == 0:
-        raise ValueError(f"split ratio {ratio} leaves the training split of {n} rows empty")
+    for side, size in (("training", n_train), ("test", n - n_train)):
+        if size == 0:
+            raise ValueError(f"split ratio {ratio} leaves the {side} split of {n} rows empty")
     tr, te = perm[:n_train], perm[n_train:]
     mk = lambda idx: EncodedDataset(
         x=dataset.x[idx].copy(), y=dataset.y[idx].copy(),

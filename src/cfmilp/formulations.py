@@ -242,55 +242,53 @@ def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
     return model, handles, constants
 
 
-def _single_change_hint(model, handles, classifier, lof_ctx, lam):
-    """Best valid one-dimension action, as a complete assignment, or None.
+def complete_action(model, handles, classifier, lof_ctx, choice) -> np.ndarray:
+    """The cheapest full assignment of the action ``choice`` (a candidate
+    index per dimension), in closed form: its pi, delta = |sum_d w_cols[d][:,
+    i_d]|, and mu, rho = max(d1, D) and t = D at the nearest reference point
+    n* = argmin_n D_n, D_n = sum_d c[d][i_d, n].  Points within 1e-9 of the
+    minimum tie, as the nearest rows' tolerance lets them, and the cheapest
+    of them is taken (the lowest index among equals).  In each tree, phi is
+    the leaf the moved point reaches."""
+    picks = [ids[i] for ids, i in zip(handles.pi, choice)]
+    vals = np.zeros(model.n_vars)
+    vals[picks] = 1.0
+    vals[handles.delta] = np.abs(sum(w[:, i] for w, i in zip(handles.w_cols, choice)))
+    dists = handles.constants.table[np.subtract(picks, handles.pi[0].start)].sum(axis=0)
+    reach = np.maximum(lof_ctx.d1, dists)
+    cost = np.where(dists <= dists.min() + 1e-9, model.arrays.c[handles.rho] * reach, np.inf)
+    n_star = int(np.argmin(cost))
+    vals[handles.mu[n_star]] = 1.0
+    vals[handles.rho[n_star]] = reach[n_star]
+    if handles.t_id is not None:
+        vals[handles.t_id] = dists[n_star]
+    if handles.phi:
+        cf = handles.x_enc + handles.space.displacement(choice)
+        for t, (phi_ids, nodes) in enumerate(zip(handles.phi, handles.leaf_nodes)):
+            vals[phi_ids[nodes.index(classifier.trees[t].leaf_of(cf))]] = 1.0
+    return vals
 
-    Used as the starting incumbent: it is exact (built from the same tables
-    the rows use), cheap, and identical for both formulations.
-    """
+
+def _single_change_hint(model, handles, classifier, lof_ctx):
+    """The completion of the best valid one-dimension action, or None: the
+    starting incumbent, the same for both formulations."""
     space = handles.space
-    constants = handles.constants
-    x_enc = handles.x_enc
-    n_refs = len(lof_ctx)
     if space.max_changes < 1:
         return None
-    delta0 = np.zeros(n_refs)
+    zero = [dim.zero_index for dim in space.dims]
+    best, best_obj = None, np.inf
     for d, dim in enumerate(space.dims):
-        delta0 += constants.c[d][dim.zero_index, :]
-
-    best = None
-    for d, dim in enumerate(space.dims):
-        moved = np.tile(x_enc, (dim.n_candidates, 1))    # row i: x moved by candidate i
+        moved = np.tile(handles.x_enc, (dim.n_candidates, 1))    # row i: x moved by candidate i
         moved[:, dim.columns] += dim.deltas
         for i in range(dim.n_candidates):
-            if i == dim.zero_index:
+            if i == dim.zero_index or predict(classifier, moved[i]) != 1:
                 continue
-            cf = moved[i]
-            if predict(classifier, cf) != 1:
-                continue
-            md = float(np.abs(handles.w_cols[d][:, i]).sum())
-            dists = delta0 - constants.c[d][dim.zero_index, :] + constants.c[d][i, :]
-            n_star = int(np.argmin(dists))
-            reach = max(float(lof_ctx.d1[n_star]), float(dists[n_star]))
-            obj = md + lam * float(lof_ctx.lrd1[n_star]) * reach
-            if best is None or obj < best[0] - 1e-15:
-                best = (obj, d, i, n_star, reach, dists, cf)
-    if best is None:
-        return None
-    _, d_star, i_star, n_star, reach, dists, cf = best
-
-    vals = np.zeros(model.n_vars)
-    for d, dim in enumerate(space.dims):
-        choice = i_star if d == d_star else dim.zero_index
-        vals[handles.pi[d][choice]] = 1.0
-    vals[handles.delta] = np.abs(handles.w_cols[d_star][:, i_star])
-    vals[handles.mu[n_star]] = 1.0
-    vals[handles.rho[n_star]] = reach
-    if handles.t_id is not None:
-        vals[handles.t_id] = float(dists[n_star])
-    for t, (phi_ids, nodes) in enumerate(zip(handles.phi, handles.leaf_nodes)):
-        vals[phi_ids[nodes.index(classifier.trees[t].leaf_of(cf))]] = 1.0
-    return vals
+            vals = complete_action(model, handles, classifier, lof_ctx,
+                                   zero[:d] + [i] + zero[d + 1:])
+            obj = model.objective_value(vals)
+            if obj < best_obj - 1e-15:
+                best, best_obj = vals, obj
+    return best
 
 
 @dataclass
@@ -334,7 +332,7 @@ def decode_action(handles: FormulationHandles, values: np.ndarray):
     """Chosen candidate index per dimension from the pi block of a solution."""
     out = []
     for d, ids in enumerate(handles.pi):
-        vals = np.array([values[v] for v in ids])
+        vals = values[ids]
         i = int(np.argmax(vals))
         if abs(vals[i] - 1.0) > INT_TOL:
             raise ValueError(f"dimension {d}: action indicators not integral")
@@ -356,11 +354,11 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
         raise PreconditionError("instance is already classified positive")
     model, handles, constants = build_model(
         x_enc, classifier, mahal_ctx, lof_ctx, space, lam, formulation)
-    hint = _single_change_hint(model, handles, classifier, lof_ctx, lam)
-    # action-choice binaries decide everything downstream, so branch there first
-    priority = {vid: 1 for ids in handles.pi for vid in ids}
-    sol = solve_milp(model, params=params, incumbent_hint=hint,
-                     branch_priority=priority)
+    hint = _single_change_hint(model, handles, classifier, lof_ctx)
+    # the search branches on pi alone: an integral action has a closed-form completion
+    action = (handles.pi_ids, lambda x: complete_action(model, handles, classifier, lof_ctx,
+                                                        decode_action(handles, x)))
+    sol = solve_milp(model, params=params, incumbent_hint=hint, action=action)
 
     if sol.values is None:
         status = "no-recourse" if sol.status == "infeasible" else sol.status

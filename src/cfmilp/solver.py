@@ -16,7 +16,7 @@ with one slot per nonbasic column, built by a refactorization from any
 basis.  The slack basis needs none: its B is the diagonal of the slacks'
 signs, so the start state is written directly, with the operations a
 refactorization would run in the same order, and is the same bit for bit:
-the layout's rows come straight from the model's column-sorted matrix
+the sparse rows come straight from the model's column-sorted matrix
 without a sort, the tableau is the structural columns divided by the signs,
 the basic values are the rhs divided by them, the reduced costs are the
 costs, and the row weights add up 64-column blocks as a refactorization
@@ -82,13 +82,14 @@ started from; a second failure raises ``SimplexError``.  There is no
 anti-cycling rule beyond that cap.
 
 Nodes are selected best-bound-first (ties by creation order), branching is on
-the most fractional binary within the highest caller-assigned priority level
-(ties by lowest variable id), and the search stops at a proven relative gap
-of 1e-6.  All tie-breaks are by lowest index, making the whole solve a pure
-function of its input.  The time limit is checked inside the pivot loop as
-well as between nodes.  There is no presolve and there are no cutting
-planes, so measured solve times track the constraint counts of the
-formulation being solved.
+the most fractional binary (ties by lowest variable id), and the search stops
+at a proven relative gap of 1e-6.  A caller may name the binaries that decide
+the rest of its model, with the closed-form completion of any integral choice
+on them; only those are then branched on (see ``solve_milp``).  All
+tie-breaks are by lowest index, making the whole solve a pure function of its
+input.  The time limit is checked inside the pivot loop as well as between
+nodes.  There is no presolve and there are no cutting planes, so measured
+solve times track the constraint counts of the formulation being solved.
 
 The solver calls six routines of scipy's f2py BLAS and LAPACK wrappers:
 ``daxpy``, ``dgemm``, ``dgemv``, ``dger``, ``dgetrf`` and ``dgetrs``.
@@ -280,39 +281,6 @@ class _Factor:
         return y
 
 
-@dataclass
-class _Layout:
-    """Model variables and rows as tableau columns with a lower bound of 0.
-
-    x = lb + column.  Structural columns precede one column per row: a
-    slack (+1 in a "<=" row, -1 in a ">=" row) or, in an "=" row, an
-    artificial boxed at [0, 0].  These row columns are the start basis of
-    every LP solved from scratch.
-    """
-
-    lb: np.ndarray                   # (n,) variable lower bounds
-    rows: Rows                       # (m, n + m)
-    rhs: np.ndarray                  # (m,) any sign
-    ubt: np.ndarray                  # (n + m,) column upper bounds, inf on slacks
-    cost: np.ndarray                 # (n + m,)
-
-    def point(self, xt: np.ndarray) -> np.ndarray:
-        return self.lb + xt[:self.lb.size]
-
-
-def _layout(std: ModelArrays, lb: np.ndarray, ub: np.ndarray) -> _Layout:
-    m, n = std.rhs.size, lb.size
-    a = std.a
-    # a is sorted by column, then row, and the row columns follow it
-    rows = Rows.canonical(np.concatenate([a.row, np.arange(m)]),
-                          np.concatenate([a.col, n + np.arange(m)]),
-                          np.concatenate([a.val, np.where(std.cmp == ">=", -1.0, 1.0)]),
-                          (m, n + m))
-    ubt = np.concatenate([ub - lb, np.where(std.cmp == "=", 0.0, np.inf)])
-    cost = np.concatenate([std.c, np.zeros(m)])
-    return _Layout(lb=lb, rows=rows, rhs=std.rhs - a.matvec(lb), ubt=ubt, cost=cost)
-
-
 _EPS_RC = 1e-9          # reduced cost of the wrong sign tolerated by dual feasibility
 _EPS_DUAL_PIV = 1e-7    # smallest usable dual pivot (Harris ratio test)
 _EPS_FEAS = 1e-9        # basic value outside its bounds by more than this leaves
@@ -328,22 +296,31 @@ _STATE = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt", "
 
 
 class _Tableau:
-    """Bounded dual simplex state over the columns of ``rows``.
+    """Bounded dual simplex state over the model's columns, each its variable
+    less its lower bound, so that every column's lower bound is 0.
 
-    Starts from the slack basis, the last m columns of ``rows`` (one +-1 each,
-    in its own row), with every nonbasic column at its lower bound until
-    ``place`` moves it.  The tableau stays Fortran-ordered: ``dger`` updates
-    it in place.
+    Structural columns precede one column per row: a slack (+1 in a "<="
+    row, -1 in a ">=" row) or, in an "=" row, an artificial boxed at [0, 0].
+    The state starts from these row columns as the basis, with every
+    nonbasic column at its lower bound until ``place`` moves it.  The
+    tableau stays Fortran-ordered: ``dger`` updates it in place.
     """
 
-    def __init__(self, rows: Rows, rhs: np.ndarray, cost: np.ndarray, ubt: np.ndarray):
-        self.rows, self.cost = rows, cost
-        self.set_rhs(rhs)
-        self.ubt = ubt.copy()         # (n,) upper bounds, inf allowed
-        self.lo = np.zeros(ubt.size)
-        self.at_upper = np.zeros(ubt.size, dtype=bool)
-        m = rhs.size
-        k = ubt.size - m
+    def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
+        m, k = std.rhs.size, lb.size
+        a = std.a
+        sign = np.where(std.cmp == ">=", -1.0, 1.0)
+        # a is sorted by column, then row, and the row columns follow it
+        self.rows = Rows.canonical(np.concatenate([a.row, np.arange(m)]),
+                                   np.concatenate([a.col, k + np.arange(m)]),
+                                   np.concatenate([a.val, sign]), (m, k + m))
+        self.cost = np.concatenate([std.c, np.zeros(m)])
+        self.rhs = rhs = std.rhs - a.matvec(lb)
+        self.res_tol = _EPS_RES * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        # (k + m,) upper bounds, inf on the slacks
+        self.ubt = np.concatenate([ub - lb, np.where(std.cmp == "=", 0.0, np.inf)])
+        self.lo = np.zeros(k + m)
+        self.at_upper = np.zeros(k + m, dtype=bool)
         self.basis = np.arange(k, k + m)      # (m,) int, column basic in each row
         self.nb = np.arange(k)
         self.slot = np.concatenate([self.nb, np.full(m, -1)])
@@ -352,10 +329,8 @@ class _Tableau:
         # (m, k) B^-1 N, one slot per nonbasic column, is each structural
         # column divided by those signs; the basic values are the rhs
         # divided by them; the reduced costs are the costs
-        sign = rows.val[rows.indptr[k]:]
         self.t = t = np.zeros((m, k), order="F")
-        nz = slice(0, rows.indptr[k])
-        t[rows.row[nz], rows.col[nz]] = rows.val[nz]
+        t[a.row, a.col] = a.val
         t /= sign[:, None]
         w = np.ones(m)                          # dual row weights, each row's basic 1
         for j in range(0, k, _BLOCK):
@@ -363,15 +338,11 @@ class _Tableau:
             w += np.einsum("ij,ij->i", blk, blk)
         self.w = w
         self.xb = rhs / sign
-        self.z = cost[:k].copy()
+        self.z = std.c.copy()
         self.iterations = 0
         self.since_refactor = 0
         self.cutoff = np.inf              # objective at which dual pivots stop
         self.infeasible_row = -1
-
-    def set_rhs(self, rhs: np.ndarray) -> None:
-        self.rhs = rhs
-        self.res_tol = _EPS_RES * (1.0 + float(np.abs(rhs).max(initial=0.0)))
 
     def state(self) -> list:
         """The arrays named by ``_STATE``, by reference, and ``since_refactor``."""
@@ -635,9 +606,9 @@ class _Warm:
     """
 
     def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
-        self.std = std
-        self.lay = lay = _layout(std, lb, ub)
-        self.tab = _Tableau(lay.rows, lay.rhs, lay.cost, lay.ubt)
+        self.std, self.lb = std, lb
+        self.tab = _Tableau(std, lb, ub)
+        self.ubt = self.tab.ubt.copy()           # the columns' upper bounds at the root
         self.bin_cols = np.nonzero(std.binary)[0]
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lb)
@@ -672,7 +643,7 @@ class _Warm:
             out, x = tab.solve(deadline)
         except _Restart:
             tab.basis[:], tab.at_upper[:] = self.start
-            tab.lo[:], tab.ubt[:] = 0.0, self.lay.ubt
+            tab.lo[:], tab.ubt[:] = 0.0, self.ubt
             tab.index()
             try:
                 tab.refactor()
@@ -682,7 +653,7 @@ class _Warm:
                 raise SimplexError("LP failed its checks after a restart") from None
         if out != "optimal":
             return LpResult(out)
-        x = self.lay.point(x)
+        x = self.lb + x[:self.lb.size]
         return LpResult("optimal", x, float(self.std.c @ x))
 
     def _place(self, fixes: dict, changed: int | None = None) -> None:
@@ -692,16 +663,12 @@ class _Warm:
         if changed is not None:
             tab.place(np.array([changed]), *fixes[changed])
             return
-        lo, hi = np.zeros(tab.ubt.size), self.lay.ubt.copy()
+        lo, hi = np.zeros(tab.ubt.size), self.ubt.copy()
         if fixes:
             cols = list(fixes)
             lo[cols], hi[cols] = np.array(list(fixes.values()), dtype=float).T
         cols = self.bin_cols[((lo != tab.lo) | (hi != tab.ubt))[self.bin_cols]]
         tab.place(cols, lo[cols], hi[cols])
-
-    def branch(self, node: int) -> None:
-        """Mark the live state as node ``node``'s optimum, with two children open."""
-        self.owner = node
 
     def enter(self, parent: int) -> bool:
         """Before a child of ``parent`` is solved, make the live state the
@@ -792,14 +759,17 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
 
 @_one_blas_thread()
 def solve_milp(model: MilpModel, params: SolverParams | None = None,
-               incumbent_hint=None, branch_priority: dict | None = None) -> MilpSolution:
+               incumbent_hint=None, action: tuple | None = None) -> MilpSolution:
     """Best-bound branch and bound over the LP relaxation.
 
     ``incumbent_hint`` may carry a full assignment, one value per variable;
     it is accepted as the starting incumbent only if it passes evaluate().
-    ``branch_priority`` maps variable id to an integer level; branching picks
-    the most fractional binary within the highest fractional level, so callers
-    can steer the search toward structurally decisive variables.
+    ``action`` is ``(ids, complete)``: the binaries ``ids``, ascending, that
+    decide the rest of the model, and ``complete(x)``, the cheapest full
+    assignment of the choice an LP point ``x`` makes on them.  Only ``ids``
+    are branched on.  A node whose ``ids`` are integral offers its completion
+    as the incumbent, then branches on its lowest id at 1 that it has not
+    fixed, or closes once it has fixed them all.
     Deterministic: identical inputs give identical node counts and solution.
     """
     params = params or SolverParams()
@@ -808,7 +778,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     std = model.arrays
     lb, ub = _boxed_bounds(model)
     bin_ids = np.nonzero(std.binary)[0]
-    prio = np.array([(branch_priority or {}).get(v, 0) for v in bin_ids.tolist()], dtype=float)
+    ids, complete = action or (bin_ids, lambda x: np.where(std.binary, np.round(x), x))
 
     incumbent = None
     inc_obj = np.inf
@@ -863,29 +833,24 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         if bound >= cut:
             continue
 
-        frac = res.x[bin_ids] % 1.0
+        frac = res.x[ids] % 1.0
         dist = np.minimum(frac, 1.0 - frac)
-        if not bin_ids.size or dist.max() <= INT_TOL:
-            cand = res.x.copy()
-            cand[bin_ids] = np.round(cand[bin_ids])
+        if not ids.size or dist.max() <= INT_TOL:
+            cand = complete(res.x)
             ev = evaluate(model, cand)
             if not ev.feasible:
-                raise SimplexError(
-                    f"integral LP solution failed verification "
-                    f"(violation {ev.worst_violation:.3e})"
-                )
+                raise SimplexError(f"an integral node's assignment failed verification "
+                                   f"(violation {ev.worst_violation:.3e})")
             if ev.objective < inc_obj - 1e-12:
-                incumbent = cand
-                inc_obj = ev.objective
-            continue
-
-        # most fractional binary within the highest fractional priority
-        # level, ties by lowest variable id
-        frac_mask = dist > INT_TOL
-        level = prio[frac_mask].max()
-        score = np.where(frac_mask & (prio == level), dist, -1.0)
-        j = int(bin_ids[int(np.argmax(score))])
-        warm.branch(node_id)
+                incumbent, inc_obj = cand, ev.objective
+            # an integral action branches on its lowest-id pick at 1 not yet fixed
+            picks = [v for v in ids[res.x[ids] > 0.5].tolist() if v not in fixes]
+            if action is None or not picks:
+                continue
+            j = picks[0]
+        else:
+            j = int(ids[int(np.argmax(dist))])    # the most fractional, ties by lowest id
+        warm.owner = node_id                  # the live state, with two children open
         for b in (0.0, 1.0):
             next_id += 1
             heapq.heappush(heap, (bound, next_id, {**fixes, j: (b, b)}, node_id, j))

@@ -115,7 +115,10 @@ def test_config_override_seed(tmp_path):
     assert cfg.split_seed == 99
     assert cfg.reference_seed == 99
     assert cfg.dataset["seed"] == 99
-    assert cfg.classifier["seed"] == 99
+    assert "seed" not in cfg.classifier          # a linear trainer draws nothing
+    forest = RunConfig.from_dict(config_dict(tmp_path, classifier={"kind": "forest"}))
+    forest.override_seed(99)
+    assert forest.classifier["seed"] == 99
 
 
 # -- dataset and classifier wiring -------------------------------------------------
@@ -149,7 +152,7 @@ def test_train_classifier_kinds():
     enc = load_dataset({"kind": "synthetic", "n_rows": 200, "seed": 3})
     lr = train_classifier({"kind": "logistic"}, enc)
     assert isinstance(lr, LinearModel) and lr.kind == "logistic"
-    svm = train_classifier({"kind": "svm", "seed": 1}, enc)
+    svm = train_classifier({"kind": "svm"}, enc)
     assert svm.kind == "svm" and svm.scaler is not None
     rf = train_classifier({"kind": "forest", "n_trees": 3, "max_depth": 2}, enc)
     assert isinstance(rf, Forest) and len(rf.trees) == 3
@@ -517,6 +520,8 @@ BAD_SECTION_KEYS = [
     ({"classifier": {"kind": "mlp"}}, "classifier kind"),
     ({"n_values": []}, "n_values"),
     ({"formulations": []}, "formulations"),
+    ({"classifier": {"kind": "logistic", "seed": 0}}, "classifier keys"),   # no trainer reads it
+    ({"classifier": {"kind": "svm", "seed": 0}}, "classifier keys"),
 ]
 
 
@@ -575,6 +580,23 @@ def test_cli_refuses_an_empty_training_split(tmp_path, capsys, kind, command):
     assert err.startswith("error: ") and "training split" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "forest"])
+@pytest.mark.parametrize("command", ["train", "explain", "bench"])
+def test_cli_refuses_an_empty_test_split(tmp_path, capsys, kind, command):
+    # one row at a ratio just under 1 leaves no test row: train printed
+    # "accuracy": NaN, which is not JSON, and exited 0
+    cfg_path = write_config(tmp_path, dataset={"kind": "synthetic", "n_rows": 1, "seed": 11},
+                            classifier={"kind": kind}, split_ratio=0.9999999999)
+    out = tmp_path / "out"
+    args = {"train": ["--out", str(out)], "explain": ["--out", str(out), "--index", "0"],
+            "bench": ["--out", str(out), "--quiet"]}[command]
+    assert main([command, "--config", cfg_path, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "test split" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())     # bench makes its directory first
 
 
 @pytest.mark.parametrize("doc", [5, None, "dataset"], ids=["number", "null", "string"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfmilp import formulations
+from cfmilp.actionspace import ActionDimension, ActionSpace
 from cfmilp.bench import brute_force_oracle
 from cfmilp.classifiers import Forest, LinearModel, decision_value, predict
 from cfmilp.formulations import (
@@ -17,7 +18,8 @@ from cfmilp.formulations import (
 )
 from cfmilp.milpcore import evaluate
 from cfmilp.solver import SolverParams
-from cfmilp.stats import q1_surrogate
+from cfmilp.stats import (DeltaMetric, MahalanobisContext, build_lof_context,
+                          q1_surrogate)
 
 from _instances import classifier_instance, random_instance
 
@@ -460,9 +462,28 @@ def test_single_change_hint_always_feasible():
             model, handles, _ = build_model(
                 inst["x"], inst["classifier"], inst["mahal"], inst["lof_ctx"],
                 inst["space"], inst["lam"], formulation)
-            hint = _single_change_hint(model, handles, inst["classifier"],
-                                       inst["lof_ctx"], inst["lam"])
+            hint = _single_change_hint(model, handles, inst["classifier"], inst["lof_ctx"])
             if hint is None:
                 continue
             res = evaluate(model, hint)
             assert res.worst_violation <= 1e-7, f"seed {seed} {formulation}: {res.worst_violation}"
+
+
+def test_completion_breaks_a_nearest_tie_toward_the_cheaper_point():
+    # moving x = 0 to 2 is the only valid action; reference points 3 and 1 are
+    # then both at distance 1.  Point 1 (index 1), far from the others, has
+    # the lower density, so its outlier term is the cheaper one: the
+    # optimum needs the completion to take it over the lower index
+    lof_ctx = build_lof_context(np.array([[3.0], [1.0], [3.5]]), DeltaMetric(np.ones(1)))
+    cheap, dear = (float(lof_ctx.lrd1[n] * max(lof_ctx.d1[n], 1.0)) for n in (1, 0))
+    assert (cheap, dear) == (1.0, 2.0)
+    dim = ActionDimension("f", "numeric", np.array([0]), (0.0, 2.0), np.array([[0.0], [2.0]]), 0)
+    space = ActionSpace(dims=(dim,), max_changes=1, n_encoded=1)
+    clf = LinearModel(kind="logistic", weights=np.array([1.0]), intercept=-1.0)
+    mahal = MahalanobisContext(sigma_inv=np.eye(1), chol_u=np.eye(1))
+    for formulation in ("original", "reduced"):
+        exp = explain(np.zeros(1), clf, mahal, lof_ctx, space, 1.0,
+                      formulation=formulation, params=PARAMS)
+        assert exp.status == "optimal" and exp.action_indices == [1]
+        assert exp.n_star == 1
+        assert exp.objective == pytest.approx(2.0 + cheap, abs=1e-12)

@@ -1,13 +1,13 @@
 """Source hygiene checks that need no linter: every top-level import of the
-package is used by the module that makes it, every public function, method
-and class of the package is named outside the tests, every defaulted
-parameter of a public function is passed outside the tests, every public
-dataclass field is read outside the tests, and no module imports
-scipy.sparse or scipy.linalg.  Importing scipy.sparse alone adds about
-5 MiB of resident memory to every process that solves (the reason
-``milpcore.Rows`` exists); importing scipy.linalg adds about 21 MiB (the
-reason ``solver._scipy_linalg_extension`` loads the BLAS and LAPACK
-wrappers from their files)."""
+package is used by the module that makes it, every public function and
+class of the package is named outside the tests and every public method is
+read there as an attribute, every defaulted parameter of a public function
+is passed outside the tests, every public dataclass field is read outside
+the tests, and no module imports scipy.sparse or scipy.linalg.  Importing
+scipy.sparse alone adds about 5 MiB of resident memory to every process
+that solves (the reason ``milpcore.Rows`` exists); importing scipy.linalg
+adds about 21 MiB (the reason ``solver._scipy_linalg_extension`` loads the
+BLAS and LAPACK wrappers from their files)."""
 
 import ast
 import functools
@@ -18,8 +18,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cfmilp"
-# the modules whose use of a name counts: the package's and the benchmark's
-OUTSIDE_TESTS = [*SRC.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
+# the modules whose use of a name counts: the package's and the benchmark's,
+# the benchmark's own tests and pytest set-up left out
+OUTSIDE_TESTS = [*SRC.glob("*.py"), *(p for p in (ROOT / "benchmark").glob("*.py")
+                                      if not p.name.startswith("test_") and p.name != "conftest.py")]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -48,17 +50,18 @@ def test_unused_import_is_caught():
     assert _unused_imports(tree) == ["a (line 3)", "json (line 1)"]
 
 
-def _public_defs(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every public function and class at module level, and
-    of every public method of a class there."""
+def _public_defs(tree: ast.Module) -> list[tuple[str, int, str | None]]:
+    """(name, line, class) of every public function and class at module
+    level, and of every public method of a class there; the class is None
+    but for a method."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append((node.name, node.lineno))
+            out.append((node.name, node.lineno, None))
             if isinstance(node, ast.ClassDef):
-                out += [(f.name, f.lineno) for f in node.body
+                out += [(f.name, f.lineno, node.name) for f in node.body
                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [(name, line) for name, line in out if not name.startswith("_")]
+    return [d for d in out if not d[0].startswith("_")]
 
 
 def _named(tree: ast.Module) -> set[str]:
@@ -74,24 +77,38 @@ def _named(tree: ast.Module) -> set[str]:
     return names
 
 
-def _unreferenced(tree: ast.Module, callers: set[str], text: str) -> list[str]:
-    """Public definitions of ``tree`` that neither ``callers`` nor, as a whole
-    word, ``text`` names."""
-    return [f"{name} (line {line})" for name, line in _public_defs(tree)
-            if name not in callers and not re.search(rf"\b{name}\b", text)]
+def _unreferenced(tree: ast.Module, callers: set[str], attributes: set[str],
+                  text: str) -> list[tuple[str, int, str | None]]:
+    """Public definitions of ``tree`` that nothing names: a function or class
+    that neither ``callers`` nor, as a whole word, ``text`` names, and a
+    method that no attribute read in ``attributes`` names."""
+    return [(name, line, cls) for name, line, cls in _public_defs(tree)
+            if (name not in attributes if cls else
+                name not in callers and not re.search(rf"\b{name}\b", text))]
 
 
 @functools.cache
-def _outside_tests() -> tuple[set[str], str]:
-    """Names in the package and the benchmark's modules, and the README."""
+def _outside_tests() -> tuple[set[str], set[str], str]:
+    """Names and attributes read in the package and the benchmark's modules,
+    and the README."""
     names = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8")))
                           for p in OUTSIDE_TESTS))
-    return names, (ROOT / "README.md").read_text(encoding="utf-8")
+    return names, _attributes_outside_tests(), (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+# public methods that only the tests call, and why each stays
+TEST_ONLY_METHODS = {
+    ("data.py", "EncodingMap", "span"):
+        "one feature's column range; benchmark/test_harness.py calls it, and the benchmark's "
+        "files change only with the benchmark",
+}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_public_definitions_are_named_outside_tests(path):
-    assert _unreferenced(ast.parse(path.read_text(encoding="utf-8")), *_outside_tests()) == []
+    found = _unreferenced(ast.parse(path.read_text(encoding="utf-8")), *_outside_tests())
+    assert [f"{name} (line {line})" for name, line, cls in found
+            if (path.name, cls, name) not in TEST_ONLY_METHODS] == []
 
 
 def test_unused_definition_is_caught():
@@ -106,9 +123,30 @@ def test_unused_definition_is_caught():
                      "def nested():\n"
                      "    def inner(): pass\n"
                      "    return inner\n")
-    callers = _named(ast.parse("from m import used as u, Kept\nKept().method\nnested()\n"))
-    assert _unreferenced(tree, callers, "call documented(), not undocumented()") == [
-        "unused (line 2)", "stale (line 6)"]
+    outside = ast.parse("from m import used as u, Kept\nKept().method\nnested()\n")
+    assert _unreferenced(tree, _named(outside), _attributes_read(outside),
+                         "call documented(), not undocumented()") == [
+        ("unused", 2, None), ("stale", 6, "Kept")]
+
+
+def test_method_named_only_as_a_bare_name_is_caught():
+    # a method counts as used only where an attribute of that name is read:
+    # a variable, a keyword, an assignment or the README naming it is not a call
+    tree = ast.parse("class K:\n"
+                     "    def read(self): pass\n"
+                     "    def bare(self): pass\n"
+                     "    def keyword(self): pass\n"
+                     "    def stored(self): pass\n"
+                     "    def documented(self): pass\n")
+    outside = ast.parse("K().read()\nbare = 1\nf(keyword=bare)\nobj.stored = 2\n")
+    assert _unreferenced(tree, _named(outside), _attributes_read(outside), "K.documented") == [
+        ("bare", 3, "K"), ("keyword", 4, "K"), ("stored", 5, "K"), ("documented", 6, "K")]
+
+
+def test_benchmark_tests_are_not_outside_tests():
+    names = {p.name for p in OUTSIDE_TESTS}
+    assert "workloads.py" in names and "solver.py" in names
+    assert not {n for n in names if n.startswith("test_") or n == "conftest.py"}
 
 
 # defaulted parameters that only the tests pass, and why each stays

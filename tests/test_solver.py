@@ -4,6 +4,7 @@ scipy.optimize (HiGHS) is used here purely as an independent reference
 implementation; the package itself never imports it for solving.
 """
 
+import itertools
 import json
 import math
 import os
@@ -275,10 +276,19 @@ def test_milp_hint_usage():
 
 
 def test_milp_branch_priority_still_optimal():
+    # branching on some binaries alone: each integral choice on them is
+    # completed by the cheapest feasible setting of the others
     m = build([-10.0, -13.0, -7.0], [(0, 1)] * 3,
               [([3.0, 4.0, 2.0], "<=", 5.0)], binaries={0, 1, 2})
-    for prio in ({0: 5}, {1: 5}, {2: 5}, {0: 1, 1: 2, 2: 3}):
-        res = solve_milp(m, branch_priority=prio)
+    points = [np.array(p) for p in itertools.product((0.0, 1.0), repeat=3)
+              if 3 * p[0] + 4 * p[1] + 2 * p[2] <= 5]
+
+    def completion(ids):
+        return lambda x: min((p for p in points if (p[ids] == np.round(x[ids])).all()),
+                             key=m.objective_value)
+
+    for ids in map(np.array, ([0], [1], [2], [0, 1, 2])):
+        res = solve_milp(m, action=(ids, completion(ids)))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-17.0)
 
