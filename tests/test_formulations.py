@@ -87,6 +87,11 @@ def _reference_rows(model, handles, constants, inst):
         rows[name] = (tuple(sorted((v, cf) for v, cf in coeffs.items() if cf != 0.0)),
                       cmp, float(rhs))
 
+    for d, ids in enumerate(pi):
+        put(f"pick_d{d}", {v: 1.0 for v in ids}, "=", 1.0)
+    put("pick_nn", {v: 1.0 for v in handles.mu}, "=", 1.0)
+    put("max_changes", {ids[dim.zero_index]: 1.0 for ids, dim in zip(pi, inst["space"].dims)},
+        ">=", len(pi) - inst["space"].max_changes)
     for r, vid in enumerate(handles.delta):
         env = {v: float(handles.w_cols[d][r, i]) for d, i, v in each_pi}
         put(f"env_pos_c{r}", {**env, vid: -1.0}, "<=", 0.0)
@@ -163,6 +168,30 @@ def _reference_forest_rows(put, model, handles, inst):
     put("validity", probs, ">=", 0.5 * len(forest.trees))
 
 
+def _reference_variables(handles, constants, inst):
+    """Every variable as (name, kind, lb, ub) in id order, and the objective
+    vector, written one variable at a time from the same tables."""
+    lof_ctx, lam = inst["lof_ctx"], inst["lam"]
+    out = [(f"pi_d{d}_i{i}", "binary", 0.0, 1.0) for d, ids in enumerate(handles.pi)
+           for i in range(len(ids))]
+    out += [(f"delta_c{r}", "continuous", 0.0,
+             sum(max(abs(float(x)) for x in w[r]) for w in handles.w_cols))
+            for r in range(len(handles.delta))]
+    out += [(f"mu_n{n}", "binary", 0.0, 1.0) for n in range(constants.n_refs)]
+    out += [(f"rho_n{n}", "continuous", 0.0, max(float(lof_ctx.d1[n]), float(constants.c_ref[n])))
+            for n in range(constants.n_refs)]
+    if handles.t_id is not None:
+        out.append(("t_reach", "continuous", 0.0, constants.big_m))
+    out += [(f"phi_t{t}_l{l}", "binary", 0.0, 1.0) for t, ids in enumerate(handles.phi)
+            for l in range(len(ids))]
+    c = [0.0] * len(out)
+    for v in handles.delta:
+        c[v] = 1.0
+    for n, v in enumerate(handles.rho):
+        c[v] = lam * float(lof_ctx.lrd1[n])
+    return out, c
+
+
 def _row_instances():
     """Random linear instances, then trained SVMs and forests."""
     yield from ((f"seed {seed}", random_instance(seed)) for seed in range(6))
@@ -200,6 +229,10 @@ def test_row_blocks_match_row_by_row_reference(formulation):
         for name, want in reference.items():
             con = records[name]
             assert (con.coeffs, con.cmp, con.rhs) == want, f"{label} {name}"
+        assert len(reference) == len(records), label
+        variables, c = _reference_variables(handles, constants, inst)
+        assert [(v.name, v.kind, v.lb, v.ub) for v in model.variables] == variables, label
+        assert model.arrays.c.tolist() == c, label
     assert kinds == {"logistic", "svm", "forest"}
 
 
