@@ -479,8 +479,14 @@ def main(argv=None) -> int:
             if args.out:
                 config.out_dir = args.out
             out_dir = Path(config.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            records = run_benchmark(config, quiet=args.quiet)
+            made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+            out_dir.mkdir(parents=True, exist_ok=True)    # a bad path fails before any solve
+            try:
+                records = run_benchmark(config, quiet=args.quiet)
+            except Exception:
+                for p in made:        # deepest first: a refused run leaves no directory
+                    p.rmdir()
+                raise
             write_records_csv(records, out_dir / "records.csv")
             summary = summarize(records)
             write_summary_csv(summary, out_dir / "summary.csv")

@@ -63,79 +63,126 @@ class FormulationHandles:
         return np.arange(self.pi[0].start, self.pi[-1].stop)
 
 
-def _dense(block: np.ndarray, vids) -> tuple:
-    """(row, vid, value) entries of a row block given densely over ``vids``."""
+class _RowBlock:
+    """A model's rows, gathered for its one ``add_rows`` call.  Each ``add``
+    appends rows as ``add_rows`` takes them, but an entry's vectors are
+    arrays and anything else is a scalar repeated along them; the joined
+    arrays are written once, span by span."""
+
+    def __init__(self):
+        self.names, self.rows, self.entries, self.n_entries = [], [], [], 0
+
+    def add(self, names, cmp, rhs, *entries) -> None:
+        start = len(self.names)
+        self.names += names
+        self.rows.append((start, len(self.names), cmp, rhs))
+        for row, vid, val in entries:
+            n = max(x.size for x in (row, vid, val) if isinstance(x, np.ndarray))
+            self.entries.append((self.n_entries, self.n_entries + n, row + start, vid, val))
+            self.n_entries += n
+
+    def add_to(self, model: MilpModel) -> None:
+        # every comparison of milpcore.CMPS is at most two characters long
+        cmp, rhs = np.empty(len(self.names), "<U2"), np.empty(len(self.names))
+        for lo, hi, *part in self.rows:
+            cmp[lo:hi], rhs[lo:hi] = part
+        row, vid, val = (np.empty(self.n_entries, dtype) for dtype in (np.intp, np.intp, float))
+        for lo, hi, *part in self.entries:
+            row[lo:hi], vid[lo:hi], val[lo:hi] = part
+        model.add_rows(self.names, cmp, rhs, (row, vid, val))
+
+
+def _dense(block: np.ndarray, vids: np.ndarray) -> tuple:
+    """(row, vid, value) entries of a row block given densely over ``vids``,
+    column by column: in the order the model's matrix keeps them, so that
+    its sort finds them already in one run."""
     n_rows, width = block.shape
-    return np.repeat(np.arange(n_rows), width), np.tile(vids, n_rows), block.ravel()
+    return np.tile(np.arange(n_rows), width), np.repeat(vids, n_rows), block.T.ravel()
 
 
-def build_cost_common(model: MilpModel, space: ActionSpace, constants: MilpConstants,
-                      mahal_ctx: MahalanobisContext, lam: float,
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple:
+    """Every integer of each [starts[k], stops[k]) in turn, and the k of each."""
+    counts = stops - starts
+    k = np.repeat(np.arange(counts.size), counts)
+    return starts[k] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[k], k
+
+
+def _ids(ids: range) -> np.ndarray:
+    return np.arange(ids.start, ids.stop)
+
+
+def build_cost_common(model: MilpModel, rows: _RowBlock, space: ActionSpace,
+                      constants: MilpConstants, mahal_ctx: MahalanobisContext, lam: float,
                       lof_ctx: LofContext, x_enc: np.ndarray) -> FormulationHandles:
-    """Create variables, objective and every constraint shared by both encodings."""
+    """Create variables, objective and every row shared by both encodings."""
     u = mahal_ctx.chol_u
     n_enc = u.shape[0]
     n_refs = len(lof_ctx)
     n_dims = len(space.dims)
+    sizes = [dim.n_candidates for dim in space.dims]
 
-    pi = [model.add_variables([f"pi_d{d}_i{i}" for i in range(dim.n_candidates)],
-                              0.0, 1.0, binary=True) for d, dim in enumerate(space.dims)]
+    pi_all = model.add_variables([f"pi_d{d}_i{i}" for d, size in enumerate(sizes)
+                                  for i in range(size)], 0.0, 1.0, binary=True)
+    stops = np.cumsum(sizes).tolist()
+    pi = [pi_all[lo:hi] for lo, hi in zip([0, *stops], stops)]
     w_cols = [u[:, dim.columns] @ dim.deltas.T for dim in space.dims]    # (n_enc, I_d)
-    delta = model.add_variables([f"delta_c{r}" for r in range(n_enc)], 0.0,
-                                sum(np.abs(w).max(axis=1) for w in w_cols))
-    mu = model.add_variables([f"mu_n{n}" for n in range(n_refs)], 0.0, 1.0, binary=True)
-    rho = model.add_variables([f"rho_n{n}" for n in range(n_refs)], 0.0,
-                              np.maximum(lof_ctx.d1, constants.c_ref))
+    # delta, then mu (binary), then rho
+    cost = model.add_variables(
+        [f"delta_c{r}" for r in range(n_enc)] + [f"mu_n{n}" for n in range(n_refs)]
+        + [f"rho_n{n}" for n in range(n_refs)], 0.0,
+        np.concatenate([sum(np.abs(w).max(axis=1) for w in w_cols), np.ones(n_refs),
+                        np.maximum(lof_ctx.d1, constants.c_ref)]),
+        np.repeat([False, True, False], [n_enc, n_refs, n_refs]))
+    delta, mu, rho = cost[:n_enc], cost[n_enc:n_enc + n_refs], cost[n_enc + n_refs:]
     model.set_objective(dict(zip([*delta, *rho],
                                  [1.0] * n_enc + (lam * lof_ctx.lrd1).tolist())))
     handles = FormulationHandles(pi=pi, mu=mu, rho=rho, delta=delta, t_id=None,
                                  counts={}, x_enc=np.asarray(x_enc, float),
                                  space=space, constants=constants, w_cols=w_cols)
-    pi_ids = handles.pi_ids
+    pi_ids, mu_ids, rho_ids = _ids(pi_all), _ids(mu), _ids(rho)
     each_ref = np.arange(n_refs)
 
-    model.add_rows([f"pick_d{d}" for d in range(n_dims)], "=", 1.0,
-                   (np.repeat(np.arange(n_dims), [len(ids) for ids in pi]), pi_ids, 1.0))
+    rows.add([f"pick_d{d}" for d in range(n_dims)], "=", 1.0,
+             (np.repeat(np.arange(n_dims), sizes), pi_ids, 1.0))
 
     w = np.hstack(w_cols)
-    model.add_rows([f"env_{side}_c{r}" for r in range(n_enc) for side in ("pos", "neg")],
-                   "<=", 0.0,
-                   _dense(np.stack([w, -w], axis=1).reshape(2 * n_enc, -1), pi_ids),
-                   (np.arange(2 * n_enc), np.repeat(delta, 2), -1.0))
+    rows.add([f"env_{side}_c{r}" for r in range(n_enc) for side in ("pos", "neg")], "<=", 0.0,
+             _dense(np.stack([w, -w], axis=1).reshape(2 * n_enc, -1), pi_ids),
+             (np.arange(2 * n_enc), np.repeat(_ids(delta), 2), -1.0))
 
-    model.add_rows(["pick_nn"], "=", 1.0, (0, mu, 1.0))
+    rows.add(["pick_nn"], "=", 1.0, (0, mu_ids, 1.0))
 
-    model.add_rows([f"reach_floor_n{n}" for n in range(n_refs)], "<=", 0.0,
-                   (each_ref, mu, lof_ctx.d1), (each_ref, rho, -1.0))
+    rows.add([f"reach_floor_n{n}" for n in range(n_refs)], "<=", 0.0,
+             (each_ref, mu_ids, lof_ctx.d1), (each_ref, rho_ids, -1.0))
 
-    model.add_rows([f"reach_link_n{n}" for n in range(n_refs)], "<=", constants.c_ref,
-                   _dense(constants.table.T, pi_ids),     # row n: c[d][:, n] by d
-                   (each_ref, mu, constants.c_ref), (each_ref, rho, -1.0))
+    rows.add([f"reach_link_n{n}" for n in range(n_refs)], "<=", constants.c_ref,
+             _dense(constants.table.T, pi_ids),     # row n: c[d][:, n] by d
+             (each_ref, mu_ids, constants.c_ref), (each_ref, rho_ids, -1.0))
 
     # at most max_changes non-zero actions; categorical groups stay consistent
     # through their own pick row, since a dimension moves whole one-hot blocks
-    model.add_rows(["max_changes"], ">=", float(n_dims - space.max_changes),
-                   (0, [ids[dim.zero_index] for ids, dim in zip(pi, space.dims)], 1.0))
+    rows.add(["max_changes"], ">=", float(n_dims - space.max_changes),
+             (0, np.array([ids[dim.zero_index] for ids, dim in zip(pi, space.dims)]), 1.0))
 
     handles.counts.update(action_onehot=n_dims, md_envelope=2 * n_enc, nn_onehot=1,
                           reach_floor=n_refs, reach_link=n_refs, max_changes=1)
     return handles
 
 
-def add_nearest_original(model: MilpModel, handles: FormulationHandles,
+def add_nearest_original(rows: _RowBlock, handles: FormulationHandles,
                          constants: MilpConstants) -> None:
     """Quadratic encoding: a dominance row for every ordered reference pair."""
     n_refs = constants.n_refs
     table = constants.table.T                     # row n: distance terms to ref n
     diff = (table[:, None, :] - table[None, :, :]).reshape(n_refs * n_refs, -1)
     cref = np.repeat(constants.c_ref, n_refs)
-    model.add_rows([f"nn_o_{n}_{m}" for n in range(n_refs) for m in range(n_refs)],
-                   "<=", cref, _dense(diff, handles.pi_ids),
-                   (np.arange(n_refs * n_refs), np.repeat(handles.mu, n_refs), cref))
+    rows.add([f"nn_o_{n}_{m}" for n in range(n_refs) for m in range(n_refs)],
+             "<=", cref, _dense(diff, handles.pi_ids),
+             (np.arange(n_refs * n_refs), np.repeat(_ids(handles.mu), n_refs), cref))
     handles.counts["nearest"] = n_refs * n_refs
 
 
-def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
+def add_nearest_reduced(model: MilpModel, rows: _RowBlock, handles: FormulationHandles,
                         constants: MilpConstants) -> None:
     """Linear encoding: one reachability scalar sandwiched by 2N rows."""
     n_refs = constants.n_refs
@@ -143,16 +190,16 @@ def add_nearest_reduced(model: MilpModel, handles: FormulationHandles,
     t_id = model.add_continuous("t_reach", 0.0, big_m)
     table = constants.table.T                     # row n: distance terms to ref n
     lo = 2 * np.arange(n_refs)
-    model.add_rows([f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")],
-                   "<=", np.tile([big_m, 0.0], n_refs),
-                   _dense(np.stack([table, -table], axis=1).reshape(2 * n_refs, -1),
-                          handles.pi_ids),
-                   (lo, handles.mu, big_m), (lo, t_id, -1.0), (lo + 1, t_id, 1.0))
+    rows.add([f"nn_r_{side}_{n}" for n in range(n_refs) for side in ("lo", "hi")],
+             "<=", np.tile([big_m, 0.0], n_refs),
+             _dense(np.stack([table, -table], axis=1).reshape(2 * n_refs, -1),
+                    handles.pi_ids),
+             (lo, _ids(handles.mu), big_m), (lo, t_id, -1.0), (lo + 1, t_id, 1.0))
     handles.counts["nearest"] = 2 * n_refs
     handles.t_id = t_id
 
 
-def add_validity_linear(model: MilpModel, handles: FormulationHandles, classifier) -> None:
+def add_validity_linear(rows: _RowBlock, handles: FormulationHandles, classifier) -> None:
     """Decision value of the moved instance must be >= 0 (strict boundary kept).
 
     The row's constant is the decision value at the instance; each candidate's
@@ -165,12 +212,12 @@ def add_validity_linear(model: MilpModel, handles: FormulationHandles, classifie
         slope = slope / classifier.scaler.stds
     coeffs = np.concatenate([np.cumsum(dim.deltas * slope[dim.columns], axis=1)[:, -1]
                              for dim in handles.space.dims])
-    model.add_rows(["validity"], ">=", -decision_value(classifier, handles.x_enc),
-                   (0, handles.pi_ids, coeffs))
+    rows.add(["validity"], ">=", -decision_value(classifier, handles.x_enc),
+             (0, handles.pi_ids, coeffs))
     handles.counts["validity"] = 1
 
 
-def add_validity_forest(model: MilpModel, handles: FormulationHandles,
+def add_validity_forest(model: MilpModel, rows: _RowBlock, handles: FormulationHandles,
                         forest: Forest) -> None:
     """Leaf indicators of every tree, the split rows of Misic (Oper. Res.
     68(5), 2020) and the average-probability row.  For a split on column f at
@@ -179,13 +226,16 @@ def add_validity_forest(model: MilpModel, handles: FormulationHandles,
     right child to at most the pi of the others; so a side no candidate takes
     holds every leaf under it at 0, and no leaf needs its own bounds."""
     dims = handles.space.dims
-    # per encoded column: the pi ids of its dimension and its moved value under each
-    col_pi = [np.asarray(ids) for ids, dim in zip(handles.pi, dims) for _ in dim.columns]
-    moved = [m for dim in dims for m in (handles.x_enc[dim.columns] + dim.deltas).T]
+    # per encoded column, its dimension's candidates: their moved values of it, their pi ids
+    moved = np.concatenate([(handles.x_enc[dim.columns] + dim.deltas).T.ravel() for dim in dims])
+    col_pi = np.concatenate([np.tile(_ids(ids), len(dim.columns))
+                             for ids, dim in zip(handles.pi, dims)])
+    col_start = np.cumsum([0] + [dim.n_candidates for dim in dims for _ in dim.columns])
 
-    rows = []                # (name, cmp, rhs, ids, coefficients): one block for the forest
-    probs = []
-    for t_idx, tree in enumerate(forest.trees):
+    first_phi = top = model.n_vars    # top: the id of the tree's first leaf indicator
+    phi_names, probs, n_split_rows = [], [], 0
+    for t, tree in enumerate(forest.trees):
+        feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
         # an explicit-stack walk, depth-first and left first: the leaves in order and
         # each node's first leaf ordinal; a node has one parent, so it comes once
         order, first, leaves, stack = [], {}, [], [0]
@@ -193,52 +243,58 @@ def add_validity_forest(model: MilpModel, handles: FormulationHandles,
             node = stack.pop()
             order.append(node)
             first[node] = len(leaves)
-            if tree.feature[node] < 0:
+            if feature[node] < 0:
                 leaves.append(node)
             else:
-                stack += [int(tree.right[node]), int(tree.left[node])]
+                stack += [right[node], left[node]]
         stop = {}                # one past the last leaf ordinal of every node
         for node in reversed(order):
-            stop[node] = first[node] + 1 if tree.feature[node] < 0 else stop[int(tree.right[node])]
-        phi = model.add_variables([f"phi_t{t_idx}_l{l_ord}" for l_ord in range(len(leaves))],
-                                  0.0, 1.0, binary=True)
-        for node in (n for n in order if tree.feature[n] >= 0):
-            f = int(tree.feature[node])
-            left = moved[f] <= tree.threshold[node]
-            for side, child, take in (("left", int(tree.left[node]), left),
-                                      ("right", int(tree.right[node]), ~left)):
-                under = phi[first[child]:stop[child]]
-                rows.append((f"split_t{t_idx}_n{node}_{side}", "<=", 0.0,
-                             [*under, *col_pi[f][take]], [1.0] * len(under) + [-1.0] * take.sum()))
-        rows.append((f"pick_leaf_t{t_idx}", "=", 1.0, phi, [1.0] * len(phi)))
-        handles.phi.append(list(phi))
+            stop[node] = first[node] + 1 if feature[node] < 0 else stop[right[node]]
+        splits = [node for node in order if feature[node] >= 0]
+        # split k's rows are 2k (left) and 2k + 1 (right): the leaves under that child,
+        # and the candidates whose moved value of the split's column goes that way
+        lo, hi = np.array([(first[child], stop[child]) for node in splits
+                           for child in (left[node], right[node])], np.intp).reshape(-1, 2).T
+        leaf_ids, leaf_rows = _ranges(top + lo, top + hi)
+        f, thr = tree.feature[splits], tree.threshold[splits]
+        cand, k = _ranges(col_start[f], col_start[f + 1])
+        rows.add([f"split_t{t}_n{node}_{side}" for node in splits for side in ("left", "right")],
+                 "<=", 0.0, (leaf_rows, leaf_ids, 1.0),
+                 (2 * k + ~(moved[cand] <= thr[k]), col_pi[cand], -1.0))
+        rows.add([f"pick_leaf_t{t}"], "=", 1.0, (0, np.arange(top, top + len(leaves)), 1.0))
+        phi_names += [f"phi_t{t}_l{l_ord}" for l_ord in range(len(leaves))]
+        probs.append(tree.prob[leaves])
+        n_split_rows += 2 * len(splits)
+        handles.phi.append(list(range(top, top + len(leaves))))
         handles.leaf_nodes.append(leaves)
-        probs += tree.prob[leaves].tolist()
+        top += len(leaves)
+    model.add_variables(phi_names, 0.0, 1.0, binary=True)
     n_trees = len(forest.trees)
-    handles.counts.update(leaf_pick=n_trees, leaf_split=len(rows) - n_trees, validity=1)
-    rows.append(("validity", ">=", 0.5 * n_trees, [v for ids in handles.phi for v in ids], probs))
-    names, cmps, rhs, ids, coefs = zip(*rows)
-    model.add_rows(names, cmps, rhs, (np.repeat(np.arange(len(rows)), [len(r) for r in ids]),
-                                      [v for r in ids for v in r], [c for r in coefs for c in r]))
+    rows.add(["validity"], ">=", 0.5 * n_trees, (0, np.arange(first_phi, top), np.concatenate(probs)))
+    handles.counts.update(leaf_pick=n_trees, leaf_split=n_split_rows, validity=1)
 
 
 def build_model(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
                 lof_ctx: LofContext, space: ActionSpace, lam: float,
                 formulation: str = "reduced"):
-    """Assemble the full MILP; returns (model, handles, constants)."""
+    """Assemble the full MILP; returns (model, handles, constants).  The
+    variables come block by block; every row then comes in one block: the
+    common rows, the nearest rows, then the validity rows."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}")
     constants = precompute_constants(space, x_enc, lof_ctx)
     model = MilpModel(name=f"counterfactual-{formulation}")
-    handles = build_cost_common(model, space, constants, mahal_ctx, lam, lof_ctx, x_enc)
+    rows = _RowBlock()
+    handles = build_cost_common(model, rows, space, constants, mahal_ctx, lam, lof_ctx, x_enc)
     if formulation == "original":
-        add_nearest_original(model, handles, constants)
+        add_nearest_original(rows, handles, constants)
     else:
-        add_nearest_reduced(model, handles, constants)
+        add_nearest_reduced(model, rows, handles, constants)
     if isinstance(classifier, Forest):
-        add_validity_forest(model, handles, classifier)
+        add_validity_forest(model, rows, handles, classifier)
     else:
-        add_validity_linear(model, handles, classifier)
+        add_validity_linear(rows, handles, classifier)
+    rows.add_to(model)
     return model, handles, constants
 
 

@@ -2,12 +2,13 @@
 
 A model holds its constraints as arrays: nonzeros as (row, variable id,
 value) triplets, one comparison and rhs per row, and per variable its bounds
-and kind.  Variables and rows are appended in blocks; ids are dense integers
-in creation order, which fixes every downstream ordering (LP export, solver
-columns, branching tie-breaks).  ``arrays`` joins the blocks into the
-``ModelArrays`` the solver and ``evaluate`` read.  ``Rows`` is plain numpy,
-because importing scipy.sparse adds about 5 MiB of resident memory to every
-process that solves.
+and kind.  Variables and rows are appended in blocks, each block checked
+once, in whole-array passes; ids are dense integers in creation order, which
+fixes every downstream ordering (LP export, solver columns, branching
+tie-breaks).  ``arrays`` joins the blocks into the read-only ``ModelArrays``
+the solver and ``evaluate`` read.  ``Rows`` is plain numpy, because
+importing scipy.sparse adds about 5 MiB of resident memory to every process
+that solves.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 CMPS = ("<=", ">=", "=")
 
-_NAME_RE = re.compile(r"^(?![eE][0-9.])[A-Za-z_][A-Za-z0-9_.\-]*$")
+_NAME = r"(?![eE][0-9.])[A-Za-z_][A-Za-z0-9_.\-]*"
+_NAME_RE = re.compile(_NAME)
+# a block's names joined by newlines, which no name may hold: one match for all
+_NAMES_RE = re.compile(rf"(?:{_NAME}\n)*{_NAME}")
 
 # appended per block, joined by MilpModel.arrays
 _PARTS = {"lb": float, "ub": float, "binary": bool, "row": np.intp, "vid": np.intp,
@@ -37,14 +41,18 @@ class Rows:
     are summed in the order given, and exact zeros are dropped."""
 
     def __init__(self, row, col, val, shape):
-        order = np.lexsort((row, col))
-        row, col, val = row[order], col[order], val[order]
-        new = np.concatenate([[True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
+        keep = val != 0.0                    # a zero added to a sum leaves it as it is
+        if not keep.all():
+            row, col, val = row[keep], col[keep], val[keep]
+        key = col * shape[0] + row           # column, then row
+        order = np.argsort(key, kind="stable")
+        key, row, col, val = key[order], row[order], col[order], val[order]
+        new = np.concatenate([[True], key[1:] != key[:-1]])
         if not new.all():
             val = np.bincount(np.cumsum(new) - 1, weights=val)     # adds left to right
-            row, col = row[new], col[new]
-        keep = val != 0.0
-        self._set(row[keep], col[keep], val[keep], shape)
+            keep = val != 0.0
+            row, col, val = row[new][keep], col[new][keep], val[keep]
+        self._set(row, col, val, shape)
 
     @classmethod
     def canonical(cls, row, col, val, shape) -> "Rows":
@@ -79,7 +87,7 @@ class Rows:
 @dataclass(frozen=True)
 class ModelArrays:
     """min c'x  s.t.  a x (cmp) rhs,  lb <= x <= ub,  x binary where
-    ``binary``.  Arrays are read-only: solves share them."""
+    ``binary``.  Arrays are read-only, the matrix's too: solves share them."""
 
     c: np.ndarray
     a: Rows                          # (m, n)
@@ -127,9 +135,10 @@ class MilpModel:
         self._arrays = None
 
     def _check_names(self, names: list) -> None:
-        for name in names:
-            if not _NAME_RE.match(name):
-                raise ModelError(f"invalid variable/constraint name {name!r}")
+        joined = "\n".join(names)
+        if names and (joined.count("\n") >= len(names) or not _NAMES_RE.fullmatch(joined)):
+            bad = next(name for name in names if not _NAME_RE.fullmatch(name))
+            raise ModelError(f"invalid variable/constraint name {bad!r}")
         new = set(names)
         if len(new) < len(names) or not self._names.isdisjoint(new):
             seen = set(self._names)
@@ -138,8 +147,8 @@ class MilpModel:
         self._names |= new
 
     def _check_vids(self, vid: np.ndarray) -> None:
-        bad = vid[(vid < 0) | (vid >= self.n_vars)]
-        if bad.size:
+        if vid.size and (vid.min() < 0 or vid.max() >= self.n_vars):
+            bad = vid[(vid < 0) | (vid >= self.n_vars)]
             raise ModelError(f"unknown variable id {int(bad[0])}")
 
     def add_variables(self, names, lb, ub, binary=False) -> range:
@@ -165,22 +174,24 @@ class MilpModel:
         """One row per name.  ``cmp`` and ``rhs`` are scalars or one per row.
         Each entry is a (row, vid, value) triplet of arrays or scalars, which
         broadcast together, with rows counted from 0 in this block.  Values
-        repeated for one row and id are summed; exact zeros are dropped."""
+        repeated for one row and id are summed; exact zeros are dropped.
+        A model built from one block checks each of its rows, ids and values
+        once."""
         names = list(names)
         k = len(names)
         cmp, rhs = np.full(k, cmp), np.full(k, rhs, dtype=float)
-        unknown = set(np.unique(cmp).tolist()) - set(CMPS)
-        if unknown:
-            raise ModelError(f"unknown comparison {min(unknown)!r}")
+        known = np.isin(cmp, CMPS)
+        if not known.all():
+            raise ModelError(f"unknown comparison {min(cmp[~known].tolist())!r}")
         if not np.isfinite(rhs).all():
             raise ModelError("constraint rhs must be finite")
         parts = [np.broadcast_arrays(*map(np.asarray, e)) for e in entries or [((), (), ())]]
-        row, vid, val = (np.concatenate([p[i].ravel() for p in parts]).astype(dtype)
+        row, vid, val = (np.concatenate([p[i].ravel() for p in parts]).astype(dtype, copy=False)
                          for i, dtype in enumerate((np.intp, np.intp, float)))
         self._check_vids(vid)
         if not np.isfinite(val).all():
             raise ModelError("constraint coefficients must be finite")
-        if ((row < 0) | (row >= k)).any():
+        if row.size and (row.min() < 0 or row.max() >= k):
             raise ModelError("row index outside the block")
         self._check_names(names)
         start = self.n_constraints
@@ -211,7 +222,7 @@ class MilpModel:
             self._parts.update(row=[a.row], vid=[a.col], val=[a.val])
             c = np.zeros(self.n_vars)
             c[list(self.objective)] = list(self.objective.values())
-            for x in (c, *p.values()):
+            for x in (c, a.row, a.col, a.val, a.indptr, *p.values()):
                 x.flags.writeable = False
             self._arrays = ModelArrays(c=c, a=a, **p)
         return self._arrays

@@ -314,7 +314,9 @@ def test_cli_missing_config(tmp_path, capsys):
                  id="bench-out-under-a-file"),
     pytest.param(["explain", "--config", "{dir}", "--index", "0"], id="config-a-directory"),
 ])
-def test_cli_path_that_cannot_be_read_or_written(tmp_path, capsys, argv):
+def test_cli_path_that_cannot_be_read_or_written(tmp_path, capsys, monkeypatch, argv):
+    # the path is refused before any explanation is solved
+    monkeypatch.setattr(bench, "explain", lambda *a, **k: pytest.fail("an explanation ran"))
     paths = {"cfg": write_config(tmp_path), "dir": str(tmp_path)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -589,14 +591,14 @@ def test_cli_refuses_an_empty_test_split(tmp_path, capsys, kind, command):
     # "accuracy": NaN, which is not JSON, and exited 0
     cfg_path = write_config(tmp_path, dataset={"kind": "synthetic", "n_rows": 1, "seed": 11},
                             classifier={"kind": kind}, split_ratio=0.9999999999)
-    out = tmp_path / "out"
+    out = tmp_path / "out" / "run"
     args = {"train": ["--out", str(out)], "explain": ["--out", str(out), "--index", "0"],
             "bench": ["--out", str(out), "--quiet"]}[command]
     assert main([command, "--config", cfg_path, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "test split" in err
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())     # bench makes its directory first
+    assert not out.exists() and not out.parent.exists()     # bench removes what it made
 
 
 @pytest.mark.parametrize("doc", [5, None, "dataset"], ids=["number", "null", "string"])

@@ -1,13 +1,17 @@
 """Model construction, validation, evaluation and LP-file export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmilp.milpcore import (
     MilpModel,
     ModelError,
+    Rows,
     evaluate,
     export_lp,
 )
@@ -46,11 +50,33 @@ def test_binary_has_unit_bounds():
     assert (v.lb, v.ub) == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", ["1x", "e12", "E0.5", "x y", "", "-neg", "a+b"])
+@pytest.mark.parametrize("bad", ["1x", "e12", "E0.5", "x y", "", "-neg", "a+b", "x\n", "a\nb"])
 def test_bad_names_rejected(bad):
     m = MilpModel()
     with pytest.raises(ModelError, match="name"):
         m.add_continuous(bad, 0.0, 1.0)
+    with pytest.raises(ModelError, match="name"):
+        m.add_rows(["ok", bad], "<=", 1.0)
+    assert m.n_vars == m.n_constraints == 0
+
+
+# one name at a time, as the LP format reads it
+_ONE_NAME = re.compile(r"(?![eE][0-9.])[A-Za-z_][A-Za-z0-9_.\-]*")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="aeE_1.-\n x", max_size=4), max_size=6))
+def test_block_name_check_rejects_what_a_per_name_check_rejects(names):
+    bad = [name for name in names if not _ONE_NAME.fullmatch(name)]
+    m = MilpModel()
+    if bad:
+        with pytest.raises(ModelError, match=re.escape(f"name {bad[0]!r}")):
+            m.add_variables(names, 0.0, 1.0)
+    elif len(set(names)) < len(names):
+        with pytest.raises(ModelError, match="duplicate"):
+            m.add_variables(names, 0.0, 1.0)
+    else:
+        assert m.add_variables(names, 0.0, 1.0) == range(len(names))
 
 
 @pytest.mark.parametrize("ok", ["x", "_x", "exp_1", "e_1", "pick.d2", "nn-lo", "E_total"])
@@ -238,6 +264,9 @@ def test_model_arrays_are_shared_and_read_only():
     assert m.arrays is arr
     with pytest.raises(ValueError):
         arr.rhs[0] = 5.0
+    for part in (arr.a.row, arr.a.col, arr.a.val, arr.a.indptr):
+        with pytest.raises(ValueError):
+            part[0] = 1
     m.add_rows(["late"], "<=", 2.0, (0, [1, 0, 1], [1.0, 2.0, 0.5]))
     assert m.arrays is not arr and m.arrays.rhs.size == 4
     # rows appended after a join read as if the model was built in one go
@@ -245,6 +274,47 @@ def test_model_arrays_are_shared_and_read_only():
     fresh.add_rows(["late"], "<=", 2.0, (0, [1, 0, 1], [1.0, 2.0, 0.5]))
     assert m.constraints == fresh.constraints
     assert export_lp(m) == export_lp(fresh)
+
+
+def _reference_rows(triplets, shape):
+    """Compressed columns by a dict walk: repeats summed in the order given,
+    zero sums dropped, entries ordered by column, then row."""
+    acc = {}
+    for r, c, v in triplets:
+        acc[(c, r)] = acc.get((c, r), 0.0) + v
+    kept = sorted((c, r, v) for (c, r), v in acc.items() if v != 0.0)
+    col = np.array([c for c, _, _ in kept], dtype=np.intp)
+    row = np.array([r for _, r, _ in kept], dtype=np.intp)
+    val = np.array([v for _, _, v in kept], dtype=float)
+    indptr = np.array([sum(1 for c in col if c < j) for j in range(shape[1] + 1)])
+    return row, col, val, indptr
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 1e-3, 3.5, -2.25, 1e16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), _VALUES), max_size=40),
+       st.booleans(), st.data())
+def test_rows_sum_repeats_in_order_and_drop_zeros(triplets, cancel, data):
+    # repeats of an entry, and pairs that cancel, spread across the entry blocks
+    # of one add_rows call
+    shape = (4, 5)
+    if triplets and cancel:
+        r, c, v = triplets[0]
+        triplets = triplets + [(r, c, -v)]
+    ref = _reference_rows(triplets, shape)
+    row, col, val = (np.array([t[i] for t in triplets], dtype=dtype)
+                     for i, dtype in enumerate((np.intp, np.intp, float)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(triplets)), max_size=4)))
+    m = MilpModel()
+    m.add_variables([f"x{j}" for j in range(shape[1])], -1.0, 1.0)
+    m.add_rows([f"r{i}" for i in range(shape[0])], "<=", 1.0,
+               *zip(*(np.split(x, cuts) for x in (row, col, val))))
+    for got in (Rows(row, col, val, shape), m.arrays.a):
+        for part, want in zip((got.row, got.col, got.val, got.indptr), ref):
+            assert part.tolist() == want.tolist()
+            assert part.dtype == want.dtype
 
 
 def _row_walk_violation(model, x):
