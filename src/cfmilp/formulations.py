@@ -77,7 +77,7 @@ class _RowBlock:
         self.names += names
         self.rows.append((start, len(self.names), cmp, rhs))
         for row, vid, val in entries:
-            n = max(x.size for x in (row, vid, val) if isinstance(x, np.ndarray))
+            n = np.broadcast(row, vid, val).size
             self.entries.append((self.n_entries, self.n_entries + n, row + start, vid, val))
             self.n_entries += n
 
@@ -97,7 +97,8 @@ def _dense(block: np.ndarray, vids: np.ndarray) -> tuple:
     column by column: in the order the model's matrix keeps them, so that
     its sort finds them already in one run."""
     n_rows, width = block.shape
-    return np.tile(np.arange(n_rows), width), np.repeat(vids, n_rows), block.T.ravel()
+    return (np.broadcast_to(np.arange(n_rows), (width, n_rows)).ravel(), np.repeat(vids, n_rows),
+            block.T.ravel())
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple:

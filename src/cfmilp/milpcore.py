@@ -180,7 +180,7 @@ class MilpModel:
         names = list(names)
         k = len(names)
         cmp, rhs = np.full(k, cmp), np.full(k, rhs, dtype=float)
-        known = np.isin(cmp, CMPS)
+        known = np.logical_or.reduce([cmp == c for c in CMPS])
         if not known.all():
             raise ModelError(f"unknown comparison {min(cmp[~known].tolist())!r}")
         if not np.isfinite(rhs).all():
@@ -205,8 +205,9 @@ class MilpModel:
         self._check_vids(vid)
         if not np.isfinite(val).all():
             raise ModelError("objective coefficients must be finite")
-        obj = Rows(np.zeros(vid.size, np.intp), vid, val, (1, self.n_vars))
-        self.objective = dict(zip(obj.col.tolist(), obj.val.tolist()))
+        order = np.argsort(vid, kind="stable")      # a dict holds each id once: nothing to sum
+        keep = order[val[order] != 0.0]
+        self.objective = dict(zip(vid[keep].tolist(), val[keep].tolist()))
         self._arrays = None
 
     # -- inspection ----------------------------------------------------------
