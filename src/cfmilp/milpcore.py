@@ -175,8 +175,8 @@ class MilpModel:
         Each entry is a (row, vid, value) triplet of arrays or scalars, which
         broadcast together, with rows counted from 0 in this block.  Values
         repeated for one row and id are summed; exact zeros are dropped.
-        A model built from one block checks each of its rows, ids and values
-        once."""
+        Each check runs once per call, over the entries joined, so a model
+        that gives all of its rows in one call checks each of them once."""
         names = list(names)
         k = len(names)
         cmp, rhs = np.full(k, cmp), np.full(k, rhs, dtype=float)
