@@ -15,10 +15,10 @@ arrays, which are read-only, instead of re-expanding the grid.
 The constants needed by both nearest-neighbor encodings live here.  ``table``
 stacks every candidate's distance to every reference point, candidates in
 the order of the action indicators (dimension by dimension) and one column
-per reference point; ``c[d]`` is the view of dimension d's rows, so
-c[d][i, n] is the metric distance contribution of dimension d to reference
-point n under candidate i.  c_ref[n] is the worst case over the whole grid,
-and big_m its maximum over n.
+per reference point: the row of dimension d's candidate i holds, at column
+n, the metric distance contribution of dimension d to reference point n
+under candidate i.  c_ref[n] is the worst case over the whole grid, and
+big_m its maximum over n.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class MilpConstants:
     """Distance constants shared by both nearest-neighbor encodings."""
 
     table: np.ndarray            # (candidates in pi order, N) distance contributions
-    c: tuple                     # per dim: its (I_d, N) rows of ``table``
     c_ref: np.ndarray            # per reference point: worst-case distance over the grid
     big_m: float
 
@@ -188,8 +187,9 @@ def precompute_constants(space: ActionSpace, x_enc: np.ndarray,
     """Tabulate per-dimension candidate distances to every reference point.
 
     Because the metric is a sum over encoded columns and the dimensions
-    partition those columns, summing c[d][i_d, n] over d reproduces the full
-    distance from the moved instance to reference point n exactly.
+    partition those columns, summing over d the row of dimension d's
+    candidate i_d, at column n, reproduces the full distance from the moved
+    instance to reference point n exactly.
     """
     refs = lof_ctx.x
     tables = []
@@ -199,6 +199,5 @@ def precompute_constants(space: ActionSpace, x_enc: np.ndarray,
         diff = np.abs(vals[:, None, :] - refs[:, dim.columns][None, :, :])
         tables.append(np.sum(diff / lof_ctx.metric.scales[dim.columns][None, None, :], axis=2))
     table = read_only(np.vstack(tables))
-    c = tuple(np.split(table, np.cumsum([len(t) for t in tables])[:-1]))
-    c_ref = read_only(np.sum([rows.max(axis=0) for rows in c], axis=0))
-    return MilpConstants(table=table, c=c, c_ref=c_ref, big_m=float(c_ref.max()))
+    c_ref = read_only(np.sum([rows.max(axis=0) for rows in tables], axis=0))
+    return MilpConstants(table=table, c_ref=c_ref, big_m=float(c_ref.max()))

@@ -211,8 +211,9 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
 
     Missing means a cell equal to one of ``schema.missing_values`` (the empty
     string by default).  Dropped rows are counted, not reported individually.
+    A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

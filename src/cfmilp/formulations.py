@@ -157,7 +157,7 @@ def build_cost_common(model: MilpModel, rows: _RowBlock, space: ActionSpace,
              (each_ref, mu_ids, lof_ctx.d1), (each_ref, rho_ids, -1.0))
 
     rows.add([f"reach_link_n{n}" for n in range(n_refs)], "<=", constants.c_ref,
-             _dense(constants.table.T, pi_ids),     # row n: c[d][:, n] by d
+             _dense(constants.table.T, pi_ids),     # row n: distance terms to ref n
              (each_ref, mu_ids, constants.c_ref), (each_ref, rho_ids, -1.0))
 
     # at most max_changes non-zero actions; categorical groups stay consistent

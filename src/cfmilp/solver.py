@@ -34,16 +34,16 @@ all columns would take 826 MiB.
 There is one LP algorithm, a bounded dual simplex.  The leaving row is the
 largest infeasibility scaled by the squared norm of its tableau row (the
 row's basic 1 included); the entering column comes from a two-pass Harris
-ratio test.  An LP solved from scratch -- ``solve_lp``, and the root of
-branch and bound -- starts from the slack basis, whose reduced costs are the
-costs: each structural column goes to the bound its cost favours, and
-since every one is boxed, that leaves the basis dual feasible without a
-dual phase 1.  Artificials that leave the basis stay in the tableau as
-zero-range columns and never enter again; a redundant equality row keeps
-its artificial basic at zero.
+ratio test.  The live tableau starts from the slack basis, whose reduced
+costs are the costs: each structural column goes to the bound its cost
+favours, and since every one is boxed, that leaves the basis dual feasible
+without a dual phase 1.  ``solve_lp`` solves its one LP from there, and so
+does branch and bound its root, which has no parent.  Artificials that leave
+the basis stay in the tableau as zero-range columns and never enter again; a
+redundant equality row keeps its artificial basic at zero.
 
-Branch and bound solves every node after the root on the same live tableau.
-Each open node records its parent and the one binary it fixes, and starts
+Branch and bound solves every node on the same live tableau.  Each open node
+after the root records its parent and the one binary it fixes, and starts
 from its parent's optimal state: tableau, basic values, reduced costs, row
 weights, basis and bounds.  Branching only fixes binaries, each boxed in
 [0,1], so any dual feasible basis stays dual feasible for a node once every
@@ -56,9 +56,11 @@ arrays without a copy, and freed arrays are reused: copying a 469 x 271
 tableau took 663 us into fresh pages against 120 us into reused ones (2-core
 x86 host).  The states one search holds stay within ``_SNAPSHOT_BYTES``; a
 node whose parent's state did not fit starts from the basis the previous
-node left.  Against always starting from that basis, this halves the pivots
-of the benchmark's credit-svm-scale and paper-pair rounds (4,554 -> 2,475
-and 2,090 -> 1,008) and cuts small-mixed's by a third (6,251 -> 4,233).
+node left.  Against always starting from that basis, this takes one round of
+the benchmark's credit-svm-scale, paper-pair and small-mixed workloads at
+seed 1 from 1,920, 1,168 and 2,921 pivots to 1,208, 916 and 2,382, on 286,
+180 and 546 nodes against 280, 170 and 566; the rounds took 24%, 7% and 11%
+longer without it (medians of 15 interleaved pairs, 2-core x86 host).
 The objective of a dual feasible basis is a lower bound on the node's LP,
 so a node, the root included, stops as soon as it reaches the incumbent's
 pruning threshold: the node would be pruned once solved anyway.  On the
@@ -68,17 +70,17 @@ pivot before its work is done: the objective the pivot would reach is the
 running one plus its step times the entering reduced cost, and once that
 reaches the threshold it is recomputed from the point the pivot would
 leave.  If that confirms it, the node ends without the pivot, which saves
-9-13% of the pivots on the benchmark's workloads with the same nodes
-(2,475 -> 2,161 on credit-svm-scale, 1,008 -> 916 on paper-pair, 4,233 ->
-3,766 on small-mixed).  Such a node leaves its state one pivot short of the
+7-11% of the pivots of one round at seed 1 with the same nodes (1,349 ->
+1,208 on credit-svm-scale, 1,008 -> 916 on paper-pair, 2,572 -> 2,382 on
+small-mixed).  Such a node leaves its state one pivot short of the
 threshold; that matters only to a node that starts from the live basis
 because its parent's state was not saved.  The tableau is refactored
 from the sparse rows every ``_REFACTOR`` pivots and whenever an LP's primal
 point fails its residual against those rows.  An infeasible verdict stands
 only once the leaving row, recomputed from a fresh factor of the basis,
 proves it.  An LP that still fails after one refactor, meets a singular
-basis or hits the pivot cap restarts once from the basis the root's dual
-started from; a second failure raises ``SimplexError``.  There is no
+basis or hits the pivot cap restarts once from the slack basis it started
+from; a second failure raises ``SimplexError``.  There is no
 anti-cycling rule beyond that cap.
 
 Nodes are selected best-bound-first (ties by creation order), branching is on
@@ -599,44 +601,41 @@ class _Tableau:
 class _Warm:
     """The live tableau of one LP, or of one branch-and-bound search.
 
-    ``root`` solves the LP from the slack basis; ``solve`` re-solves it
-    under new bounds on binaries by dual pivots from the live state, which
-    ``enter`` first makes the optimal state of the node's parent when that
-    is live or saved.
+    It starts from the slack basis with every column placed, which is dual
+    feasible.  ``solve`` solves the LP under bounds on binaries by dual
+    pivots from the live state, which ``enter`` first makes the optimal
+    state of the node's parent when that is live or saved; the root, and an
+    LP solved once, name no parent and start from the slack basis.
     """
 
     def __init__(self, std: ModelArrays, lb: np.ndarray, ub: np.ndarray):
         self.std, self.lb = std, lb
-        self.tab = _Tableau(std, lb, ub)
-        self.ubt = self.tab.ubt.copy()           # the columns' upper bounds at the root
+        self.tab = tab = _Tableau(std, lb, ub)
+        self.ubt = tab.ubt.copy()               # the columns' upper bounds at the start
         self.bin_cols = np.nonzero(std.binary)[0]
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lb)
-        self.start = None                       # (basis, at_upper) the root's dual starts from
+        # every column at the bound its cost favours: the slack basis is then
+        # dual feasible, and a restart goes back to it
+        tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
+        self.start = tab.basis.copy(), tab.at_upper.copy()
         self.owner = None                       # node whose optimal state is live, with open children
         self.entered = set()                    # nodes one of whose two children was entered
         self.saved = {}                         # node -> its optimal state, while a child is open
         self.free = []                          # state buffers to reuse
         self.held = 0                           # bytes of the buffers in saved and free
 
-    def root(self, deadline: float | None = None, cutoff: float = np.inf) -> LpResult:
-        """The LP under the bounds given: place every column, which makes the
-        slack basis dual feasible, then ``solve`` with no fixes."""
-        tab = self.tab
-        tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
-        self.start = tab.basis.copy(), tab.at_upper.copy()
-        return self.solve({}, deadline, cutoff)
-
-    def solve(self, fixes: dict, deadline: float | None = None,
-              cutoff: float = np.inf, changed: int | None = None) -> LpResult:
+    def solve(self, fixes: dict, deadline: float | None = None, cutoff: float = np.inf,
+              parent: int | None = None, vid: int | None = None) -> LpResult:
         """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
-        other bounds as at the root; status "cutoff", without a point, once
-        the LP is proven not to end under ``cutoff``.  ``changed`` names the
-        one binary whose bounds differ from the live state's, when the live
-        state is the node's parent's optimum.  A solve that fails its checks,
-        meets a singular basis or hits the pivot cap restarts once from the
-        basis the root's dual started from."""
+        other bounds as at the start; status "cutoff", without a point, once
+        the LP is proven not to end under ``cutoff``.  A node names its
+        ``parent`` and the binary ``vid`` it fixes beyond it: when ``enter``
+        makes the parent's optimum live, only ``vid`` is placed.  A solve
+        that fails its checks, meets a singular basis or hits the pivot cap
+        restarts once from the start basis."""
         tab = self.tab
+        changed = vid if parent is not None and self.enter(parent) else None
         tab.cutoff = cutoff - self.offset
         try:
             self._place(fixes, changed)
@@ -754,7 +753,7 @@ def solve_lp(model: MilpModel, overrides: dict | None = None) -> LpResult:
     the slack basis, is the reference they compare warm node solves with.
     """
     lb, ub = _boxed_bounds(model, overrides)
-    return _Warm(model.arrays, lb, ub).root()
+    return _Warm(model.arrays, lb, ub).solve({})
 
 
 @_one_blas_thread()
@@ -793,38 +792,24 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     next_id = 0
     # (parent bound, id, {vid: (lb, ub)}, parent id, the vid the node fixes)
     heap = [(-np.inf, next_id, {}, None, None)]
-    warm = None                               # live tableau, from the root on
+    warm = _Warm(std, lb, ub)                 # live tableau of every node
     timed_out = False                         # leaves at least one node open
-    best_bound = -np.inf
 
     while heap:
         bound_est, node_id, fixes, parent, vid = heap[0]
-        # a node whose bound reaches this is pruned
-        cut = inc_obj - 1e-9 * max(1.0, abs(inc_obj)) if np.isfinite(inc_obj) else np.inf
-        if np.isfinite(inc_obj):
-            gap = (inc_obj - bound_est) / max(1.0, abs(inc_obj))
-            if bound_est > -np.inf and gap <= _REL_GAP:
-                best_bound = bound_est
-                break
-            if bound_est >= cut:
-                best_bound = bound_est
-                break
+        if np.isfinite(inc_obj) and (inc_obj - bound_est) / max(1.0, abs(inc_obj)) <= _REL_GAP:
+            break
         if time.perf_counter() > deadline:
             timed_out = True
-            best_bound = bound_est
             break
         node = heapq.heappop(heap)
-
+        # a node whose bound reaches this is pruned
+        cut = inc_obj - 1e-9 * max(1.0, abs(inc_obj)) if np.isfinite(inc_obj) else np.inf
         try:
-            if warm is None:
-                warm = _Warm(std, lb, ub)
-                res = warm.root(deadline, cut)
-            else:
-                res = warm.solve(fixes, deadline, cut, vid if warm.enter(parent) else None)
+            res = warm.solve(fixes, deadline, cut, parent, vid)
         except _Timeout:
             heapq.heappush(heap, node)       # the node stays open
             timed_out = True
-            best_bound = bound_est
             break
         nodes += 1
         if res.status in ("infeasible", "cutoff"):
@@ -856,13 +841,13 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
             heapq.heappush(heap, (bound, next_id, {**fixes, j: (b, b)}, node_id, j))
 
     # the live tableau counts every pivot, those of an LP cut short included
-    work = dict(nodes=nodes, lp_iterations=0 if warm is None else warm.tab.iterations,
+    work = dict(nodes=nodes, lp_iterations=warm.tab.iterations,
                 wall_time=time.perf_counter() - t_start)
     if incumbent is None:
         return MilpSolution("infeasible-unproven" if timed_out else "infeasible", **work)
-    if timed_out:
-        gap = (inc_obj - best_bound) / max(1.0, abs(inc_obj)) if np.isfinite(best_bound) else None
-        return MilpSolution("feasible-time-limit", **work, values=incumbent, objective=inc_obj,
-                            gap=gap)
-    gap = 0.0 if not heap else max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
-    return MilpSolution("optimal", **work, values=incumbent, objective=inc_obj, gap=gap)
+    # a search stopped before its root has no bound
+    best_bound = heap[0][0] if heap else inc_obj
+    scale = max(1.0, abs(inc_obj))
+    gap = None if best_bound == -np.inf else max(0.0, (inc_obj - best_bound) / scale)
+    return MilpSolution("feasible-time-limit" if timed_out else "optimal", **work,
+                        values=incumbent, objective=inc_obj, gap=gap)

@@ -22,6 +22,12 @@ from cfmilp.stats import (DeltaMetric, build_lof_context, build_mahalanobis,
 _CATS = ("aa", "bb", "cc", "dd")
 
 
+def dim_rows(space, table):
+    """Each action dimension's rows of ``table``, whose rows are the
+    candidates in the order of the action indicators."""
+    return np.split(table, np.cumsum([dim.n_candidates for dim in space.dims])[:-1])
+
+
 def random_tabular(rng, k_num, k_cat, n_rows, p_pos=0.6):
     """Random mixed-type dataset with well separated numeric scales."""
     feats = [FeatureSpec(f"num{j}", "numeric") for j in range(k_num)]

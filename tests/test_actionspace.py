@@ -8,7 +8,7 @@ from cfmilp.actionspace import (ActionConfig, FeatureRule, build_action_space,
 from cfmilp.data import ConfigError, DatasetSchema, FeatureSpec, RawDataset, encode
 from cfmilp.stats import DeltaMetric, build_lof_context
 
-from _instances import random_instance
+from _instances import dim_rows, random_instance
 
 SCHEMA = DatasetSchema(
     features=(
@@ -146,11 +146,10 @@ class TestConstants:
         space, x, ctx = inst["space"], inst["x"], inst["lof_ctx"]
         consts = precompute_constants(space, x, ctx)
         n = len(ctx)
-        assert len(consts.c) == len(space.dims)
-        for d, dim in enumerate(space.dims):
-            assert consts.c[d].shape == (dim.n_candidates, n)
-            assert (consts.c[d] >= 0.0).all()
-        assert np.allclose(consts.c_ref, np.sum([t.max(axis=0) for t in consts.c], axis=0))
+        assert consts.table.shape == (sum(dim.n_candidates for dim in space.dims), n)
+        assert (consts.table >= 0.0).all()
+        by_dim = dim_rows(space, consts.table)
+        assert np.allclose(consts.c_ref, np.sum([t.max(axis=0) for t in by_dim], axis=0))
         assert consts.big_m == pytest.approx(consts.c_ref.max())
 
     def test_tables_are_read_only(self):
@@ -158,15 +157,12 @@ class TestConstants:
         inst = random_instance(3)
         space, x, ctx = inst["space"], inst["x"], inst["lof_ctx"]
         consts = precompute_constants(space, x, ctx)
-        tables = [consts.table, *consts.c, consts.c_ref, ctx.dist, ctx.d1, ctx.lrd1]
+        tables = [consts.table, consts.c_ref, ctx.dist, ctx.d1, ctx.lrd1]
         for dim in space.dims:
             tables += [dim.columns, dim.deltas]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
-        # c[d] are the dimension's rows of the stacked table, in pi order
-        assert all(np.shares_memory(rows, consts.table) for rows in consts.c)
-        assert np.array_equal(np.vstack(consts.c), consts.table)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -180,6 +176,6 @@ class TestConstants:
         combo = tuple(int(rng.integers(0, d.n_candidates)) for d in space.dims)
         moved = x + space.displacement(combo)
         total = np.zeros(len(ctx))
-        for d, i in enumerate(combo):
-            total += consts.c[d][i]
+        for rows, i in zip(dim_rows(space, consts.table), combo):
+            total += rows[i]
         assert np.allclose(total, metric.delta_rows(moved, ctx.x), atol=1e-9)

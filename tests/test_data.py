@@ -103,6 +103,16 @@ class TestLoadCsv(object):
         assert raw.labels == ["yes", "no"]
         assert raw.n_dropped == 0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "ok,vip,amount,color\nyes,1,10,red\nno,0,20,blue\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_csv(plain, TINY), load_csv(marked, TINY)
+        assert got.rows == want.rows == [[10.0, "red", 1.0], [20.0, "blue", 0.0]]
+        assert got.labels == want.labels == ["yes", "no"]
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("ok,amount,color\nyes,10,red\n")

@@ -21,7 +21,7 @@ from cfmilp.solver import SolverParams
 from cfmilp.stats import (DeltaMetric, MahalanobisContext, build_lof_context,
                           q1_surrogate)
 
-from _instances import classifier_instance, random_instance
+from _instances import classifier_instance, dim_rows, random_instance
 
 PARAMS = SolverParams(time_limit_s=60.0)
 
@@ -78,8 +78,8 @@ def test_unknown_formulation_rejected():
 def _reference_rows(model, handles, constants, inst):
     """The rows the builders emit as blocks, written one row at a time from
     the same tables: {name: (coeffs, cmp, rhs)}, zeros dropped."""
-    pi, c, cref, big_m, t_id = (handles.pi, constants.c, constants.c_ref, constants.big_m,
-                                handles.t_id)
+    pi, cref, big_m, t_id = handles.pi, constants.c_ref, constants.big_m, handles.t_id
+    c = dim_rows(inst["space"], constants.table)
     each_pi = [(d, i, v) for d, ids in enumerate(pi) for i, v in enumerate(ids)]
     rows = {}
 
@@ -249,8 +249,8 @@ def _manual_assignment(model, handles, constants, inst, combo, n_pick):
     for r, vid in enumerate(handles.delta):
         vals[vid] = abs(float(w[r]))
     dists = np.zeros(constants.n_refs)
-    for d, i in enumerate(combo):
-        dists += np.array([constants.c[d][i, n] for n in range(constants.n_refs)])
+    for rows, i in zip(dim_rows(space, constants.table), combo):
+        dists += np.array([rows[i, n] for n in range(constants.n_refs)])
     vals[handles.mu[n_pick]] = 1.0
     vals[handles.rho[n_pick]] = max(float(inst["lof_ctx"].d1[n_pick]),
                                     float(dists[n_pick]))
@@ -301,8 +301,8 @@ def test_manual_assignment_objective_matches_surrogate_cost():
         combo = tuple(int(rng.integers(0, d.n_candidates)) for d in space.dims)
         disp = space.displacement(combo)
         dists = np.zeros(constants.n_refs)
-        for d, i in enumerate(combo):
-            dists += constants.c[d][i, :]
+        for rows, i in zip(dim_rows(space, constants.table), combo):
+            dists += rows[i, :]
         n = int(np.argmin(dists))
         vals, _ = _manual_assignment(model, handles, constants, inst, combo, n)
         want = (float(np.abs(inst["mahal"].chol_u @ disp).sum())
@@ -373,7 +373,8 @@ def test_rho_active_only_at_selected_reference():
             assert sol.values[vid] == pytest.approx(0.0, abs=1e-9)
     lof = inst["lof_ctx"]
     combo = decode_action(handles, sol.values)
-    dist = sum(constants.c[d][i, n_star] for d, i in enumerate(combo))
+    dist = sum(rows[i, n_star] for rows, i in zip(dim_rows(inst["space"], constants.table),
+                                                  combo))
     assert sol.values[handles.rho[n_star]] == pytest.approx(
         max(float(lof.d1[n_star]), float(dist)), abs=1e-9)
 

@@ -19,7 +19,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cfmilp import solver
-from cfmilp.formulations import explain
+from cfmilp.formulations import _single_change_hint, explain
 from cfmilp.milpcore import MilpModel, ModelError, Rows, evaluate
 from cfmilp.solver import SolverParams, solve_lp, solve_milp
 
@@ -169,7 +169,7 @@ def test_lp_beale_cycling_example():
     ref = _scipy_lp(c, bounds, rows)
     std = build(c, bounds, rows).arrays
     warm = solver._Warm(std, std.lb, std.ub)
-    res = warm.root()
+    res = warm.solve({})
     assert ref.status == 0 and res.status == "optimal"
     assert res.objective == pytest.approx(ref.fun, abs=1e-9)
     assert res.objective == pytest.approx(-1.25, abs=1e-9)
@@ -398,7 +398,7 @@ def _warm_vs_cold(model, fixings):
     left, and compare every LP with a cold solve_lp; returns the statuses."""
     std = model.arrays
     warm = solver._Warm(std, std.lb, std.ub)
-    assert warm.root().status == "optimal"
+    assert warm.solve({}).status == "optimal"
     statuses = []
     for fixes in fixings:
         got = warm.solve(fixes)
@@ -474,8 +474,8 @@ def _search_vs_cold(monkeypatch, model, budget=None):
         paths[path] += 1
         return path != "fallback"
 
-    def spy_solve(self, fixes, deadline=None, cutoff=math.inf, changed=None):
-        res = solve(self, fixes, deadline, cutoff, changed)
+    def spy_solve(self, fixes, deadline=None, cutoff=math.inf, parent=None, vid=None):
+        res = solve(self, fixes, deadline, cutoff, parent, vid)
         solved.append((dict(fixes), cutoff, res))
         return res
 
@@ -528,7 +528,7 @@ def test_resolving_an_optimal_node_takes_no_pivots():
     model = inst["model"]
     std = model.arrays
     warm = solver._Warm(std, std.lb, std.ub)
-    warm.root()
+    warm.solve({})
     n_optimal = 0
     for fixes in _fixings(np.random.default_rng(61), np.array(model.binary_ids), 20):
         first = warm.solve(fixes)
@@ -602,7 +602,7 @@ def test_warm_cutoff_stops_only_above_the_optimum():
     fixings = _fixings(rng, np.array(model.binary_ids), 12)
     refs = [solve_lp(model, overrides=f) for f in fixings]
     warm = solver._Warm(std, std.lb, std.ub)
-    warm.root()
+    warm.solve({})
     n_cut = 0
     for fixes, ref in zip(fixings, refs):
         if ref.status != "optimal":
@@ -639,7 +639,7 @@ def test_slack_start_equals_a_refactor_bit_for_bit(family):
     # and the layout's rows must be those the sorting constructor gives
     for model in _start_models(family):
         std = model.arrays
-        tab = solver._Warm(std, std.lb, std.ub).tab
+        tab = solver._Tableau(std, std.lb, std.ub)
         rows = tab.rows
         perm = np.random.default_rng(3).permutation(rows.row.size)
         ref = Rows(rows.row[perm], rows.col[perm], rows.val[perm], rows.shape)
@@ -666,9 +666,9 @@ def test_cutoff_answers_hold_against_cold_lps(monkeypatch):
     answers = []
     solve = solver._Warm.solve
 
-    def spy(self, fixes, deadline=None, cutoff=math.inf, changed=None):
+    def spy(self, fixes, deadline=None, cutoff=math.inf, parent=None, vid=None):
         start = self.tab.iterations
-        res = solve(self, fixes, deadline, cutoff, changed)
+        res = solve(self, fixes, deadline, cutoff, parent, vid)
         if res.status == "cutoff":
             left = float(self.tab.cost @ self.tab.values()) + self.offset
             answers.append((dict(fixes), cutoff, self.tab.iterations - start, left))
@@ -754,13 +754,40 @@ def test_pivots_of_a_timed_out_lp_are_counted(monkeypatch):
     model = credit_instance("svm", 20)["model"]
     std = model.arrays
     warm = solver._Warm(std, std.lb, std.ub)
-    warm.root()
+    warm.solve({})
     assert warm.tab.iterations > 12
     # the start and the first node read the clock once each, then every pivot
     monkeypatch.setattr(solver, "time", _Clock(2 + 12))
     res = solve_milp(model, SolverParams(time_limit_s=1.0))
     assert res.status == "infeasible-unproven"
     assert (res.nodes, res.lp_iterations) == (0, 12)
+
+
+def test_bound_of_a_search_cut_short_after_its_root(monkeypatch):
+    # the reported gap implies the best open bound, which no optimum is under
+    # and which only rises as the search goes on; a search stopped before its
+    # root has no bound
+    inst = credit_instance("svm", 20)
+    model = inst["model"]
+    hint = _single_change_hint(model, inst["handles"], inst["classifier"], inst["lof_ctx"])
+    want = solve_milp(model, incumbent_hint=hint)
+    assert want.status == "optimal" and want.nodes > 100
+    bounds = []
+    for reads in range(2, want.nodes + want.lp_iterations, 37):
+        monkeypatch.setattr(solver, "time", _Clock(reads))
+        res = solve_milp(model, SolverParams(time_limit_s=1.0), incumbent_hint=hint)
+        monkeypatch.undo()
+        assert res.status == "feasible-time-limit"
+        if not res.nodes:
+            assert res.gap is None
+            continue
+        assert math.isfinite(res.gap) and res.gap >= 0.0
+        bound = res.objective - res.gap * max(1.0, abs(res.objective))
+        assert bound <= want.objective + 1e-9
+        bounds.append(bound)
+    assert len(bounds) >= 20
+    # rising up to the rounding of the gap's division
+    assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:])) and bounds[0] < bounds[-1]
 
 
 def test_time_limit_holds_inside_a_node_lp():
