@@ -104,6 +104,26 @@ class TestBinaryDims:
         space2 = build_action_space(enc.x[1], enc, ActionConfig(grid_size=2, max_changes=2))
         assert space2.dims[2].labels == (-1.0, 0.0) and space2.dims[2].zero_index == 1
 
+    @pytest.mark.parametrize("row, rule, labels", [
+        (0, FeatureRule(), (0.0, 1.0)),                       # vip 0
+        (0, FeatureRule(direction="increase"), (0.0, 1.0)),
+        (0, FeatureRule(direction="decrease"), (0.0,)),
+        (0, FeatureRule(mutable=False), (0.0,)),
+        (1, FeatureRule(), (-1.0, 0.0)),                      # vip 1
+        (1, FeatureRule(direction="increase"), (0.0,)),
+        (1, FeatureRule(direction="decrease"), (-1.0, 0.0)),
+        (1, FeatureRule(mutable=False), (0.0,)),
+    ])
+    def test_direction_rules(self, row, rule, labels):
+        enc = default_enc()
+        cfg = ActionConfig(grid_size=2, max_changes=2, rules={"vip": rule})
+        vip = build_action_space(enc.x[row], enc, cfg).dims[2]
+        assert vip.labels == labels
+        assert vip.zero_index == labels.index(0.0)
+        assert vip.deltas.shape == (len(labels), 1)
+        assert vip.deltas[:, 0].tolist() == list(labels)
+        assert all(type(v) is float for v in vip.labels)
+
 
 class TestSpaceOps:
     def test_displacement_and_change_count(self):
