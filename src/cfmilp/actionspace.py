@@ -153,14 +153,9 @@ def build_action_space(x_enc: np.ndarray, dataset: EncodedDataset,
         x_d = float(x_enc[a])
         if not rule.mutable:
             offs = [0.0]
-        elif f.kind == "binary":
-            offs = sorted({0.0 - x_d, 1.0 - x_d, 0.0})
-            if rule.direction == "increase":
-                offs = sorted({o for o in offs if o > 0.0} | {0.0})
-            elif rule.direction == "decrease":
-                offs = sorted({o for o in offs if o < 0.0} | {0.0})
-        else:
-            offs = _numeric_candidates(grids[a], x_d, rule.direction)
+        else:       # a binary feature's grid is its two values
+            offs = _numeric_candidates(grids[a] if f.kind == "numeric" else (0.0, 1.0), x_d,
+                                       rule.direction)
         dims.append(ActionDimension(
             feature=f.name, kind=f.kind, columns=columns,
             labels=tuple(offs), deltas=read_only(np.array(offs)[:, None]),

@@ -111,6 +111,12 @@ class RunConfig:
     svg_plot: bool = _key(BOOLEAN, default=True)
     out_dir: str = _key(STRING, default="results")
 
+    def __post_init__(self):
+        for key in ("n_values", "formulations"):
+            entries = getattr(self, key)
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{key} repeats {max(entries, key=entries.count)!r}")
+
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
         """A config document, each key read by its field's check."""

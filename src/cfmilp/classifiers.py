@@ -220,23 +220,16 @@ def _grow_tree(x, y01, idx, depth, max_depth, n_sub, rng, nodes):
         nodes[key].append(0)
     p = float(y01[idx].mean())
     nodes["prob"][node] = p
-    pure = p == 0.0 or p == 1.0
-    if depth >= max_depth or pure or idx.size < 2:
-        nodes["feature"][node] = -1
-        nodes["threshold"][node] = 0.0
-        nodes["left"][node] = nodes["right"][node] = -1
-        return node
-    d = x.shape[1]
-    feats = np.sort(rng.choice(d, size=n_sub, replace=False))
     best = None
-    for f in feats:
-        res = _gini_split(x[idx, f], y01[idx])
-        if res is None:
-            continue
-        g, thr = res
-        if best is None or g < best[0] - 1e-12:
-            best = (g, int(f), thr)
-    if best is None:
+    if depth < max_depth and 0.0 < p < 1.0 and idx.size >= 2:
+        for f in np.sort(rng.choice(x.shape[1], size=n_sub, replace=False)):
+            res = _gini_split(x[idx, f], y01[idx])
+            if res is None:
+                continue
+            g, thr = res
+            if best is None or g < best[0] - 1e-12:
+                best = (g, int(f), thr)
+    if best is None:            # a leaf: no split searched, or none found
         nodes["feature"][node] = -1
         nodes["threshold"][node] = 0.0
         nodes["left"][node] = nodes["right"][node] = -1

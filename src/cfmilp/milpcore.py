@@ -259,10 +259,8 @@ class MilpModel:
                                                   arr.cmp.tolist(), arr.rhs.tolist())]
 
     def objective_value(self, values) -> float:
-        """Objective at ``values`` (an array, or a map over every id), its
-        terms added left to right by id: a zero term leaves a sum as it is."""
-        if isinstance(values, dict):
-            values = [values[v] for v in range(self.n_vars)]
+        """Objective at ``values``, one per variable id, its terms added
+        left to right by id: a zero term leaves a sum as it is."""
         terms = self.arrays.c * np.asarray(values, dtype=float)
         return float(np.cumsum(np.append(0.0, terms))[-1])
 

@@ -355,12 +355,6 @@ class _Tableau:
         for k, v in zip(_STATE, state):
             setattr(self, k, v)
 
-    def index(self) -> None:
-        """Give the nonbasic columns of the basis slots in ascending order."""
-        self.nb = np.setdiff1d(np.arange(self.ubt.size), self.basis)
-        self.slot = np.full(self.ubt.size, -1)
-        self.slot[self.nb] = np.arange(self.nb.size)
-
     def values(self) -> np.ndarray:
         x = np.where(self.at_upper, self.ubt, self.lo)
         x[self.basis] = self.xb
@@ -442,7 +436,7 @@ class _Tableau:
             return True
         return float(np.abs(self.rows.matvec(x) - self.rhs).max()) <= self.res_tol
 
-    def dual(self, deadline: float | None = None) -> str:
+    def dual(self, deadline: float) -> str:
         """Dual pivots from a dual feasible basis until the objective
         reaches ``self.cutoff`` ("cutoff"), every basic value is within its
         bounds ("optimal"), or the leaving row has no entering column
@@ -452,7 +446,9 @@ class _Tableau:
         below and never falls under dual pivots, so once it reaches the
         cutoff the LP cannot end under it.  A pivot whose objective would
         reach the cutoff is therefore not made: the answer is "cutoff" as
-        soon as the pivot is chosen.
+        soon as the pivot is chosen, and the loop's top tests an objective
+        recomputed from the point (on entry and after a refactor) or else
+        one that a pivot left under the cutoff.
 
         A pivot on row r and slot s makes the slot's column basic in row r
         and gives the slot the leaving column, which is e_r before the
@@ -476,12 +472,10 @@ class _Tableau:
         enters = np.empty(t.shape[1], dtype=bool)
         cap = self.iterations + 10 * (m + ubt.size) + 1000
         while True:
-            if deadline is not None and time.perf_counter() > deadline:
+            if time.perf_counter() > deadline:
                 raise _Timeout
             if obj >= cutoff:
-                obj = float(cost @ self.values())       # not the running sum
-                if obj >= cutoff:
-                    return "cutoff"
+                return "cutoff"
             np.subtract(lo_b, xb, out=infeas)
             np.subtract(xb, up_b, out=score)
             np.maximum(infeas, score, out=infeas)
@@ -576,7 +570,7 @@ class _Tableau:
             self.iterations += 1
             self.since_refactor += 1
 
-    def solve(self, deadline: float | None = None) -> tuple[str, np.ndarray | None]:
+    def solve(self, deadline: float) -> tuple[str, np.ndarray | None]:
         """``dual`` under the checks every answer passes: a point must meet
         the sparse rows, and an infeasible verdict needs a Farkas proof.  An
         answer that fails them is tried once more after a refactor; a second
@@ -616,16 +610,16 @@ class _Warm:
         # model objective = tableau objective + offset
         self.offset = float(std.c @ lb)
         # every column at the bound its cost favours: the slack basis is then
-        # dual feasible, and a restart goes back to it
+        # dual feasible, and a restart goes back to it and its slot maps
         tab.place(np.arange(tab.ubt.size), tab.lo.copy(), tab.ubt.copy())
-        self.start = tab.basis.copy(), tab.at_upper.copy()
+        self.start = [a.copy() for a in (tab.basis, tab.at_upper, tab.nb, tab.slot)]
         self.owner = None                       # node whose optimal state is live, with open children
         self.entered = set()                    # nodes one of whose two children was entered
         self.saved = {}                         # node -> its optimal state, while a child is open
         self.free = []                          # state buffers to reuse
         self.held = 0                           # bytes of the buffers in saved and free
 
-    def solve(self, fixes: dict, deadline: float | None = None, cutoff: float = np.inf,
+    def solve(self, fixes: dict, deadline: float = np.inf, cutoff: float = np.inf,
               parent: int | None = None, vid: int | None = None) -> LpResult:
         """LP optimum with binaries fixed by ``fixes`` ({vid: (lb, ub)}),
         other bounds as at the start; status "cutoff", without a point, once
@@ -633,7 +627,7 @@ class _Warm:
         ``parent`` and the binary ``vid`` it fixes beyond it: when ``enter``
         makes the parent's optimum live, only ``vid`` is placed.  A solve
         that fails its checks, meets a singular basis or hits the pivot cap
-        restarts once from the start basis."""
+        restarts once from the start basis and its slot maps."""
         tab = self.tab
         changed = vid if parent is not None and self.enter(parent) else None
         tab.cutoff = cutoff - self.offset
@@ -641,9 +635,8 @@ class _Warm:
             self._place(fixes, changed)
             out, x = tab.solve(deadline)
         except _Restart:
-            tab.basis[:], tab.at_upper[:] = self.start
+            tab.basis[:], tab.at_upper[:], tab.nb[:], tab.slot[:] = self.start
             tab.lo[:], tab.ubt[:] = 0.0, self.ubt
-            tab.index()
             try:
                 tab.refactor()
                 self._place(fixes)
@@ -678,9 +671,8 @@ class _Warm:
         self.owner = None
         last = parent in self.entered
         self.entered ^= {parent}
-        if parent == owner:
-            if not last:
-                self._keep(parent)
+        if parent == owner:                     # the first child: every enter resets owner
+            self._keep(parent)
             return True
         state = self.saved.get(parent)
         if state is None:
@@ -830,7 +822,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
                 incumbent, inc_obj = cand, ev.objective
             # an integral action branches on its lowest-id pick at 1 not yet fixed
             picks = [v for v in ids[res.x[ids] > 0.5].tolist() if v not in fixes]
-            if action is None or not picks:
+            if action is None or not picks:     # generic: close; children left open skew the gap
                 continue
             j = picks[0]
         else:

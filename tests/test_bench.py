@@ -381,6 +381,42 @@ def test_cli_explain_and_oracle_agree(tmp_path, capsys):
     assert compared, "every rejected instance came back no-recourse"
 
 
+def test_cli_oracle_writes_to_out(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, actions=SMALL_ACTIONS)
+    for idx in prepare(RunConfig.from_json(cfg_path)).rejected:
+        args = ["oracle", "--config", cfg_path, "--index", str(idx)]
+        if main(args) == 0:
+            break
+    else:
+        pytest.fail("every rejected instance came back no-recourse")
+    printed = capsys.readouterr().out
+    out = tmp_path / "oracle.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert json.loads(printed)["indices"]
+
+
+def test_sweep_records_of_no_recourse_instances(tmp_path):
+    # with no change allowed every instance has no recourse: its record has
+    # no md and no lof10, and it stays out of the summary's means
+    frozen = run_benchmark(RunConfig.from_dict(config_dict(
+        tmp_path, actions=dict(SMALL_ACTIONS, max_changes=0))), quiet=True)
+    assert frozen and {r.status for r in frozen} == {"no-recourse"}
+    path = tmp_path / "records.csv"
+    write_records_csv(frozen, path)
+    header, *rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+    md, lof10 = header.index("md"), header.index("lof10")
+    assert all(row[md] == row[lof10] == "" for row in rows)
+    solved = run_benchmark(RunConfig.from_dict(config_dict(tmp_path, actions=SMALL_ACTIONS)),
+                           quiet=True)
+    assert any(r.status == "optimal" for r in solved)
+    for alone, mixed in zip(summarize(solved), summarize(solved + frozen)):
+        assert mixed["n_runs"] == 2 * alone["n_runs"]
+        for key in ("n_optimal", "mean_objective", "mean_md", "mean_lof10"):
+            assert mixed[key] == alone[key], key
+
+
 def test_cli_explain_accepted_index_fails(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     prep = prepare(RunConfig.from_json(cfg_path))
@@ -524,6 +560,8 @@ BAD_SECTION_KEYS = [
     ({"formulations": []}, "formulations"),
     ({"classifier": {"kind": "logistic", "seed": 0}}, "classifier keys"),   # no trainer reads it
     ({"classifier": {"kind": "svm", "seed": 0}}, "classifier keys"),
+    ({"n_values": [6, 6]}, "n_values repeats 6"),   # ran and counted each solve twice
+    ({"formulations": ["reduced", "reduced"]}, "formulations repeats 'reduced'"),
 ]
 
 

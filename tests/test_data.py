@@ -86,6 +86,16 @@ class TestSchema:
         with pytest.raises(SchemaError, match=message):
             DatasetSchema.from_dict(dict(TINY_DOC, **over))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DatasetSchema(features=(FeatureSpec("a", "numeric"), FeatureSpec("y", "binary")),
+                               target="y", positive_label="1"), "target must not be listed"),
+        (lambda: DatasetSchema(features=(), target="y", positive_label="1"), "no features"),
+        (lambda: FeatureSpec("c", "categorical", ("a", "b", "a")), "duplicate categories"),
+    ], ids=["target-among-features", "no-features", "repeated-category"])
+    def test_refused_schemas(self, make, message):
+        with pytest.raises(SchemaError, match=message):
+            make()
+
     def test_document_that_is_not_an_object(self):
         with pytest.raises(SchemaError, match="schema must be an object"):
             DatasetSchema.from_dict([TINY_DOC])
@@ -112,6 +122,29 @@ class TestLoadCsv(object):
         want, got = load_csv(plain, TINY), load_csv(marked, TINY)
         assert got.rows == want.rows == [[10.0, "red", 1.0], [20.0, "blue", 0.0]]
         assert got.labels == want.labels == ["yes", "no"]
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("ok,vip,amount,color\nyes,1,10,red\n\nno,0,20,blue\n")
+        raw = load_csv(p, TINY)
+        assert raw.rows == [[10.0, "red", 1.0], [20.0, "blue", 0.0]]
+        assert raw.labels == ["yes", "no"] and raw.n_dropped == 0
+        # the blank line still counts in the line numbers
+        p.write_text("ok,vip,amount,color\nyes,1,10,red\n\nno,0,20\n")
+        with pytest.raises(ParseError, match="line 4"):
+            load_csv(p, TINY)
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            load_csv(p, TINY)
+
+    def test_missing_target_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("vip,amount,color\n1,10,red\n")
+        with pytest.raises(SchemaError, match="target column 'ok'"):
+            load_csv(p, TINY)
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "t.csv"

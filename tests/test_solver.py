@@ -474,7 +474,7 @@ def _search_vs_cold(monkeypatch, model, budget=None):
         paths[path] += 1
         return path != "fallback"
 
-    def spy_solve(self, fixes, deadline=None, cutoff=math.inf, parent=None, vid=None):
+    def spy_solve(self, fixes, deadline=math.inf, cutoff=math.inf, parent=None, vid=None):
         res = solve(self, fixes, deadline, cutoff, parent, vid)
         solved.append((dict(fixes), cutoff, res))
         return res
@@ -647,7 +647,6 @@ def test_slack_start_equals_a_refactor_bit_for_bit(family):
             assert _bits(getattr(rows, key)) == _bits(getattr(ref, key)), key
         keys = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt")
         direct = {key: _bits(getattr(tab, key)) for key in keys}
-        tab.index()
         tab.refactor()
         for key in keys:
             assert direct[key] == _bits(getattr(tab, key)), key
@@ -666,7 +665,7 @@ def test_cutoff_answers_hold_against_cold_lps(monkeypatch):
     answers = []
     solve = solver._Warm.solve
 
-    def spy(self, fixes, deadline=None, cutoff=math.inf, parent=None, vid=None):
+    def spy(self, fixes, deadline=math.inf, cutoff=math.inf, parent=None, vid=None):
         start = self.tab.iterations
         res = solve(self, fixes, deadline, cutoff, parent, vid)
         if res.status == "cutoff":
@@ -717,6 +716,110 @@ def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
         assert res.status == ("infeasible" if best is None else "optimal")
         if best is not None:
             assert res.objective == pytest.approx(best, abs=1e-7)
+
+
+def _fail_check(monkeypatch, check, times):
+    """Make ``_Tableau.<check>`` answer False on its first ``times`` calls;
+    return the (nb, slot) maps each refactor starts from, as it is called."""
+    real, refactor = getattr(solver._Tableau, check), solver._Tableau.refactor
+    calls, maps = [], []
+
+    def failing(self, arg):
+        calls.append(arg)
+        return len(calls) > times and real(self, arg)
+
+    def spy(self):
+        maps.append((self.nb.copy(), self.slot.copy()))
+        refactor(self)
+
+    monkeypatch.setattr(solver._Tableau, check, failing)
+    monkeypatch.setattr(solver._Tableau, "refactor", spy)
+    return maps
+
+
+def _recovery_lp(status):
+    # the credit SVM model's root LP pivots to its optimum; the cover below
+    # cannot be met within the boxes
+    if status == "optimal":
+        return credit_instance("svm", 20)["model"], "residual_ok"
+    return build([1.0, 2.0, 0.5], [(0, 1), (0, 1), (0, 2)],
+                 [([1.0, 1.0, 0.0], "<=", 1.5), ([1.0, 1.0, 1.0], ">=", 4.5)]), "proves_infeasible"
+
+
+def _lp_run(model):
+    warm = solver._Warm(model.arrays, model.arrays.lb, model.arrays.ub)
+    return warm, warm.solve({})
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible"])
+def test_an_answer_that_fails_its_check_once_is_kept_after_one_refactor(monkeypatch, status):
+    model, check = _recovery_lp(status)
+    warm0, want = _lp_run(model)
+    assert want.status == status
+    maps = _fail_check(monkeypatch, check, 1)
+    warm, got = _lp_run(model)
+    assert got.status == status
+    if status == "optimal":
+        assert warm0.tab.iterations > 10
+        assert got.x == pytest.approx(want.x, abs=1e-9)
+        assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    # the same basis, refactored once: no pivot is made again
+    assert len(maps) == 1
+    assert warm.tab.iterations == warm0.tab.iterations
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible"])
+def test_an_answer_that_fails_its_check_twice_restarts_from_the_start_basis(monkeypatch, status):
+    model, check = _recovery_lp(status)
+    warm0, want = _lp_run(model)
+    maps = _fail_check(monkeypatch, check, 2)
+    warm, got = _lp_run(model)
+    assert got.status == status
+    if status == "optimal":
+        assert got.x == pytest.approx(want.x, abs=1e-9)
+        assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    # the retry's refactor, then the restart's, which starts from the slack
+    # basis's maps: every structural column nonbasic, in order, every row column basic
+    assert len(maps) == 2
+    k, m = model.n_vars, model.arrays.rhs.size
+    nb, slot = maps[1]
+    assert nb.tolist() == list(range(k))
+    assert slot.tolist() == list(range(k)) + [-1] * m
+    assert warm.tab.iterations > warm0.tab.iterations       # the LP pivoted again
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible"])
+def test_an_answer_that_always_fails_its_check_raises(monkeypatch, status):
+    model, check = _recovery_lp(status)
+    _fail_check(monkeypatch, check, math.inf)
+    with pytest.raises(solver.SimplexError, match="after a restart"):
+        _lp_run(model)
+    with pytest.raises(solver.SimplexError):
+        solve_milp(model)
+
+
+def test_factor_refuses_a_basis_it_cannot_solve():
+    # columns 0 and 1 are singletons on row 0, column 2 one on row 1; column
+    # 4 is twice column 3
+    rows = Rows(np.array([0, 0, 1, 0, 1, 0, 1]), np.array([0, 1, 2, 3, 3, 4, 4]),
+                np.array([1.0, 2.0, -1.0, 1.0, 3.0, 2.0, 6.0]), (2, 5))
+    for basis in ([0, 2], [3, 2], [0, 3], [3, 0]):
+        lu = solver._Factor(rows, np.array(basis))
+        v = np.array([[1.0], [2.0]])
+        assert rows.dense(np.array(basis)) @ lu.solve(v) == pytest.approx(v)
+    for basis in ([0, 1], [1, 0], [3, 4]):     # two singletons on one row; a singular block
+        with pytest.raises(solver._Restart):
+            solver._Factor(rows, np.array(basis))
+
+
+def test_no_infeasibility_proof_from_a_singular_basis():
+    # x + y >= 3 with x, y in [0, 1]: the slack basis proves row 0
+    # infeasible; the basis {x, y} has the singular block [[1, 1], [2, 2]]
+    m = build([1.0, 1.0], [(0, 1), (0, 1)], [([1.0, 1.0], ">=", 3.0), ([2.0, 2.0], "<=", 1.0)])
+    tab = solver._Tableau(m.arrays, m.arrays.lb, m.arrays.ub)
+    assert tab.proves_infeasible(0)
+    tab.basis = np.array([0, 1])
+    assert not tab.proves_infeasible(0)
 
 
 def test_milp_with_redundant_equality_rows():
