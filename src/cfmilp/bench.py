@@ -32,10 +32,10 @@ from .classifiers import (Forest, classification_metrics, load_model, predict,
                           predict_many, save_model, train_forest, train_linear_svm,
                           train_logistic)
 from .data import (ANY, BOOLEAN, OBJECT, REQUIRED, STRING, ConfigError, DatasetSchema,
-                   EncodedDataset, ParseError, SchemaError, as_count, checked, count, encode,
-                   fit_scaler, list_of, load_csv, read_keys, real, split, synthetic_credit)
+                   EncodedDataset, as_count, checked, count, encode, fit_scaler, list_of,
+                   load_csv, read_keys, real, split, synthetic_credit)
 from .formulations import FORMULATIONS, PreconditionError, build_model, explain
-from .milpcore import ModelError, export_lp
+from .milpcore import export_lp
 from .solver import SimplexError, SolverParams
 from .stats import (DeltaMetric, LofContext, build_lof_context, build_mahalanobis,
                     lof, mahalanobis_distance, q1_surrogate, sample_reference_set)
@@ -45,10 +45,6 @@ LOF_EVAL_K = 10                 # the k of the lof10 column, at most N - 1
 
 RECORD_HEADER = ["instance", "formulation", "N", "status", "objective", "md",
                  "lof10", "nearest_rows", "total_rows", "nodes", "time_s"]
-
-
-def _default_time_limit(n: int) -> float:
-    return 1200.0 if n <= 50 else 3600.0
 
 
 def _n(value, what: str, error) -> int:
@@ -61,8 +57,13 @@ _POSITIVE = real("a finite number > 0", lambda v: v > 0)
 
 
 def _time_limits(value, what: str, error) -> dict:
-    return {str(_n(n, f"{what} key {n!r}", error)): _POSITIVE(v, f"{what}[{n!r}]", error)
-            for n, v in OBJECT(value, what, error).items()}
+    limits = {}
+    for n, v in OBJECT(value, what, error).items():
+        key = str(_n(n, f"{what} key {n!r}", error))
+        if key in limits:         # "20" and "020" name one N
+            raise error(f"{what} key {n!r} repeats N={key}")
+        limits[key] = _POSITIVE(v, f"{what}[{n!r}]", error)
+    return limits
 
 
 def _by_kind(tables: dict, default=None):
@@ -130,7 +131,7 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def time_limit(self, n: int) -> float:
-        return float(self.time_limits.get(str(n), _default_time_limit(n)))
+        return float(self.time_limits.get(str(n), 1200.0 if n <= 50 else 3600.0))
 
     def override_seed(self, seed: int) -> None:
         self.split_seed = seed
@@ -541,9 +542,8 @@ def main(argv=None) -> int:
             print(text)
         return 3 if expl.status == "no-recourse" else 0
 
-    except (ConfigError, SchemaError, ParseError, ModelError,
-            PreconditionError, OSError, json.JSONDecodeError, ValueError,
-            SimplexError) as e:
+    # each refusal of this package, a JSON syntax error and numpy's LinAlgError is a ValueError
+    except (ValueError, OSError, SimplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -201,6 +201,8 @@ def _parse_cell(spec: FeatureSpec, cell: str, line_no: int):
         v = float(cell)
     except ValueError:
         raise ParseError(f"line {line_no}: cannot parse {cell!r} for {spec.name!r}") from None
+    if not math.isfinite(v):      # "nan", "inf", "1e999"
+        raise ParseError(f"line {line_no}: {spec.name!r} must be a finite number, got {cell!r}")
     if spec.kind == "binary" and v not in (0.0, 1.0):
         raise SchemaError(f"line {line_no}: binary feature {spec.name!r} got {cell!r}")
     return v
@@ -250,13 +252,12 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
 class EncodingMap:
     """Maps original features to encoded column ranges."""
 
-    columns: tuple[str, ...]                 # encoded column names
-    spans: tuple[tuple[int, int], ...]       # per feature: [start, stop)
+    spans: tuple[tuple[int, int], ...]       # per feature: [start, stop), contiguous from 0
     feature_names: tuple[str, ...]
 
     @property
     def width(self) -> int:
-        return len(self.columns)
+        return self.spans[-1][1]
 
     def span(self, feature: str) -> tuple[int, int]:
         return self.spans[self.feature_names.index(feature)]
@@ -274,16 +275,12 @@ class EncodedDataset:
 
 
 def build_encoding(schema: DatasetSchema) -> EncodingMap:
-    cols: list[str] = []
     spans: list[tuple[int, int]] = []
+    stop = 0
     for f in schema.features:
-        start = len(cols)
-        if f.kind == "categorical":
-            cols.extend(f"{f.name}={c}" for c in f.categories)
-        else:
-            cols.append(f.name)
-        spans.append((start, len(cols)))
-    return EncodingMap(columns=tuple(cols), spans=tuple(spans), feature_names=schema.feature_names)
+        start, stop = stop, stop + (len(f.categories) if f.kind == "categorical" else 1)
+        spans.append((start, stop))
+    return EncodingMap(spans=tuple(spans), feature_names=schema.feature_names)
 
 
 def encode(raw: RawDataset) -> EncodedDataset:

@@ -352,18 +352,19 @@ def _single_change_hint(model, handles, classifier, lof_ctx):
 class Explanation:
     status: str
     formulation: str
-    action: dict | None
-    action_indices: list | None
-    counterfactual: np.ndarray | None
-    objective: float | None
-    md_term: float | None
-    lof_term: float | None
-    n_star: int | None
-    valid: bool | None
     nodes: int
     lp_iterations: int
     time_s: float
     counts: dict
+    # the solution's fields: None when the search found no action
+    action: dict | None = None
+    action_indices: list | None = None
+    counterfactual: np.ndarray | None = None
+    objective: float | None = None
+    md_term: float | None = None
+    lof_term: float | None = None
+    n_star: int | None = None
+    valid: bool | None = None
     tree_leaves: list | None = None
 
     def to_json_dict(self) -> dict:
@@ -409,8 +410,7 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
     x_enc = np.asarray(x_enc, dtype=float)
     if predict(classifier, x_enc) == 1:
         raise PreconditionError("instance is already classified positive")
-    model, handles, constants = build_model(
-        x_enc, classifier, mahal_ctx, lof_ctx, space, lam, formulation)
+    model, handles, _ = build_model(x_enc, classifier, mahal_ctx, lof_ctx, space, lam, formulation)
     hint = _single_change_hint(model, handles, classifier, lof_ctx)
     # the search branches on pi alone: an integral action has a closed-form completion
     action = (handles.pi_ids, lambda x: complete_action(model, handles, classifier, lof_ctx,
@@ -419,12 +419,9 @@ def explain(x_enc: np.ndarray, classifier, mahal_ctx: MahalanobisContext,
 
     if sol.values is None:
         status = "no-recourse" if sol.status == "infeasible" else sol.status
-        return Explanation(
-            status=status, formulation=formulation, action=None, action_indices=None,
-            counterfactual=None, objective=None, md_term=None, lof_term=None,
-            n_star=None, valid=None, nodes=sol.nodes, lp_iterations=sol.lp_iterations,
-            time_s=sol.wall_time, counts=dict(handles.counts),
-        )
+        return Explanation(status=status, formulation=formulation, nodes=sol.nodes,
+                           lp_iterations=sol.lp_iterations, time_s=sol.wall_time,
+                           counts=dict(handles.counts))
 
     values = sol.values
     indices = decode_action(handles, values)

@@ -343,7 +343,6 @@ class _Tableau:
         self.z = std.c.copy()
         self.iterations = 0
         self.since_refactor = 0
-        self.cutoff = np.inf              # objective at which dual pivots stop
         self.infeasible_row = -1
 
     def state(self) -> list:
@@ -359,12 +358,6 @@ class _Tableau:
         x = np.where(self.at_upper, self.ubt, self.lo)
         x[self.basis] = self.xb
         return x
-
-    def _reduced_costs(self, cost):
-        """Reduced costs by slot."""
-        if not self.t.size:
-            return cost[self.nb].copy()
-        return cost[self.nb] - _dgemv(1.0, self.t, cost[self.basis], trans=1)
 
     def place(self, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """Give the columns ``cols`` the bounds ``lo`` and ``hi``; put each
@@ -403,7 +396,9 @@ class _Tableau:
         x = np.where(self.at_upper, self.ubt, self.lo)
         x[self.basis] = 0.0
         self.xb = lu.solve((self.rhs - self.rows.matvec(x))[:, None])[:, 0]
-        self.z = self._reduced_costs(self.cost)
+        self.z = self.cost[self.nb]              # reduced costs by slot
+        if self.t.size:                          # dgemv refuses a zero-size matrix
+            self.z -= _dgemv(1.0, self.t, self.cost[self.basis], trans=1)
         self.w = w
         self.since_refactor = 0
 
@@ -432,13 +427,11 @@ class _Tableau:
 
     def residual_ok(self, x: np.ndarray) -> bool:
         """Whether the primal point ``x`` satisfies the sparse rows it came from."""
-        if not self.rhs.size:
-            return True
-        return float(np.abs(self.rows.matvec(x) - self.rhs).max()) <= self.res_tol
+        return float(np.abs(self.rows.matvec(x) - self.rhs).max(initial=0.0)) <= self.res_tol
 
-    def dual(self, deadline: float) -> str:
+    def dual(self, deadline: float, cutoff: float) -> str:
         """Dual pivots from a dual feasible basis until the objective
-        reaches ``self.cutoff`` ("cutoff"), every basic value is within its
+        reaches ``cutoff`` ("cutoff"), every basic value is within its
         bounds ("optimal"), or the leaving row has no entering column
         ("infeasible").  Raises _Restart past the pivot cap.
 
@@ -460,7 +453,7 @@ class _Tableau:
         m = t.shape[0]
         if not m:
             return "optimal"
-        cutoff = float(self.cutoff)
+        cutoff = float(cutoff)
         obj = float(cost @ self.values())
         # per slot: +1 at its lower bound, -1 at its upper, 0 if it cannot enter
         lift = np.where(at_upper[nb], -1.0, 1.0)
@@ -570,7 +563,7 @@ class _Tableau:
             self.iterations += 1
             self.since_refactor += 1
 
-    def solve(self, deadline: float) -> tuple[str, np.ndarray | None]:
+    def solve(self, deadline: float, cutoff: float) -> tuple[str, np.ndarray | None]:
         """``dual`` under the checks every answer passes: a point must meet
         the sparse rows, and an infeasible verdict needs a Farkas proof.  An
         answer that fails them is tried once more after a refactor; a second
@@ -578,7 +571,7 @@ class _Tableau:
         (None when infeasible)."""
         refactored = False
         while True:
-            out = self.dual(deadline)
+            out = self.dual(deadline, cutoff)
             if out == "infeasible":
                 if self.proves_infeasible(self.infeasible_row):
                     return out, None
@@ -630,17 +623,17 @@ class _Warm:
         restarts once from the start basis and its slot maps."""
         tab = self.tab
         changed = vid if parent is not None and self.enter(parent) else None
-        tab.cutoff = cutoff - self.offset
+        cutoff -= self.offset                   # in the tableau's objective
         try:
             self._place(fixes, changed)
-            out, x = tab.solve(deadline)
+            out, x = tab.solve(deadline, cutoff)
         except _Restart:
             tab.basis[:], tab.at_upper[:], tab.nb[:], tab.slot[:] = self.start
             tab.lo[:], tab.ubt[:] = 0.0, self.ubt
             try:
                 tab.refactor()
                 self._place(fixes)
-                out, x = tab.solve(deadline)
+                out, x = tab.solve(deadline, cutoff)
             except _Restart:
                 raise SimplexError("LP failed its checks after a restart") from None
         if out != "optimal":

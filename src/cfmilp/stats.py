@@ -143,8 +143,7 @@ def sample_reference_set(x: np.ndarray, y: np.ndarray, n: int, seed: int) -> np.
     seen: set[bytes] = set()
     chosen: list[int] = []
     for j in order:
-        row = np.ascontiguousarray(x[pos[j]], dtype=float)
-        key = row.tobytes()
+        key = (np.asarray(x[pos[j]], dtype=float) + 0.0).tobytes()    # + 0.0 makes -0.0 0.0
         if key in seen:
             continue
         seen.add(key)

@@ -6,7 +6,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +207,25 @@ def test_run_benchmark_shape_and_order(tmp_path):
         else:
             assert r.nearest_rows == 2 * r.n
         assert r.total_rows > r.nearest_rows
+
+
+def test_run_benchmark_prints_a_progress_line_per_solve(tmp_path, capsys):
+    cfg = RunConfig.from_dict(config_dict(tmp_path, n_values=[6], n_explained=1))
+    records = run_benchmark(cfg)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(records) == 2
+    for line, r in zip(lines, records):
+        assert line.startswith(f"  instance={r.instance} form={r.formulation} N=6 "
+                               f"status={r.status} time=")
+        assert line.endswith(f"s nodes={r.nodes}")
+
+
+def test_run_benchmark_refuses_a_run_with_no_rejected_instance(tmp_path, monkeypatch):
+    cfg = RunConfig.from_dict(config_dict(tmp_path))
+    real = bench.prepare
+    monkeypatch.setattr(bench, "prepare", lambda config: replace(real(config), rejected=[]))
+    with pytest.raises(ConfigError, match="no rejected test instances"):
+        run_benchmark(cfg, quiet=True)
 
 
 def test_benchmark_deterministic_modulo_time(tmp_path):
@@ -562,6 +581,7 @@ BAD_SECTION_KEYS = [
     ({"classifier": {"kind": "svm", "seed": 0}}, "classifier keys"),
     ({"n_values": [6, 6]}, "n_values repeats 6"),   # ran and counted each solve twice
     ({"formulations": ["reduced", "reduced"]}, "formulations repeats 'reduced'"),
+    ({"time_limits": {"20": 5, "020": 7}}, "time_limits key '020' repeats N=20"),
 ]
 
 
@@ -714,6 +734,24 @@ def test_cli_misspelt_mutable_does_not_move_a_frozen_feature(tmp_path, capsys):
     code, out = explain_with("mutabel")
     assert code == 2 and out.out == ""
     assert "unknown actions features 'duration_months' keys: ['mutabel']" in out.err
+
+
+def test_cli_train_refuses_a_non_finite_cell(tmp_path, capsys):
+    # "nan" trained an SVM whose scaler held NaN, saved it, and exited 0
+    schema = {"target": "y", "positive_label": "g",
+              "features": [{"name": "a", "kind": "numeric"}]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    rows = [f"{i},{'g' if i % 3 else 'b'}" for i in range(40)]
+    rows[5] = "nan,g"
+    (tmp_path / "rows.csv").write_text("\n".join(["a,y", *rows, ""]), encoding="utf-8")
+    path = write_config(tmp_path, classifier={"kind": "svm"},
+                        dataset={"kind": "csv", "path": str(tmp_path / "rows.csv"),
+                                 "schema": str(tmp_path / "schema.json")})
+    out = tmp_path / "model.json"
+    assert main(["train", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: line 7: 'a' must be a finite number, got 'nan'\n"
 
 
 def test_readme_configs_load():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -377,6 +378,13 @@ def test_rho_active_only_at_selected_reference():
                                                   combo))
     assert sol.values[handles.rho[n_star]] == pytest.approx(
         max(float(lof.d1[n_star]), float(dist)), abs=1e-9)
+
+
+def test_decode_action_refuses_a_fractional_action():
+    handles = SimpleNamespace(pi=[range(0, 3), range(3, 5)])
+    assert decode_action(handles, np.array([0.0, 1.0, 0.0, 1.0, 0.0])) == [1, 0]
+    with pytest.raises(ValueError, match="dimension 1: action indicators not integral"):
+        decode_action(handles, np.array([0.0, 1.0, 0.0, 0.5, 0.5]))
 
 
 def test_explanation_json_contract():

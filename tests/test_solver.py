@@ -696,11 +696,11 @@ def test_warm_restart_falls_back_to_cold_node_solves(monkeypatch):
     calls = []
     dual = solver._Tableau.dual
 
-    def flaky(self, deadline=None):
+    def flaky(self, *args):
         calls.append(1)
         if len(calls) % 3 == 0:
             raise solver._Restart
-        return dual(self, deadline)
+        return dual(self, *args)
 
     monkeypatch.setattr(solver._Tableau, "dual", flaky)
     got = solve_milp(inst["model"])

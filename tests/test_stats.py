@@ -187,6 +187,12 @@ class TestLofValues:
         # hand computation: lrd2 members = [2/3, 1/2, 2/3], query lrd = 4/9
         assert lof(line_ctx(), np.array([3.5]), k=2) == pytest.approx(21 / 16)
 
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    def test_k_out_of_range(self, k):
+        # three reference points have at most two other neighbors
+        with pytest.raises(ValueError, match=f"k={k} out of range for 3"):
+            lof(line_ctx(), np.array([0.5]), k)
+
     def test_q1_frozen_values(self):
         ctx = line_ctx()
         assert q1_surrogate(ctx, np.array([0.25])) == pytest.approx(1.0)
@@ -254,6 +260,21 @@ class TestReferenceSampling:
         y = np.array([1, 1, 1])
         with pytest.raises(ValueError):
             sample_reference_set(x, y, 3, seed=0)
+
+    def test_signed_zeros_are_one_row(self):
+        # keyed by their bytes, -0.0 and 0.0 were two rows, and the LOF
+        # context then refused the set as holding duplicate rows
+        x = np.array([[-0.0, 1.0], [0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+        y = np.ones(4, dtype=int)
+        for seed in range(8):
+            build_lof_context(sample_reference_set(x, y, 3, seed), DeltaMetric(np.ones(2)))
+        with pytest.raises(ValueError, match="only 3 unique rows"):
+            sample_reference_set(x, y, 4, seed=0)
+
+    def test_no_positive_row(self):
+        x, y = self._data()
+        with pytest.raises(ValueError, match="no positive-label rows"):
+            sample_reference_set(x, -np.abs(y), 3, seed=0)
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_fewer_than_two_points_rejected(self, n):
