@@ -45,18 +45,26 @@ redundant equality row keeps its artificial basic at zero.
 Branch and bound solves every node on the same live tableau.  Each open node
 after the root records its parent and the one binary it fixes, and starts
 from its parent's optimal state: tableau, basic values, reduced costs, row
-weights, basis and bounds.  Branching only fixes binaries, each boxed in
-[0,1], so any dual feasible basis stays dual feasible for a node once every
-nonbasic binary whose bounds differ from the live ones sits at its fixed
-value or, when the node leaves it free, at the bound its reduced cost
-favours; from the parent's state that is one column.  States are saved
-lazily.  A copy is made only when the live state is about to be overwritten
-while a child of its node is still open; the last child takes the saved
-arrays without a copy, and freed arrays are reused: copying a 469 x 271
-tableau took 663 us into fresh pages against 120 us into reused ones (2-core
-x86 host).  The states one search holds stay within ``_SNAPSHOT_BYTES``; a
-node whose parent's state did not fit starts from the basis the previous
-node left.  Against always starting from that basis, this takes one round of
+weights, basis and bounds, what the dual simplex derives from them (each
+slot's direction off its bound, each row's basic bounds), and whether the
+point passed its residual check.  Branching only fixes binaries, each boxed
+in [0,1], so any dual feasible basis stays dual feasible for a node once
+every nonbasic binary whose bounds differ from the live ones sits at its
+fixed value or, when the node leaves it free, at the bound its reduced cost
+favours; from the parent's state that is one column, placed by scalar
+stores.  States are saved lazily.  When a child starts from a state that
+its sibling still needs, a buffer is set aside for that state, but the copy
+is made only when the child is about to write the live state: at its first
+pivot or refactorization.  A child that answers without a pivot copies
+nothing, and when its sibling comes next, putting back the one column the
+child placed gives the sibling its start.  Per round of the benchmark's
+credit-svm-scale, paper-pair and small-mixed workloads at seed 1 that
+leaves 102, 72 and 183 copies of 141, 88 and 253.  The last child takes
+the saved arrays without a copy, and freed arrays are reused: copying a
+469 x 271 tableau took 663 us into fresh pages against 120 us into reused
+ones (2-core x86 host).  The states one search holds stay within
+``_SNAPSHOT_BYTES``; a node whose parent's state did not fit starts from
+the basis the previous node left.  Against always starting from that basis, this takes one round of
 the benchmark's credit-svm-scale, paper-pair and small-mixed workloads at
 seed 1 from 1,920, 1,168 and 2,921 pivots to 1,208, 916 and 2,382, on 286,
 180 and 546 nodes against 280, 170 and 566; the rounds took 24%, 7% and 11%
@@ -76,22 +84,28 @@ small-mixed).  Such a node leaves its state one pivot short of the
 threshold; that matters only to a node that starts from the live basis
 because its parent's state was not saved.  The tableau is refactored
 from the sparse rows every ``_REFACTOR`` pivots and whenever an LP's primal
-point fails its residual against those rows.  An infeasible verdict stands
-only once the leaving row, recomputed from a fresh factor of the basis,
-proves it.  An LP that still fails after one refactor, meets a singular
-basis or hits the pivot cap restarts once from the slack basis it started
-from; a second failure raises ``SimplexError``.  There is no
-anti-cycling rule beyond that cap.
+point fails its residual against those rows.  The residual sums each row
+over a row-sorted copy of the entries, and is skipped for a point that
+passed it and has not moved since (no pivot, refactorization or placement
+that changed a value): 103, 48 and 149 of the three rounds' 286, 180 and
+504 checks.  An infeasible verdict stands only once the leaving row,
+recomputed from a fresh factor of the basis, proves it.  An LP that still
+fails after one refactor, meets a singular basis or hits the pivot cap
+restarts once from the slack basis it started from; a second failure
+raises ``SimplexError``.  There is no anti-cycling rule beyond that cap.
 
 Nodes are selected best-bound-first (ties by creation order), branching is on
 the most fractional binary (ties by lowest variable id), and the search stops
 at a proven relative gap of 1e-6.  A caller may name the binaries that decide
 the rest of its model, with the closed-form completion of any integral choice
-on them; only those are then branched on (see ``solve_milp``).  All
-tie-breaks are by lowest index, making the whole solve a pure function of its
-input.  The time limit is checked inside the pivot loop as well as between
-nodes.  There is no presolve and there are no cutting planes, so measured
-solve times track the constraint counts of the formulation being solved.
+on them; only those are then branched on (see ``solve_milp``), and each
+choice is completed and verified once per search: the node that fixes a
+pick already at 1 reaches its parent's choice again (35 completions per
+credit-svm-scale round fall to 7).  All tie-breaks are by lowest index,
+making the whole solve a pure function of its input.  The time limit is
+checked inside the pivot loop as well as between nodes.  There is no
+presolve and there are no cutting planes, so measured solve times track the
+constraint counts of the formulation being solved.
 
 The solver calls six routines of scipy's f2py BLAS and LAPACK wrappers:
 ``daxpy``, ``dgemm``, ``dgemv``, ``dger``, ``dgetrf`` and ``dgetrs``.
@@ -107,7 +121,7 @@ kernels.
 ``solve_lp`` and ``solve_milp`` run scipy's OpenBLAS on one thread, putting
 the caller's thread count back when they return.  A pivot is one row copy,
 one ``dgemv`` and one ``dger`` between about 35 small numpy calls that write
-into work arrays made once per LP, and
+into work arrays made once per tableau, and
 on tableaus this size thread dispatch costs more than a second core gains.
 Measured on a 2-core x86 host over whole solves: 176 us per pivot on one
 thread against 235 us threaded on a 469 x 258 tableau (reduced encoding,
@@ -293,8 +307,11 @@ _BLOCK = 64             # tableau columns solved per block in a refactorization
 _REL_GAP = 1e-6         # relative gap at which branch and bound stops
 INT_TOL = 1e-6          # a binary within this of 0 or 1 counts as integral
 _SNAPSHOT_BYTES = 32 << 20   # node LP states one search may save and pool
-# what a node LP leaves in its tableau, which its children start from
-_STATE = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt", "since_refactor")
+# what a node LP leaves in its tableau, which its children start from: these
+# arrays, then the pair (since_refactor, checked)
+_STATE = ("t", "xb", "z", "w", "basis", "nb", "slot", "at_upper", "lo", "ubt",
+          "lift", "lo_b", "up_b")
+_AT = {key: i for i, key in enumerate(_STATE)}
 
 
 class _Tableau:
@@ -341,18 +358,53 @@ class _Tableau:
         self.w = w
         self.xb = rhs / sign
         self.z = std.c.copy()
+        self.derive()
         self.iterations = 0
         self.since_refactor = 0
+        self.checked = False                    # the point passed its residual and has not moved
         self.infeasible_row = -1
+        # [node, buffer, undo]: node's saved state is the live one with what
+        # ``undo`` names put back, and is written into ``buffer`` by ``settle``
+        self.lent = None
+        # the rows again, sorted by row, for the residual: each row's sum
+        # then runs over one segment
+        by_row = np.argsort(self.rows.row, kind="stable")
+        self.row_col, self.row_val = self.rows.col[by_row], self.rows.val[by_row]
+        self.row_start = np.searchsorted(self.rows.row[by_row], np.arange(m))
+        # work arrays of ``dual``
+        self.work_m, self.work_k = np.empty((4, m)), np.empty((2, k))
+        self.enters = np.empty(k, dtype=bool)
 
     def state(self) -> list:
-        """The arrays named by ``_STATE``, by reference, and ``since_refactor``."""
-        return [getattr(self, k) for k in _STATE]
+        """The arrays named by ``_STATE``, by reference, then the pair
+        (``since_refactor``, ``checked``)."""
+        return [getattr(self, k) for k in _STATE] + [(self.since_refactor, self.checked)]
 
     def load(self, state: list) -> None:
         """Make ``state`` live: its arrays are the tableau's from then on."""
         for k, v in zip(_STATE, state):
             setattr(self, k, v)
+        self.since_refactor, self.checked = state[-1]
+
+    def settle(self) -> None:
+        """Write the lent state, if any, into its buffer; called before the
+        live state is written."""
+        if self.lent is None:
+            return
+        _, buf, undo = self.lent
+        self.lent = None
+        _copy(self.state(), buf)
+        if undo is not None:
+            _unplace(buf, undo)
+
+    def derive(self) -> None:
+        """``lift``, per slot +1 at its lower bound, -1 at its upper and 0 if
+        it cannot enter, and ``lo_b`` and ``up_b``, the bounds of each row's
+        basic column, from the basis and the bounds."""
+        nb = self.nb
+        self.lift = np.where(self.at_upper[nb], -1.0, 1.0)
+        self.lift[self.ubt[nb] - self.lo[nb] <= _EPS_FIX] = 0.0
+        self.lo_b, self.up_b = self.lo[self.basis], self.ubt[self.basis]
 
     def values(self) -> np.ndarray:
         x = np.where(self.at_upper, self.ubt, self.lo)
@@ -363,13 +415,12 @@ class _Tableau:
         """Give the columns ``cols`` the bounds ``lo`` and ``hi``; put each
         nonbasic one among them at the bound its reduced cost favours (the
         lower one on a tie), and move the basic values with it.  Every nonbasic
-        column placed is boxed: the slacks are basic when ``root`` places them."""
+        column placed is boxed: the slacks are basic when ``_Warm`` places them."""
+        if not cols.size:
+            return
+        self.settle()
         slots = self.slot[cols]
         nonbasic = slots >= 0
-        if not np.count_nonzero(nonbasic):
-            # all basic, as a node's fractional binary is: the dual moves them into range
-            self.lo[cols], self.ubt[cols] = lo, hi
-            return
         before = np.where(self.at_upper[cols], self.ubt[cols], self.lo[cols])
         self.lo[cols], self.ubt[cols] = lo, hi
         cols, slots, before = cols[nonbasic], slots[nonbasic], before[nonbasic]
@@ -380,10 +431,37 @@ class _Tableau:
         moved = delta != 0.0
         if moved.any() and self.xb.size:
             self.xb = _dgemv(-1.0, self.t[:, slots[moved]], delta[moved], 1.0, self.xb)
+            self.checked = False
+        self.derive()
+
+    def place_one(self, col: int, lo: float, hi: float) -> tuple:
+        """``place`` for the one column ``col``, by scalar stores.  Returns
+        what it overwrote, for ``_unplace``: the column, its slot, its row
+        if basic, its bounds, its flag, its lift, the basic values it
+        replaced (None if it moved none) and ``checked``."""
+        s = self.slot.item(col)
+        lo0, hi0, up0 = self.lo.item(col), self.ubt.item(col), self.at_upper.item(col)
+        checked = self.checked
+        self.lo[col], self.ubt[col] = lo, hi
+        if s < 0:
+            r = int((self.basis == col).argmax())
+            self.lo_b[r], self.up_b[r] = lo, hi
+            return col, s, r, lo0, hi0, up0, 0.0, None, checked
+        lift, xb = self.lift.item(s), None
+        up = self.z.item(s) < 0.0 and hi > lo
+        self.at_upper[col] = up
+        self.lift[s] = 0.0 if hi - lo <= _EPS_FIX else -1.0 if up else 1.0
+        delta = (hi if up else lo) - (hi0 if up0 else lo0)
+        if delta != 0.0 and self.xb.size:
+            xb = self.xb
+            self.xb = _dgemv(-1.0, self.t[:, s:s + 1], np.array([delta]), 1.0, xb)
+            self.checked = False
+        return col, s, -1, lo0, hi0, up0, lift, xb, checked
 
     def refactor(self) -> None:
         """Recompute tableau, basic values, reduced costs and row weights from
         the sparse rows, in slot blocks written into the live buffer."""
+        self.settle()
         lu = _Factor(self.rows, self.basis)
         m, k = self.t.shape
         w = np.ones(m)                          # each row's basic 1
@@ -401,6 +479,7 @@ class _Tableau:
             self.z -= _dgemv(1.0, self.t, self.cost[self.basis], trans=1)
         self.w = w
         self.since_refactor = 0
+        self.checked = False
 
     def proves_infeasible(self, r: int) -> bool:
         """Whether row r, recomputed from a fresh factor of the basis, shows
@@ -427,13 +506,18 @@ class _Tableau:
 
     def residual_ok(self, x: np.ndarray) -> bool:
         """Whether the primal point ``x`` satisfies the sparse rows it came from."""
-        return float(np.abs(self.rows.matvec(x) - self.rhs).max(initial=0.0)) <= self.res_tol
+        terms = x.take(self.row_col)
+        terms *= self.row_val
+        ax = np.add.reduceat(terms, self.row_start)
+        return float(np.abs(ax - self.rhs).max(initial=0.0)) <= self.res_tol
 
-    def dual(self, deadline: float, cutoff: float) -> str:
+    def dual(self, deadline: float, cutoff: float) -> tuple[str, np.ndarray | None]:
         """Dual pivots from a dual feasible basis until the objective
         reaches ``cutoff`` ("cutoff"), every basic value is within its
         bounds ("optimal"), or the leaving row has no entering column
-        ("infeasible").  Raises _Restart past the pivot cap.
+        ("infeasible").  Returns the answer and the point, unless a pivot
+        moved it after it was last computed.  Raises _Restart past the
+        pivot cap.
 
         The objective of a dual feasible basis bounds the LP optimum from
         below and never falls under dual pivots, so once it reaches the
@@ -450,25 +534,22 @@ class _Tableau:
         t, nb, basis, slot = self.t, self.nb, self.basis, self.slot
         lo, ubt, cost, at_upper = self.lo, self.ubt, self.cost, self.at_upper
         z, w, xb = self.z, self.w, self.xb
+        lift, lo_b, up_b = self.lift, self.lo_b, self.up_b
+        point = self.values()
         m = t.shape[0]
         if not m:
-            return "optimal"
+            return "optimal", point
         cutoff = float(cutoff)
-        obj = float(cost @ self.values())
-        # per slot: +1 at its lower bound, -1 at its upper, 0 if it cannot enter
-        lift = np.where(at_upper[nb], -1.0, 1.0)
-        lift[ubt[nb] - lo[nb] <= _EPS_FIX] = 0.0
-        lo_b = lo[basis]
-        up_b = ubt[basis]
-        infeas, score, col, dw = np.empty((4, m))
-        alpha, g = np.empty((2, t.shape[1]))
-        enters = np.empty(t.shape[1], dtype=bool)
+        obj = float(cost @ point)
+        infeas, score, col, dw = self.work_m
+        alpha, g = self.work_k
+        enters = self.enters
         cap = self.iterations + 10 * (m + ubt.size) + 1000
         while True:
             if time.perf_counter() > deadline:
                 raise _Timeout
             if obj >= cutoff:
-                return "cutoff"
+                return "cutoff", point
             np.subtract(lo_b, xb, out=infeas)
             np.subtract(xb, up_b, out=score)
             np.maximum(infeas, score, out=infeas)
@@ -481,13 +562,14 @@ class _Tableau:
                 score[infeas <= _EPS_FEAS] = 0.0
                 r = int(score.argmax())
                 if score[r] <= 0.0:
-                    return "optimal"
+                    return "optimal", point
             if self.iterations >= cap:
                 raise _Restart
             if self.since_refactor >= _REFACTOR:
                 self.refactor()
                 z, w, xb = self.z, self.w, self.xb
-                obj = float(cost @ self.values())
+                point = self.values()
+                obj = float(cost @ point)
                 continue
 
             x_r, lo_r, up_r = xb.item(r), lo_b.item(r), up_b.item(r)
@@ -502,7 +584,7 @@ class _Tableau:
             cand = enters.nonzero()[0]
             if not cand.size:
                 self.infeasible_row = r
-                return "infeasible"
+                return "infeasible", None
             gc = g[cand]
             slack = z[cand] * lift[cand]
             np.maximum(slack, 0.0, out=slack)
@@ -529,8 +611,10 @@ class _Tableau:
                 x[q] = entering_from + step
                 new_obj = float(cost @ x)
                 if new_obj >= cutoff:
-                    return "cutoff"
+                    return "cutoff", point
 
+            self.settle()
+            point, self.checked = None, False
             np.copyto(col, t[:, s])
             tr = _dgemv(1.0, t, alpha)            # old rows . pivot row, for the weights
             tr_r = tr.item(r) + 1.0               # row r's basic 1 included
@@ -568,16 +652,19 @@ class _Tableau:
         the sparse rows, and an infeasible verdict needs a Farkas proof.  An
         answer that fails them is tried once more after a refactor; a second
         failure raises _Restart.  Returns the status and the checked point
-        (None when infeasible)."""
+        (None when infeasible).  A point that passed its check and has not
+        moved since is not checked again: the same point, the same verdict."""
         refactored = False
         while True:
-            out = self.dual(deadline, cutoff)
+            out, x = self.dual(deadline, cutoff)
             if out == "infeasible":
                 if self.proves_infeasible(self.infeasible_row):
                     return out, None
             else:
-                x = self.values()
-                if self.residual_ok(x):
+                if x is None:
+                    x = self.values()
+                if self.checked or self.residual_ok(x):
+                    self.checked = True
                     return out, x
             if refactored:
                 raise _Restart
@@ -628,8 +715,10 @@ class _Warm:
             self._place(fixes, changed)
             out, x = tab.solve(deadline, cutoff)
         except _Restart:
+            tab.settle()
             tab.basis[:], tab.at_upper[:], tab.nb[:], tab.slot[:] = self.start
             tab.lo[:], tab.ubt[:] = 0.0, self.ubt
+            tab.derive()
             try:
                 tab.refactor()
                 self._place(fixes)
@@ -646,7 +735,9 @@ class _Warm:
         those whose bounds differ from the live ones: ``changed`` alone if given."""
         tab = self.tab
         if changed is not None:
-            tab.place(np.array([changed]), *fixes[changed])
+            undo = tab.place_one(changed, *fixes[changed])
+            if tab.lent is not None:
+                tab.lent[2] = undo
             return
         lo, hi = np.zeros(tab.ubt.size), self.ubt.copy()
         if fixes:
@@ -660,10 +751,20 @@ class _Warm:
         parent's optimum if that is live or saved; return whether it is.
         The live state is kept, within the budget, when it is about to be
         overwritten while its node has a child open."""
-        tab, owner = self.tab, self.owner
+        tab, owner, lent = self.tab, self.owner, self.tab.lent
         self.owner = None
         last = parent in self.entered
         self.entered ^= {parent}
+        if lent is not None and lent[0] == parent and owner is None:
+            # the sibling of a child that wrote nothing and left no child
+            # open: the live state, put back, is the parent's
+            tab.lent = None
+            self.free.append(self.saved.pop(parent))
+            live = tab.state()
+            _unplace(live, lent[2])
+            tab.load(live)
+            return True
+        tab.settle()
         if parent == owner:                     # the first child: every enter resets owner
             self._keep(parent)
             return True
@@ -673,12 +774,12 @@ class _Warm:
                 self._keep(owner)
             return False
         buf = None if last else self._buffer()
+        live = tab.state()
+        tab.load(state)
         if buf is None:                         # the last child, or no room for a copy
             del self.saved[parent]
         else:
-            state = _copy(state, buf)
-        live = tab.state()
-        tab.load(state)
+            self._lend(parent, buf)
         if owner is not None:
             self.saved[owner] = live
         else:
@@ -686,9 +787,17 @@ class _Warm:
         return True
 
     def _keep(self, node: int) -> None:
+        """Save the live state for ``node``, within the budget."""
         buf = self._buffer()
         if buf is not None:
-            self.saved[node] = _copy(self.tab.state(), buf)
+            self._lend(node, buf)
+
+    def _lend(self, node: int, buf: list) -> None:
+        """Save the live state for ``node`` in ``buf`` when it is about to
+        be written, not now: a child that answers without a pivot then
+        costs no copy."""
+        self.saved[node] = buf
+        self.tab.lent = [node, buf, None]
 
     def _buffer(self) -> list | None:
         """A pooled state buffer, or a new one while the bytes held stay
@@ -700,7 +809,7 @@ class _Warm:
         if self.held + size > _SNAPSHOT_BYTES:
             return None
         self.held += size
-        return [np.empty_like(a) for a in arrays] + [0]
+        return [np.empty_like(a) for a in arrays] + [(0, False)]
 
 
 def _copy(src: list, dst: list) -> list:
@@ -709,6 +818,19 @@ def _copy(src: list, dst: list) -> list:
         np.copyto(b, a)
     dst[-1] = src[-1]
     return dst
+
+
+def _unplace(state: list, undo: tuple) -> None:
+    """Put back into ``state`` what ``_Tableau.place_one`` overwrote there."""
+    col, s, r, lo, hi, up, lift, xb, checked = undo
+    state[_AT["lo"]][col], state[_AT["ubt"]][col] = lo, hi
+    if s < 0:
+        state[_AT["lo_b"]][r], state[_AT["up_b"]][r] = lo, hi
+    else:
+        state[_AT["at_upper"]][col], state[_AT["lift"]][s] = up, lift
+    if xb is not None:
+        state[_AT["xb"]] = xb
+    state[-1] = state[-1][0], checked
 
 
 def _boxed_bounds(model: MilpModel, overrides: dict | None = None
@@ -752,8 +874,9 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     decide the rest of the model, and ``complete(x)``, the cheapest full
     assignment of the choice an LP point ``x`` makes on them.  Only ``ids``
     are branched on.  A node whose ``ids`` are integral offers its completion
-    as the incumbent, then branches on its lowest id at 1 that it has not
-    fixed, or closes once it has fixed them all.
+    as the incumbent, unless its choice was offered before, then branches on
+    its lowest id at 1 that it has not fixed, or closes once it has fixed
+    them all.
     Deterministic: identical inputs give identical node counts and solution.
     """
     params = params or SolverParams()
@@ -779,6 +902,7 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
     heap = [(-np.inf, next_id, {}, None, None)]
     warm = _Warm(std, lb, ub)                 # live tableau of every node
     timed_out = False                         # leaves at least one node open
+    offered = set()                           # the picks of each action completed
 
     while heap:
         bound_est, node_id, fixes, parent, vid = heap[0]
@@ -806,15 +930,21 @@ def solve_milp(model: MilpModel, params: SolverParams | None = None,
         frac = res.x[ids] % 1.0
         dist = np.minimum(frac, 1.0 - frac)
         if not ids.size or dist.max() <= INT_TOL:
-            cand = complete(res.x)
-            ev = evaluate(model, cand)
-            if not ev.feasible:
-                raise SimplexError(f"an integral node's assignment failed verification "
-                                   f"(violation {ev.worst_violation:.3e})")
-            if ev.objective < inc_obj - 1e-12:
-                incumbent, inc_obj = cand, ev.objective
+            on = ids[res.x[ids] > 0.5]
+            key = on.tobytes()
+            # an action's completion is offered once: the incumbent only
+            # falls, so an offer that did not take it would not take it later
+            if action is None or key not in offered:
+                offered.add(key)
+                cand = complete(res.x)
+                ev = evaluate(model, cand)
+                if not ev.feasible:
+                    raise SimplexError(f"an integral node's assignment failed verification "
+                                       f"(violation {ev.worst_violation:.3e})")
+                if ev.objective < inc_obj - 1e-12:
+                    incumbent, inc_obj = cand, ev.objective
             # an integral action branches on its lowest-id pick at 1 not yet fixed
-            picks = [v for v in ids[res.x[ids] > 0.5].tolist() if v not in fixes]
+            picks = [v for v in on.tolist() if v not in fixes]
             if action is None or not picks:     # generic: close; children left open skew the gap
                 continue
             j = picks[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ class TestSaveLoad:
         p = tmp_path / "f.json"
         p.write_text(json.dumps({"kind": "forest", "n_features": 1, "trees": [tree]}))
         with pytest.raises(ValueError, match="child of more than one split"):
+            load_model(p)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "forest", "n_features": 1, "trees": [1]},
+         "forest model tree 0 must be an object"),
+        ({"kind": "forest", "n_features": 1,
+          "trees": [{"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [1.5, -1, -1],
+                     "right": [2, -1, -1], "prob": [0.5] * 3}]},
+         "forest model tree 0: 'feature', 'left' and 'right' must be integers"),
+        ({"kind": "logistic", "weights": [], "intercept": 0.0, "scaler": None,
+          "converged": True},
+         "logistic model 'weights' must be a non-empty list of finite numbers"),
+    ], ids=["tree-not-an-object", "fractional-link", "no-weights"])
+    def test_malformed_model_refused(self, tmp_path, doc, message):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(p)
 
     def test_canonical_bytes(self, tmp_path):

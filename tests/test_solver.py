@@ -19,7 +19,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cfmilp import solver
-from cfmilp.formulations import _single_change_hint, explain
+from cfmilp.formulations import _single_change_hint, complete_action, decode_action, explain
 from cfmilp.milpcore import MilpModel, ModelError, Rows, evaluate
 from cfmilp.solver import SolverParams, solve_lp, solve_milp
 
@@ -796,6 +796,145 @@ def test_an_answer_that_always_fails_its_check_raises(monkeypatch, status):
         _lp_run(model)
     with pytest.raises(solver.SimplexError):
         solve_milp(model)
+
+
+def _two_binaries():
+    # min x0 + x1 + y with x0 + x1 + y <= 5 and y >= 0.5: the root LP ends
+    # with both binaries nonbasic at 0 and y basic at 0.5, and fixing x0 at
+    # 1 moves the point without leaving the rows' bounds
+    return build([1.0, 1.0, 1.0], [(0, 1), (0, 1), (0, 2)],
+                 [([1.0, 1.0, 1.0], "<=", 5.0), ([0.0, 0.0, 1.0], ">=", 0.5)], binaries={0, 1})
+
+
+def _root_with_children(model):
+    """A live tableau at the root's optimum, its two children open."""
+    warm = solver._Warm(model.arrays, model.arrays.lb, model.arrays.ub)
+    assert warm.solve({}).status == "optimal"
+    assert (warm.tab.slot[[0, 1]] >= 0).all() and not warm.tab.at_upper[[0, 1]].any()
+    warm.owner = 0
+    return warm
+
+
+def test_a_point_is_checked_again_only_once_it_moved(monkeypatch):
+    model = _two_binaries()
+    checks = []
+    real = solver._Tableau.residual_ok
+
+    def spy(self, x):
+        checks.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(solver._Tableau, "residual_ok", spy)
+    warm = _root_with_children(model)
+    pivots = warm.tab.iterations
+    # a child whose placement moves x0 from 0 to 1 is checked, though it makes no pivot
+    moved = warm.solve({0: (1.0, 1.0)}, parent=0, vid=0)
+    assert len(checks) == 2
+    # its sibling starts from the root's point, which x1 = 0 leaves as it was
+    same = warm.solve({1: (0.0, 0.0)}, parent=0, vid=1)
+    assert len(checks) == 2
+    # without a parent every binary that differs is placed: the same rule holds
+    again = warm.solve({0: (1.0, 1.0)})
+    assert len(checks) == 3
+    assert warm.solve({0: (1.0, 1.0)}).objective == again.objective
+    assert len(checks) == 3 and warm.tab.iterations == pivots
+    monkeypatch.undo()
+    for fixes, got in (({0: (1.0, 1.0)}, moved), ({1: (0.0, 0.0)}, same),
+                       ({0: (1.0, 1.0)}, again)):
+        want = solve_lp(model, overrides=fixes)
+        assert got.status == want.status == "optimal"
+        assert got.x == pytest.approx(want.x, abs=1e-12)
+
+
+def test_a_moved_point_that_fails_its_check_refactors_once(monkeypatch):
+    model = _two_binaries()
+    warm = _root_with_children(model)
+    maps = _fail_check(monkeypatch, "residual_ok", 1)
+    checks = []
+    failing = solver._Tableau.residual_ok
+
+    def spy(self, x):
+        checks.append(1)
+        return failing(self, x)
+
+    monkeypatch.setattr(solver._Tableau, "residual_ok", spy)
+    moved = warm.solve({0: (1.0, 1.0)}, parent=0, vid=0)
+    assert moved.status == "optimal" and len(maps) == 1 and len(checks) == 2
+    # the root's state was saved for the sibling before the refactor wrote
+    # the live one, and the sibling starts from it with the root's point,
+    # which passed its check
+    same = warm.solve({1: (0.0, 0.0)}, parent=0, vid=1)
+    assert len(maps) == 1 and len(checks) == 2
+    monkeypatch.undo()
+    for fixes, got in (({0: (1.0, 1.0)}, moved), ({1: (0.0, 0.0)}, same)):
+        want = solve_lp(model, overrides=fixes)
+        assert got.status == want.status == "optimal"
+        assert got.x == pytest.approx(want.x, abs=1e-12)
+
+
+def test_an_integral_node_whose_completion_fails_verification_raises():
+    # the completion offered for every integral choice breaks the capacity row
+    with pytest.raises(solver.SimplexError, match="failed verification"):
+        solve_milp(_knapsack(), action=(np.array([0, 1, 2]), lambda x: np.ones(3)))
+
+
+def test_each_action_is_completed_once_and_no_two_share_a_completion(monkeypatch):
+    inst = credit_instance("svm", 20, rank=2)
+    model, handles = inst["model"], inst["handles"]
+    ids = handles.pi_ids
+    completed, reached, offers = [], [], []
+
+    def complete(x):
+        completed.append(frozenset(ids[x[ids] > 0.5].tolist()))
+        offers.append(complete_action(model, handles, inst["classifier"], inst["lof_ctx"],
+                                      decode_action(handles, x)))
+        return offers[-1]
+
+    solve = solver._Warm.solve
+
+    def spy(self, fixes, deadline=math.inf, cutoff=math.inf, parent=None, vid=None):
+        res = solve(self, fixes, deadline, cutoff, parent, vid)
+        # an integral node under the cutoff offers its action
+        if res.status == "optimal" and res.objective < cutoff:
+            on = res.x[ids]
+            if (np.minimum(on % 1.0, 1.0 - on % 1.0) <= solver.INT_TOL).all():
+                reached.append(frozenset(ids[on > 0.5].tolist()))
+        return res
+
+    monkeypatch.setattr(solver._Warm, "solve", spy)
+    sol = solve_milp(model, action=(ids, complete))
+    assert sol.status == "optimal"
+    # each action reached is completed, once; some are reached again
+    assert len(set(completed)) == len(completed) and set(completed) == set(reached)
+    assert len(reached) > len(completed)
+    # among them actions that differ in one dimension, each with its own completion
+    assert any(len(a ^ b) == 2 for a in completed for b in completed)
+    # the incumbent is the best of the offers
+    assert sol.objective == min(evaluate(model, v).objective for v in offers)
+
+
+def test_actions_that_differ_in_one_dimension_never_share_a_completion():
+    # two dimensions of two candidates, (x0, x1) and (x2, x3), and a free y:
+    # the root LP picks (x0, x2), whose completion costs 2; the node that
+    # fixes x0 at 1 picks it again, and its child that fixes x2 at 0 picks
+    # (x0, x3), which differs in the second dimension alone and whose
+    # completion, at 0.5, is the optimum
+    m = build([0.0, 1.0, 0.0, 0.5, 1.0], [(0, 1)] * 4 + [(0, 10)],
+              [([1.0, 1.0, 0.0, 0.0, 0.0], "=", 1.0), ([0.0, 0.0, 1.0, 1.0, 0.0], "=", 1.0)],
+              binaries={0, 1, 2, 3})
+    ids = np.arange(4)
+    offered = []
+
+    def complete(x):
+        picks = tuple(ids[x[ids] > 0.5].tolist())
+        offered.append(picks)
+        return np.concatenate([np.round(x[ids]), [{(0, 2): 2.0, (0, 3): 0.0}.get(picks, 5.0)]])
+
+    sol = solve_milp(m, action=(ids, complete))
+    assert sol.status == "optimal" and sol.objective == 0.5
+    assert sol.values.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+    assert offered[:2] == [(0, 2), (1, 2)] and (0, 3) in offered
+    assert len(set(offered)) == len(offered)
 
 
 def test_factor_refuses_a_basis_it_cannot_solve():

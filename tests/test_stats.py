@@ -112,6 +112,14 @@ class TestMahalanobis:
         with pytest.raises(ValueError):
             build_mahalanobis(np.ones((1, 3)))
 
+    def test_failed_factorization_is_refused(self):
+        # values near 1e-160 give a covariance of subnormal numbers: its
+        # regularizer underflows to 0 and leaves it singular
+        x = np.array([[0.0, 0.0], [1e-160, 0.0], [2e-160, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="factorization failed even with eps=0 "):
+            build_mahalanobis(x)
+
 
 class TestKnn:
     def test_basic_order(self):
